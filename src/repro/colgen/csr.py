@@ -116,7 +116,7 @@ class CSRGraph:
     def neighbors_list(self, user_id: int) -> List[int]:
         """Neighbours sorted ascending (the row is stored that way)."""
         lo, hi = int(self.indptr[user_id]), int(self.indptr[user_id + 1])
-        return [int(v) for v in self.indices[lo:hi]]
+        return self.indices[lo:hi].tolist()
 
     def neighbors(self, user_id: int) -> Set[int]:
         return set(self.neighbors_list(user_id))

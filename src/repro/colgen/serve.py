@@ -25,17 +25,25 @@ Two serving regimes:
   empty wall/photo/contact surfaces.
 
 The whole read path is mutation-free (PURE001 proves it across the
-frontend call graph): all indexes are built eagerly in ``__init__``,
-string tables are only ever ``lookup``-ed, and lazy ``Account`` views
-are constructed per call, never cached.  The only mutable state is the
-POST-only :class:`~repro.osn.messaging.ContactService` and the attacker
-overlay registered up front via :meth:`add_session_accounts`.
+frontend call graph).  Everything it consults is built eagerly in
+``__init__``: per-school member row arrays, and one decoded
+:class:`PrivacySettings` per distinct packed privacy word, shared by
+every account carrying that word — settings are frozen and nothing on
+the read path mutates them.  Search eligibility is one vectorised
+:meth:`~repro.osn.policy.SitePolicy.school_search_mask` over a school's
+member rows, so no ``Account`` is decoded to answer it, and a listing
+page reads its display names with one gather per name column.
+``Account`` views for profile pages and the remaining policy checks
+are assembled per call from the columns, never cached.  The only
+mutable state is the POST-only
+:class:`~repro.osn.messaging.ContactService` and the attacker overlay
+registered up front via :meth:`add_session_accounts`.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.osn.clock import SimClock
 from repro.osn.errors import ForbiddenError, NotFoundError
@@ -55,17 +63,48 @@ from repro.osn.rendercache import RenderCache
 from repro.osn.user import Account
 from repro.osn.view import ProfileView
 
-from .columns import ColumnarWorld, decode_profile
+from .backend import np, require_numpy
+from .columns import (
+    PRIVACY_SEARCH_SHIFT,
+    ColumnarWorld,
+    decode_profile,
+    unpack_privacy,
+)
 from .views import GENDER_ORDER
 
-if False:  # pragma: no cover - typing only
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry.runtime import Telemetry
 
 #: Shared sentinel profile for *eligibility* account views: policy
-#: predicates (search eligibility, friend-list audience, message button)
-#: read only ``settings`` and ``registered_birthday``, so scans can skip
+#: predicates (friend-list audience, message button, minor status) read
+#: only ``settings`` and ``registered_birthday``, so those checks skip
 #: the full profile decode.  Never rendered.
 _ELIGIBILITY_PROFILE = Profile(name=Name("", ""))
+
+
+def _school_member_rows(world: ColumnarWorld) -> Dict[int, "np.ndarray"]:
+    """School id -> ascending member rows: the serve path's scan index.
+
+    Grouped with one stable sort, so rows stay ascending within each
+    school.  There is one entry per listed affiliation: an account that
+    lists a school twice appears twice, exactly as the object network's
+    registration-time ``_index_member`` appends it.
+    """
+    profiles = world.profiles
+    if profiles is not None:
+        listed = np.diff(profiles.hs_indptr)
+        rows = np.repeat(np.arange(world.n_accounts, dtype=np.int64), listed)
+        school_ids = np.asarray(profiles.hs_school_id, dtype=np.int64)
+    else:
+        person = np.asarray(world.accounts.person_id, dtype=np.int64)
+        # Drop person-less rows first: a -1 index would silently wrap.
+        rows = np.flatnonzero(person >= 0)
+        school_ids = world.people.school_index[person[rows]].astype(np.int64) + 1
+        affiliated = school_ids > 0
+        rows, school_ids = rows[affiliated], school_ids[affiliated]
+    order = np.argsort(school_ids, kind="stable")
+    ids, starts = np.unique(school_ids[order], return_index=True)
+    return dict(zip(ids.tolist(), np.split(rows[order], starts[1:])))
 
 
 class _LazyUsers:
@@ -74,7 +113,7 @@ class _LazyUsers:
     The frontend only calls ``get`` (session authentication); the
     countermeasure path goes through the network's own helpers.  Returned
     accounts are *eligibility* views — settings and birthdays exact,
-    profile a shared sentinel — decoded fresh per call, never cached.
+    profile a shared sentinel — assembled fresh per call, never cached.
     """
 
     def __init__(self, network: "ColumnarNetwork") -> None:
@@ -115,6 +154,7 @@ class ColumnarNetwork:
         friends_page_size: int = 20,
         search_salt: Optional[int] = None,
     ) -> None:
+        require_numpy("columnar serving")
         self.world = world
         self.policy = policy or facebook_policy()
         self.policy.validate()
@@ -146,30 +186,13 @@ class ColumnarNetwork:
                 for i, (name, city) in enumerate(world.schools)
             }
 
-        # Eager member index (school id -> ascending uids), the serve
-        # path's only scan structure.  Rows are visited in uid order so
-        # each list is born sorted — same order the object network's
-        # registration-time index produces.
-        members: Dict[int, List[int]] = {}
-        base = world.uid_base
-        profiles = world.profiles
-        if profiles is not None:
-            indptr = profiles.hs_indptr
-            school_col = profiles.hs_school_id
-            for row in range(world.n_accounts):
-                for i in range(int(indptr[row]), int(indptr[row + 1])):
-                    members.setdefault(int(school_col[i]), []).append(base + row)
-        else:
-            person_col = world.accounts.person_id
-            school_index = world.people.school_index
-            for row in range(world.n_accounts):
-                pid = int(person_col[row])
-                if pid < 0:
-                    continue
-                idx = int(school_index[pid])
-                if idx >= 0:
-                    members.setdefault(idx + 1, []).append(base + row)
-        self._school_members = members
+        self._school_rows = _school_member_rows(world)
+        #: One decoded settings object per distinct packed word, shared
+        #: by every account that carries the word.
+        self._settings_by_word: Dict[int, PrivacySettings] = {
+            word: unpack_privacy(word)
+            for word in np.unique(world.accounts.privacy).tolist()
+        }
 
     # ------------------------------------------------------------------
     # World version (render-cache invalidation contract)
@@ -251,7 +274,7 @@ class ColumnarNetwork:
                 year=int(acc.real_birth_year[row]),
                 fraction=float(acc.real_birth_fraction[row]),
             ),
-            settings=world.privacy_settings(user_id),
+            settings=self._settings_by_word[int(acc.privacy[row])],
             person_id=None if pid < 0 else pid,
             created_at_year=float(acc.created_at_year[row]),
             is_fake=bool(int(acc.is_fake[row])),
@@ -311,28 +334,37 @@ class ColumnarNetwork:
             current_city=city,
         )
 
-    def _display_name(self, user_id: int) -> str:
-        overlay = self._overlay.get(user_id)
-        if overlay is not None:
-            return overlay.profile.name.full
+    def _entries(self, user_ids: List[int]) -> List[DirectoryEntry]:
+        """Listing entries with display names read in one gather per column.
+
+        Listings only ever hold column rows: overlay accounts are
+        friendless and list no school, so no listing can contain one.
+        """
         world = self.world
-        row = self._row(user_id)
+        rows = np.asarray(user_ids, dtype=np.int64) - world.uid_base
         profiles = world.profiles
         if profiles is not None:
             lookup = world.profile_strings.lookup
-            return Name(
-                lookup(int(profiles.first_name_id[row])) or "",
-                lookup(int(profiles.last_name_id[row])) or "",
-            ).full
-        pid = int(world.accounts.person_id[row])
-        if pid < 0:
-            return ""
-        people = world.people
-        lookup = world.names.lookup
-        return Name(
-            lookup(int(people.first_name_id[pid])) or "",
-            lookup(int(people.last_name_id[pid])) or "",
-        ).full
+            firsts = profiles.first_name_id[rows].tolist()
+            lasts = profiles.last_name_id[rows].tolist()
+            names = [
+                Name(lookup(first) or "", lookup(last) or "").full
+                for first, last in zip(firsts, lasts)
+            ]
+        else:
+            lookup = world.names.lookup
+            people = world.people
+            pids = world.accounts.person_id[rows]
+            # A -1 person id gathers a wrapped row; its name is blanked.
+            names = [
+                Name(lookup(first) or "", lookup(last) or "").full if pid >= 0 else ""
+                for pid, first, last in zip(
+                    pids.tolist(),
+                    people.first_name_id[pids].tolist(),
+                    people.last_name_id[pids].tolist(),
+                )
+            ]
+        return [DirectoryEntry(uid, name) for uid, name in zip(user_ids, names)]
 
     # ------------------------------------------------------------------
     # Graph queries (CSR; overlay accounts are friendless by design)
@@ -428,10 +460,7 @@ class ColumnarNetwork:
             ]
         total = len(friend_ids)
         page = friend_ids[offset : offset + self.friends_page_size]
-        entries = [
-            DirectoryEntry(fid, self._display_name(fid)) for fid in page
-        ]
-        return total, entries
+        return total, self._entries(page)
 
     def _visible_in_friend_lists(
         self, viewer_id: Optional[int], member_id: int
@@ -447,20 +476,27 @@ class ColumnarNetwork:
     # ------------------------------------------------------------------
     # Search
     # ------------------------------------------------------------------
-    def _school_member_ids(self, school_id: int) -> List[int]:
-        return self._school_members.get(school_id, [])
+    def _eligible_member_ids(self, school_id: int) -> List[int]:
+        """Ascending uids of the school's members that people search may
+        return: one vectorised policy mask, no account decoded."""
+        rows = self._school_rows.get(school_id)
+        if rows is None:
+            return []
+        acc = self.world.accounts
+        eligible = self.policy.school_search_mask(
+            acc.registered_birth_year[rows],
+            acc.registered_birth_fraction[rows],
+            ((acc.privacy[rows] >> PRIVACY_SEARCH_SHIFT) & 1).astype(bool),
+            self.clock.now_year,
+        )
+        return (rows[eligible] + self.world.uid_base).tolist()
 
     def _search_pool(self, viewer_account_id: int, school_id: int) -> List[int]:
         """Identical formula to ``SocialNetwork._search_pool`` — the
         per-account truncated sample depends only on (viewer uid, school
         id, salt), so the same accounts see the same pools on both
         serving backends."""
-        now = self.clock.now_year
-        eligible = [
-            uid
-            for uid in self._school_member_ids(school_id)
-            if self.policy.school_search_eligible(self._light_account(uid), now)
-        ]
+        eligible = self._eligible_member_ids(school_id)
         if len(eligible) <= self.search_result_cap:
             return eligible
         rng = random.Random(
@@ -475,10 +511,7 @@ class ColumnarNetwork:
         self._check_uid(viewer_account_id)
         pool = self._search_pool(viewer_account_id, school_id)
         page = pool[offset : offset + self.search_page_size]
-        entries = [
-            DirectoryEntry(uid, self._display_name(uid)) for uid in page
-        ]
-        return len(pool), entries
+        return len(pool), self._entries(page)
 
     def graph_search(
         self, viewer_account_id: int, query: GraphSearchQuery
@@ -486,13 +519,9 @@ class ColumnarNetwork:
         self._check_uid(viewer_account_id)
         if self.search_result_cap <= 0:
             return []
-        now = self.clock.now_year
         current_year = self.clock.current_year
-        results: List[DirectoryEntry] = []
-        for uid in self._school_member_ids(query.school_id):
-            account = self._light_account(uid)
-            if not self.policy.school_search_eligible(account, now):
-                continue
+        hits: List[int] = []
+        for uid in self._eligible_member_ids(query.school_id):
             affiliation = self._affiliation_for(uid, query.school_id)
             if affiliation is None:
                 continue
@@ -518,10 +547,10 @@ class ColumnarNetwork:
                 and self._current_city(uid) != query.current_city
             ):
                 continue
-            results.append(DirectoryEntry(uid, self._display_name(uid)))
-            if len(results) >= self.search_result_cap:
+            hits.append(uid)
+            if len(hits) >= self.search_result_cap:
                 break
-        return results
+        return self._entries(hits)
 
     def _affiliation_for(
         self, user_id: int, school_id: int

@@ -19,7 +19,7 @@ describe actual behaviour, not documentation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Optional
+from typing import TYPE_CHECKING, FrozenSet, Optional
 
 from .errors import PolicyError
 from .privacy import (
@@ -30,6 +30,9 @@ from .privacy import (
     Relationship,
 )
 from .user import Account
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -153,6 +156,28 @@ class SitePolicy:
         if self.is_registered_minor(account, now_year):
             return self.minors_in_school_search
         return account.settings.public_search
+
+    def school_search_mask(
+        self,
+        birth_year: "np.ndarray",
+        birth_fraction: "np.ndarray",
+        public_search: "np.ndarray",
+        now_year: float,
+    ) -> "np.ndarray":
+        """:meth:`school_search_eligible` over parallel account columns.
+
+        ``birth_year``/``birth_fraction`` hold registered birthdays and
+        ``public_search`` the accounts' public-search flags.  The
+        registered instant is summed in float64 exactly as
+        ``Birthday.as_year_fraction`` sums it, so every element equals
+        the scalar predicate's answer for that account.  Columns carry
+        no ``disabled`` flag: column-served accounts are never disabled.
+        """
+        instant = birth_year.astype("f8") + birth_fraction.astype("f8")
+        minor = now_year - instant < self.adult_age
+        if self.minors_in_school_search:
+            return minor | public_search
+        return ~minor & public_search
 
     def public_search_eligible(self, account: Account, now_year: float) -> bool:
         """Whether external search engines may index this profile."""

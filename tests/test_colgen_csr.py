@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from array import array
+
 import pytest
 
 from repro.colgen import CSRGraph
@@ -74,6 +76,26 @@ class TestQueries:
 
     def test_nbytes_positive(self, graph):
         assert graph.nbytes > 0
+
+    @pytest.mark.parametrize("backend", ["numpy", "array"])
+    def test_neighbors_list_is_python_ints(self, graph, backend):
+        if backend == "numpy":
+            if not HAS_NUMPY:
+                pytest.skip("numpy buffers need numpy")
+            import numpy as np
+
+            # int32 indices, as the native city tier stores them
+            buffers = CSRGraph(
+                np.asarray(list(graph.indptr), dtype=np.int64),
+                np.asarray(list(graph.indices), dtype=np.int32),
+            )
+        else:
+            buffers = CSRGraph(array("q", graph.indptr), array("q", graph.indices))
+        for u in range(_N):
+            lo, hi = int(buffers.indptr[u]), int(buffers.indptr[u + 1])
+            row = buffers.neighbors_list(u)
+            assert row == [int(v) for v in buffers.indices[lo:hi]]
+            assert all(type(v) is int for v in row)
 
 
 class TestValidate:

@@ -10,10 +10,19 @@ crawl's parsed result set must equal the object crawl's exactly.
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
+import numpy as np
 import pytest
 
-from repro.colgen import encode_world, generate
-from repro.colgen.serve import columnar_frontend, frontend_for_object_world
+from repro.colgen import encode_world, generate, unpack_privacy
+from repro.colgen.serve import (
+    ColumnarNetwork,
+    columnar_frontend,
+    frontend_for_object_world,
+)
+from repro.osn.clock import SimClock
 from repro.osn.errors import ForbiddenError, NotFoundError, OsnError
 from repro.osn.frontend import HtmlFrontend
 from repro.osn.pages import parse_profile_page, parse_search_page
@@ -241,3 +250,152 @@ class TestNativeTier:
         entries_a = {e.user_id for e in parse_search_page(page_a).entries}
         entries_b = {e.user_id for e in parse_search_page(page_b).entries}
         assert entries_a and entries_b
+
+
+# ----------------------------------------------------------------------
+# Decode-free search eligibility vs the per-account scalar predicate
+# ----------------------------------------------------------------------
+
+def scalar_member_ids(world):
+    """School id -> member uids, built one row at a time (the reference)."""
+    members = {}
+    base = world.uid_base
+    profiles = world.profiles
+    for row in range(world.n_accounts):
+        if profiles is not None:
+            lo, hi = int(profiles.hs_indptr[row]), int(profiles.hs_indptr[row + 1])
+            school_ids = [int(profiles.hs_school_id[i]) for i in range(lo, hi)]
+        else:
+            pid = int(world.accounts.person_id[row])
+            idx = int(world.people.school_index[pid]) if pid >= 0 else -1
+            school_ids = [idx + 1] if idx >= 0 else []
+        for school_id in school_ids:
+            members.setdefault(school_id, []).append(base + row)
+    return members
+
+
+def scalar_pool(network, members):
+    """Decode every member and ask the scalar policy predicate."""
+    policy, now = network.policy, network.clock.now_year
+    return [
+        uid
+        for uid in members
+        if policy.school_search_eligible(network._light_account(uid), now)
+    ]
+
+
+def served_index(network):
+    base = network.world.uid_base
+    return {sid: (rows + base).tolist() for sid, rows in network._school_rows.items()}
+
+
+def public_member(world, members):
+    """Some school member whose public-search bit is set."""
+    for uid in sorted(uid for uids in members.values() for uid in uids):
+        if world.privacy_settings(uid).public_search:
+            return uid
+    raise AssertionError("no publicly searchable member")
+
+
+@pytest.fixture(scope="module", params=["smoke", "tiny", "city"])
+def served_world(request, serve_pair):
+    """A generated smoke world, the tiny encoder world and a small
+    native city (the one regime with no profile columns)."""
+    if request.param == "smoke":
+        return generate("smoke", seed=3)
+    if request.param == "tiny":
+        return serve_pair[2].network.world
+    return generate("city", seed=1, blocks=2)
+
+
+class TestEligibilityMask:
+    def test_member_index_matches_the_row_loop(self, served_world):
+        network = ColumnarNetwork(served_world)
+        expected = scalar_member_ids(served_world)
+        assert expected
+        assert served_index(network) == expected
+
+    def test_member_index_matches_the_object_network(self, serve_pair):
+        world, _, columnar_fe, _ = serve_pair
+        assert served_index(columnar_fe.network) == world.network._school_members
+
+    def test_duplicate_affiliations_stay_duplicated(self):
+        world = encode_world(build_world(tiny(seed=13)))
+        cols = world.profiles
+        row = int(np.flatnonzero(np.diff(cols.hs_indptr) == 1)[0])
+        at = int(cols.hs_indptr[row])
+        twice = dataclasses.replace(
+            cols,
+            hs_indptr=np.concatenate(
+                [cols.hs_indptr[: row + 1], cols.hs_indptr[row + 1 :] + 1]
+            ),
+            hs_school_id=np.insert(cols.hs_school_id, at, cols.hs_school_id[at]),
+            hs_name_id=np.insert(cols.hs_name_id, at, cols.hs_name_id[at]),
+            hs_grad_year=np.insert(cols.hs_grad_year, at, cols.hs_grad_year[at]),
+        )
+        world = dataclasses.replace(world, profiles=twice)
+        network = ColumnarNetwork(world)
+        members = scalar_member_ids(world)
+        school_id = int(cols.hs_school_id[at])
+        assert members[school_id].count(world.uid_base + row) == 2
+        assert served_index(network) == members
+        assert network._eligible_member_ids(school_id) == scalar_pool(
+            network, members[school_id]
+        )
+
+    def test_person_less_rows_are_not_indexed(self):
+        world = generate("city", seed=1, blocks=2)
+        world.accounts.person_id[:5] = -1
+        world.people.school_index[-1] = 0  # where a wrapped -1 would land
+        network = ColumnarNetwork(world)
+        assert served_index(network) == scalar_member_ids(world)
+        blank, named = network._entries([0, 5])
+        assert blank.name == ""
+        assert named.name == network.get_account(5).profile.name.full
+
+    @pytest.mark.parametrize("minors_searchable", [False, True])
+    def test_pool_matches_the_scalar_predicate(self, served_world, minors_searchable):
+        policy = dataclasses.replace(
+            policy_by_name("facebook"), minors_in_school_search=minors_searchable
+        )
+        members = scalar_member_ids(served_world)
+        schools = set(members) | set(ColumnarNetwork(served_world).schools)
+        # Just before, at and just after one member's registered 18th
+        # birthday.
+        uid = public_member(served_world, members)
+        birthday = served_world.registered_birth_instant(uid) + policy.adult_age
+        nows = (
+            served_world.observation_year,
+            math.nextafter(birthday, -math.inf),
+            birthday,
+            math.nextafter(birthday, math.inf),
+        )
+        listed = []
+        for now in nows:
+            network = ColumnarNetwork(
+                served_world, policy=policy, clock=SimClock(now_year=now)
+            )
+            pools = {sid: network._eligible_member_ids(sid) for sid in sorted(schools)}
+            for school_id, pool in pools.items():
+                expected = scalar_pool(network, members.get(school_id, []))
+                assert pool == expected, (school_id, now)
+            listed.append(any(uid in pool for pool in pools.values()))
+        # The boundary really is crossed: a minor until the birthday.
+        if not minors_searchable:
+            assert listed[1:] == [False, True, True]
+
+    def test_settings_table_decodes_every_word(self, served_world):
+        network = ColumnarNetwork(served_world)
+        words = set(np.unique(served_world.accounts.privacy).tolist())
+        assert set(network._settings_by_word) == words
+        for word, settings in network._settings_by_word.items():
+            assert settings == unpack_privacy(word)
+
+    def test_listing_names_match_profile_names(self, served_world):
+        network = ColumnarNetwork(served_world)
+        viewer = network.add_session_accounts(1)[0]
+        for school_id in sorted(network._school_rows):
+            _, entries = network.school_search(viewer, school_id)
+            for entry in entries:
+                profile = network.get_account(entry.user_id).profile
+                assert entry.name == profile.name.full

@@ -33,10 +33,10 @@ def test_lint_perf_record():
 
     metrics = record["metrics"]
     assert metrics["files_checked"]["value"] > 50
-    # The shipped tree carries exactly the baselined columnar-port debt
-    # recorded in lint-baseline.json (the bench runs without a baseline).
-    assert metrics["findings"]["value"] == 1
-    assert metrics["scale_findings"]["value"] == 1
+    # The shipped tree lints clean: lint-baseline.json is empty (the
+    # bench runs without a baseline).
+    assert metrics["findings"]["value"] == 0
+    assert metrics["scale_findings"]["value"] == 0
     assert metrics["warm_files_reparsed"]["value"] == 0
     assert metrics["warm_cache_hits"]["value"] == metrics["files_checked"]["value"]
     assert metrics["cold_files_per_second"]["value"] > 0

@@ -380,7 +380,7 @@ def cmd_crawl(args: argparse.Namespace) -> int:
 
     client = CrawlClient(frontend, AccountPool.of(uids), seed=seed)
     plan = CrawlPlan(school_id=school_id, max_profiles=args.budget)
-    result = CrawlScheduler(client, plan, jobs=args.jobs).run()
+    result = CrawlScheduler(client, plan).run()
 
     effort = result.effort
     rows = [
@@ -522,14 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="cap the crawl at N profiles (and their friend lists)",
-    )
-    crawl.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="tie-broken wake-ups released per scheduler turn "
-        "(results are identical for every value)",
     )
     crawl.add_argument(
         "--cache",

@@ -1,14 +1,15 @@
 """Serve the OSN's HTML surface directly off a :class:`ColumnarWorld`.
 
-:class:`ColumnarNetwork` duck-types the slice of
-:class:`~repro.osn.network.SocialNetwork` that
-:class:`~repro.osn.frontend.HtmlFrontend` actually calls — relationship
-classification, profile views, friend pages, both search surfaces, the
-school directory and the contact verbs — but answers every read from
-the flat columns and CSR adjacency instead of per-account objects.
-That is what unlocks city-tier crawls: a million-account world held as
-~100 bytes/user of columns is served page-by-page without ever
-materialising a million ``Account`` objects.
+:class:`ColumnarNetwork` is the columnar store under
+:class:`~repro.osn.network.BaseNetwork`: relationship classification,
+profile views, friend pages, both search surfaces, the school directory
+and the contact verbs are the base's code, shared with the object
+:class:`~repro.osn.network.SocialNetwork`, and this module implements
+only the storage surface they read, off the flat columns and CSR
+adjacency instead of per-account objects.  That is what unlocks
+city-tier crawls: a million-account world held as ~100 bytes/user of
+columns is served page-by-page without ever materialising a million
+``Account`` objects.
 
 Two serving regimes:
 
@@ -42,26 +43,17 @@ registered up front via :meth:`add_session_accounts`.
 
 from __future__ import annotations
 
-import random
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.osn.clock import SimClock
-from repro.osn.errors import ForbiddenError, NotFoundError
 from repro.osn.frontend import HtmlFrontend
-from repro.osn.messaging import ContactService, FriendRequest, Message
-from repro.osn.network import (
-    DirectoryEntry,
-    GraphSearchQuery,
-    School,
-    render_profile_view,
-)
-from repro.osn.policy import SitePolicy, facebook_policy
-from repro.osn.privacy import PrivacySettings, ProfileField, Relationship
+from repro.osn.network import BaseNetwork, School
+from repro.osn.policy import SitePolicy
+from repro.osn.privacy import PrivacySettings
 from repro.osn.profile import Birthday, Name, Profile, SchoolAffiliation
 from repro.osn.ratelimit import RateLimitConfig
 from repro.osn.rendercache import RenderCache
 from repro.osn.user import Account
-from repro.osn.view import ProfileView
 
 from .backend import np, require_numpy
 from .columns import (
@@ -107,40 +99,26 @@ def _school_member_rows(world: ColumnarWorld) -> Dict[int, "np.ndarray"]:
     return dict(zip(ids.tolist(), np.split(rows[order], starts[1:])))
 
 
-class _LazyUsers:
-    """The ``network.users`` facade: lazily-decoded account lookups.
+class ColumnarNetwork(BaseNetwork):
+    """The columnar store: :class:`BaseNetwork`'s reads over columns + CSR.
 
-    The frontend only calls ``get`` (session authentication); the
-    countermeasure path goes through the network's own helpers.  Returned
-    accounts are *eligibility* views — settings and birthdays exact,
-    profile a shared sentinel — assembled fresh per call, never cached.
-    """
-
-    def __init__(self, network: "ColumnarNetwork") -> None:
-        self._network = network
-
-    def get(self, user_id: int) -> Optional[Account]:
-        network = self._network
-        if not network._has_uid(user_id):
-            return None
-        return network._light_account(user_id)
-
-    def __contains__(self, user_id: int) -> bool:
-        return self._network._has_uid(user_id)
-
-    def __len__(self) -> int:
-        network = self._network
-        return network.world.n_accounts + len(network._overlay)
-
-
-class ColumnarNetwork:
-    """A read-mostly :class:`SocialNetwork` stand-in over columns + CSR.
-
-    Constructor knobs mirror ``SocialNetwork``'s so a columnar server
+    Constructor knobs are :class:`BaseNetwork`'s, so a columnar server
     can be configured identically to the object world it was encoded
-    from (``search_salt`` defaults to the world's generation seed, which
-    is exactly what ``build_world`` passes on the object path).
+    from; the clock defaults to the world's observation year and
+    ``search_salt`` to the world's generation seed, which is exactly
+    what ``build_world`` passes on the object path.
     """
+
+    # bench/trace.py wraps these eight reads from each class's own
+    # __dict__, so each store binds them itself.
+    relationship = BaseNetwork.relationship
+    view_profile = BaseNetwork.view_profile
+    friend_page = BaseNetwork.friend_page
+    school_search = BaseNetwork.school_search
+    graph_search = BaseNetwork.graph_search
+    get_school = BaseNetwork.get_school
+    can_message = BaseNetwork.can_message
+    is_registered_minor = BaseNetwork.is_registered_minor
 
     def __init__(
         self,
@@ -148,35 +126,26 @@ class ColumnarNetwork:
         policy: Optional[SitePolicy] = None,
         clock: Optional[SimClock] = None,
         *,
-        reverse_lookup_enabled: bool = True,
-        search_result_cap: int = 256,
-        search_page_size: int = 20,
-        friends_page_size: int = 20,
         search_salt: Optional[int] = None,
+        **knobs: Any,
     ) -> None:
         require_numpy("columnar serving")
+        super().__init__(
+            policy,
+            clock or SimClock(now_year=world.observation_year),
+            search_salt=world.seed if search_salt is None else search_salt,
+            **knobs,
+        )
         self.world = world
-        self.policy = policy or facebook_policy()
-        self.policy.validate()
-        self.clock = clock or SimClock(now_year=world.observation_year)
-        self.reverse_lookup_enabled = reverse_lookup_enabled
-        self.search_result_cap = search_result_cap
-        self.search_page_size = search_page_size
-        self.friends_page_size = friends_page_size
-        self.search_salt = world.seed if search_salt is None else search_salt
-
-        self.contact = ContactService()
-        self.users = _LazyUsers(self)
         #: session (attacker) accounts laid over the immutable columns.
         self._overlay: Dict[int, Account] = {}
-        self._version = 0
 
         # School directory: encoder worlds carry the complete served
         # directory (config + noise schools); native tiers synthesise
         # ids 1..n from the generator's school list, matching the
         # registration order the object path would have used.
         if world.directory:
-            self.schools: Dict[int, School] = {
+            self.schools = {
                 sid: School(sid, name, city, hint)
                 for sid, name, city, hint in world.directory
             }
@@ -195,24 +164,6 @@ class ColumnarNetwork:
         }
 
     # ------------------------------------------------------------------
-    # World version (render-cache invalidation contract)
-    # ------------------------------------------------------------------
-    @property
-    def version(self) -> int:
-        """Monotone counter with the same contract as the object world's.
-
-        The columns themselves are immutable, so only overlay
-        registration bumps it; anything mutating world state out of band
-        must call :meth:`bump_version` (see
-        ``SocialNetwork.version``).
-        """
-        return self._version
-
-    def bump_version(self) -> None:
-        """Invalidate cached page renders after an out-of-band mutation."""
-        self._version += 1
-
-    # ------------------------------------------------------------------
     # Session (attacker) accounts
     # ------------------------------------------------------------------
     def add_session_accounts(self, count: int) -> List[int]:
@@ -221,7 +172,9 @@ class ColumnarNetwork:
         Mirrors ``World.create_attacker_accounts`` — same profiles, same
         privacy settings, and uids continuing exactly where the encoded
         world's dense range ends, so a columnar crawl sees the same
-        account numbering as an object crawl of the same world.
+        account numbering as an object crawl of the same world.  The
+        columns themselves are immutable, so this is the only verb that
+        bumps :attr:`version`.
         """
         uids: List[int] = []
         world = self.world
@@ -249,10 +202,6 @@ class ColumnarNetwork:
         if user_id in self._overlay:
             return True
         return 0 <= user_id - self.world.uid_base < self.world.n_accounts
-
-    def _check_uid(self, user_id: int) -> None:
-        if not self._has_uid(user_id):
-            raise NotFoundError(f"no such user: {user_id}")
 
     def _row(self, user_id: int) -> int:
         return user_id - self.world.uid_base
@@ -334,8 +283,8 @@ class ColumnarNetwork:
             current_city=city,
         )
 
-    def _entries(self, user_ids: List[int]) -> List[DirectoryEntry]:
-        """Listing entries with display names read in one gather per column.
+    def _display_names(self, user_ids: List[int]) -> List[str]:
+        """Display names read in one gather per name column.
 
         Listings only ever hold column rows: overlay accounts are
         friendless and list no school, so no listing can contain one.
@@ -347,24 +296,22 @@ class ColumnarNetwork:
             lookup = world.profile_strings.lookup
             firsts = profiles.first_name_id[rows].tolist()
             lasts = profiles.last_name_id[rows].tolist()
-            names = [
+            return [
                 Name(lookup(first) or "", lookup(last) or "").full
                 for first, last in zip(firsts, lasts)
             ]
-        else:
-            lookup = world.names.lookup
-            people = world.people
-            pids = world.accounts.person_id[rows]
-            # A -1 person id gathers a wrapped row; its name is blanked.
-            names = [
-                Name(lookup(first) or "", lookup(last) or "").full if pid >= 0 else ""
-                for pid, first, last in zip(
-                    pids.tolist(),
-                    people.first_name_id[pids].tolist(),
-                    people.last_name_id[pids].tolist(),
-                )
-            ]
-        return [DirectoryEntry(uid, name) for uid, name in zip(user_ids, names)]
+        lookup = world.names.lookup
+        people = world.people
+        pids = world.accounts.person_id[rows]
+        # A -1 person id gathers a wrapped row; its name is blanked.
+        return [
+            Name(lookup(first) or "", lookup(last) or "").full if pid >= 0 else ""
+            for pid, first, last in zip(
+                pids.tolist(),
+                people.first_name_id[pids].tolist(),
+                people.last_name_id[pids].tolist(),
+            )
+        ]
 
     # ------------------------------------------------------------------
     # Graph queries (CSR; overlay accounts are friendless by design)
@@ -401,80 +348,11 @@ class ColumnarNetwork:
         hi = int(profiles.networks_indptr[row + 1])
         return tuple(int(profiles.network_id[i]) for i in range(lo, hi))
 
-    def friend_count(self, user_id: int) -> int:
-        if user_id in self._overlay:
-            return 0
-        return self.world.degree(user_id)
+    def _share_network(self, a: int, b: int) -> bool:
+        return bool(set(self._network_ids(a)) & set(self._network_ids(b)))
 
     # ------------------------------------------------------------------
-    # Viewer relationship / profile views (object-path semantics, exactly)
-    # ------------------------------------------------------------------
-    def relationship(
-        self, viewer_id: Optional[int], target_id: int
-    ) -> Relationship:
-        self._check_uid(target_id)
-        if viewer_id is None:
-            return Relationship.STRANGER
-        if viewer_id == target_id:
-            return Relationship.SELF
-        self._check_uid(viewer_id)
-        if self._are_friends(viewer_id, target_id):
-            return Relationship.FRIEND
-        if self._has_mutual_friend(viewer_id, target_id):
-            return Relationship.FRIEND_OF_FRIEND
-        if set(self._network_ids(viewer_id)) & set(self._network_ids(target_id)):
-            return Relationship.NETWORK_MEMBER
-        return Relationship.STRANGER
-
-    def view_profile(
-        self, viewer_id: Optional[int], target_id: int
-    ) -> ProfileView:
-        account = self.get_account(target_id)
-        if account.disabled:
-            raise NotFoundError(f"account {target_id} is deactivated")
-        rel = self.relationship(viewer_id, target_id)
-        return render_profile_view(self.policy, account, rel, self.clock.now_year)
-
-    def _friend_list_visible(self, account: Account, rel: Relationship) -> bool:
-        return self.policy.field_visible_to(
-            account, ProfileField.FRIEND_LIST, rel, self.clock.now_year
-        )
-
-    # ------------------------------------------------------------------
-    # Friend lists
-    # ------------------------------------------------------------------
-    def friend_page(
-        self, viewer_id: Optional[int], target_id: int, offset: int = 0
-    ) -> Tuple[int, List[DirectoryEntry]]:
-        self._check_uid(target_id)
-        account = self._light_account(target_id)
-        rel = self.relationship(viewer_id, target_id)
-        if not self._friend_list_visible(account, rel):
-            raise ForbiddenError(f"friend list of {target_id} not visible")
-        friend_ids = self._friend_ids(target_id)
-        if not self.reverse_lookup_enabled:
-            friend_ids = [
-                fid
-                for fid in friend_ids
-                if self._visible_in_friend_lists(viewer_id, fid)
-            ]
-        total = len(friend_ids)
-        page = friend_ids[offset : offset + self.friends_page_size]
-        return total, self._entries(page)
-
-    def _visible_in_friend_lists(
-        self, viewer_id: Optional[int], member_id: int
-    ) -> bool:
-        if not self._has_uid(member_id):
-            return False
-        member = self._light_account(member_id)
-        if member.disabled:
-            return False
-        rel = self.relationship(viewer_id, member_id)
-        return self._friend_list_visible(member, rel)
-
-    # ------------------------------------------------------------------
-    # Search
+    # Search (school index, eligibility mask, Graph Search filters)
     # ------------------------------------------------------------------
     def _eligible_member_ids(self, school_id: int) -> List[int]:
         """Ascending uids of the school's members that people search may
@@ -490,67 +368,6 @@ class ColumnarNetwork:
             self.clock.now_year,
         )
         return (rows[eligible] + self.world.uid_base).tolist()
-
-    def _search_pool(self, viewer_account_id: int, school_id: int) -> List[int]:
-        """Identical formula to ``SocialNetwork._search_pool`` — the
-        per-account truncated sample depends only on (viewer uid, school
-        id, salt), so the same accounts see the same pools on both
-        serving backends."""
-        eligible = self._eligible_member_ids(school_id)
-        if len(eligible) <= self.search_result_cap:
-            return eligible
-        rng = random.Random(
-            (viewer_account_id * 1_000_003 + school_id) ^ self.search_salt
-        )
-        return sorted(rng.sample(eligible, self.search_result_cap))
-
-    def school_search(
-        self, viewer_account_id: int, school_id: int, offset: int = 0
-    ) -> Tuple[int, List[DirectoryEntry]]:
-        self.get_school(school_id)
-        self._check_uid(viewer_account_id)
-        pool = self._search_pool(viewer_account_id, school_id)
-        page = pool[offset : offset + self.search_page_size]
-        return len(pool), self._entries(page)
-
-    def graph_search(
-        self, viewer_account_id: int, query: GraphSearchQuery
-    ) -> List[DirectoryEntry]:
-        self._check_uid(viewer_account_id)
-        if self.search_result_cap <= 0:
-            return []
-        current_year = self.clock.current_year
-        hits: List[int] = []
-        for uid in self._eligible_member_ids(query.school_id):
-            affiliation = self._affiliation_for(uid, query.school_id)
-            if affiliation is None:
-                continue
-            if query.current_students_only and not affiliation.is_current_student(
-                current_year
-            ):
-                continue
-            if query.year_op is not None:
-                if affiliation.graduation_year is None or query.year is None:
-                    continue
-                grad = affiliation.graduation_year
-                matches = {
-                    "in": grad == query.year,
-                    "after": grad > query.year,
-                    "before": grad < query.year,
-                }.get(query.year_op)
-                if matches is None:
-                    raise ValueError(f"bad year_op: {query.year_op!r}")
-                if not matches:
-                    continue
-            if (
-                query.current_city is not None
-                and self._current_city(uid) != query.current_city
-            ):
-                continue
-            hits.append(uid)
-            if len(hits) >= self.search_result_cap:
-                break
-        return self._entries(hits)
 
     def _affiliation_for(
         self, user_id: int, school_id: int
@@ -597,61 +414,6 @@ class ColumnarNetwork:
             return None
         return world.cities.lookup(int(world.people.city_id[pid]))
 
-    # ------------------------------------------------------------------
-    # Directory
-    # ------------------------------------------------------------------
-    def get_school(self, school_id: int) -> School:
-        try:
-            return self.schools[school_id]
-        except KeyError:
-            raise NotFoundError(f"no such school: {school_id}") from None
-
-    def find_school_by_name(self, name: str) -> Optional[School]:
-        lowered = name.lower()
-        for school in self.schools.values():
-            if school.name.lower() == lowered:
-                return school
-        return None
-
-    @property
-    def current_year(self) -> int:
-        return self.clock.current_year
-
-    def is_registered_minor(self, user_id: int) -> bool:
-        return self.policy.is_registered_minor(
-            self._light_account(user_id), self.clock.now_year
-        )
-
-    # ------------------------------------------------------------------
-    # Contact surfaces (POST-only; the one mutable service)
-    # ------------------------------------------------------------------
-    def can_message(self, sender_id: int, recipient_id: int) -> bool:
-        self._check_uid(recipient_id)
-        recipient = self._light_account(recipient_id)
-        rel = self.relationship(sender_id, recipient_id)
-        return self.policy.message_button_visible(
-            recipient, rel, self.clock.now_year
-        )
-
-    def send_message(self, sender_id: int, recipient_id: int, text: str) -> Message:
-        self._check_uid(sender_id)
-        if not self.can_message(sender_id, recipient_id):
-            raise ForbiddenError(
-                f"user {sender_id} may not message user {recipient_id}"
-            )
-        message = Message(sender_id, recipient_id, text, self.clock.now_year)
-        self.contact.deliver_message(message)
-        return message
-
-    def send_friend_request(self, sender_id: int, recipient_id: int) -> bool:
-        self._check_uid(sender_id)
-        self._check_uid(recipient_id)
-        if self._are_friends(sender_id, recipient_id):
-            return False
-        return self.contact.add_request(
-            FriendRequest(sender_id, recipient_id, self.clock.now_year)
-        )
-
 
 def columnar_frontend(
     world: ColumnarWorld,
@@ -682,12 +444,7 @@ def columnar_frontend(
         friends_page_size=friends_page_size,
         search_salt=search_salt,
     )
-    return HtmlFrontend(
-        network,  # type: ignore[arg-type]
-        rate_limit,
-        telemetry=telemetry,
-        cache=cache,
-    )
+    return HtmlFrontend(network, rate_limit, telemetry=telemetry, cache=cache)
 
 
 def frontend_for_object_world(

@@ -47,18 +47,11 @@ class GroundTruthOracle:
     def for_world(cls, world: "World", school_index: int = 0) -> "GroundTruthOracle":
         """Snapshot one school's ground truth out of a built world."""
         truth = world.ground_truth(school_index)
-        uids = truth.all_student_uids
-        birth_years: Dict[int, int] = {}
-        addresses: Dict[int, str] = {}
-        for uid in uids:
-            person_id = world.account_index.person_for(uid)
-            if person_id is None:
-                continue
-            person = world.population.person(person_id)
-            birth_years[uid] = int(person.birth_year_fraction)
-            if person.street_address is not None:
-                addresses[uid] = person.street_address
-        return cls(uids, birth_years, addresses)
+        return cls(
+            truth.all_student_uids,
+            truth.real_birth_years,
+            truth.real_street_addresses,
+        )
 
     @classmethod
     def coerce(cls, source: "WorldLike", school_index: int = 0) -> "GroundTruthOracle":

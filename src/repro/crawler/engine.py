@@ -19,9 +19,7 @@ sleeps would double-count the overlapped waits, which is the whole
 point of concurrency).  Exactly one session runs between scheduling
 points, so the visit order, effort counters and parsed results are a
 pure function of (world seed, crawl seed, pool, plan) — reruns are
-bit-identical, and the ``jobs`` knob (how many same-instant wake-ups
-are released per turn) provably cannot change results, only batch
-tie-broken resumptions.
+bit-identical.
 
 Result-set invariance across pool sizes: seed harvesting is pinned to
 the first ``harvest_accounts`` accounts of the sorted pool (portal
@@ -85,16 +83,12 @@ class TurnDispatcher:
 
     Sessions call :meth:`sleep`; the dispatcher wakes the earliest
     sleeper only when *no* session is runnable, advancing the clock to
-    that wake instant.  ``jobs`` caps how many sleepers sharing one
-    wake instant are released per turn — released sessions still run
-    their synchronous segments one at a time (asyncio resumes futures
-    in release order), so results are identical for every ``jobs``
-    value; it exists to batch tie-broken resumptions.
+    that wake instant.  Sleepers sharing one wake instant are released
+    one per turn, in the order they went to sleep.
     """
 
-    def __init__(self, clock: SimClock, jobs: int = 1) -> None:
+    def __init__(self, clock: SimClock) -> None:
         self.clock = clock
-        self.jobs = max(1, int(jobs))
         self._heap: List[Tuple[float, int, "asyncio.Future[None]"]] = []
         self._seq = 0
         self._active = 0
@@ -121,25 +115,14 @@ class TurnDispatcher:
         await future
 
     def _pump(self) -> None:
-        """Release the earliest sleeper(s) once everyone is parked."""
+        """Release the earliest sleeper once everyone is parked."""
         while self._active == 0 and self._heap:
             wake, _, future = heapq.heappop(self._heap)
-            released: List["asyncio.Future[None]"] = []
-            if not future.done():
-                released.append(future)
-            while (
-                len(released) < self.jobs
-                and self._heap
-                and self._heap[0][0] == wake
-            ):
-                _, _, tied = heapq.heappop(self._heap)
-                if not tied.done():
-                    released.append(tied)
             if wake > self.clock.seconds():
                 self.clock.advance_to(wake)
-            self._active += len(released)
-            for woken in released:
-                woken.set_result(None)
+            if not future.done():
+                self._active += 1
+                future.set_result(None)
 
 
 @dataclass(frozen=True)
@@ -225,10 +208,9 @@ async def _guarded(turns: TurnDispatcher, worker: _Worker) -> None:
 class CrawlScheduler:
     """Run one school crawl concurrently over the client's account pool."""
 
-    def __init__(self, client: CrawlClient, plan: CrawlPlan, jobs: int = 1) -> None:
+    def __init__(self, client: CrawlClient, plan: CrawlPlan) -> None:
         self.client = client
         self.plan = plan
-        self.jobs = jobs
 
     # ------------------------------------------------------------------
     # Phases
@@ -281,10 +263,9 @@ class CrawlScheduler:
     ) -> None:
         """One barrier phase: spawn workers, await them all."""
         clock = self.client.frontend.clock
-        jobs = self.jobs
 
         async def phase() -> None:
-            turns = TurnDispatcher(clock, jobs)
+            turns = TurnDispatcher(clock)
             workers = make_workers(turns)
             for _ in workers:
                 turns.register()
@@ -424,7 +405,7 @@ class CrawlScheduler:
                 if throttles > _MAX_THROTTLE_RETRIES:
                     raise
                 penalty = pacer.next_throttle_penalty(exc.retry_after)
-                pacer.note_slept(penalty, "throttle")
+                pacer.note_slept(penalty, "backoff")
                 await turns.sleep(penalty)
                 continue
             except AccountDisabledError:

@@ -70,6 +70,8 @@ GROUND_TRUTH_ATTRIBUTES = frozenset(
         "network",
         "person_for",
         "population",
+        "real_birth_years",
+        "real_street_addresses",
         "registered_minor_students",
         "student_uids_by_year",
         "students_by_year",

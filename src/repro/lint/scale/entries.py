@@ -6,9 +6,13 @@ like the concurrency pass):
 
 * **serve/crawl entries** — code that runs *per request or per crawl
   turn* against a city/metro-tier world: the crawl CLI command, every
-  public :class:`CrawlScheduler` method, every public
-  :class:`ColumnarNetwork` method, and the public serve-path helpers in
-  ``repro.colgen.serve``.
+  public :class:`CrawlScheduler` method, every public method of
+  :class:`BaseNetwork` (the read and contact logic both stores share;
+  its storage-hook calls resolve by name into both stores) and
+  of :class:`ColumnarNetwork` itself, and the public serve-path helpers
+  in ``repro.colgen.serve``.  The stores re-bind the base's traced
+  reads as class attributes, which the summary does not list as
+  methods, so the base is where those reads are rooted.
 * **attack entries** — the attack pipeline's importable surface: the
   ``repro.core.api`` conveniences, ``HighSchoolProfiler``'s public
   methods, the attack-driving CLI commands, plus every public
@@ -31,6 +35,7 @@ from ..flow.summary import ModuleSummary
 #: (module, class) whose public methods are serve/crawl entries.
 SERVE_ENTRY_CLASSES: Tuple[Tuple[str, str], ...] = (
     ("repro.crawler.engine", "CrawlScheduler"),
+    ("repro.osn.network", "BaseNetwork"),
     ("repro.colgen.serve", "ColumnarNetwork"),
 )
 

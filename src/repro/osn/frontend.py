@@ -50,7 +50,7 @@ from .errors import (
     OsnError,
     RateLimitedError,
 )
-from .network import GraphSearchQuery, SocialNetwork
+from .network import BaseNetwork, GraphSearchQuery
 from .ratelimit import RateLimitConfig, RateLimiter
 from .rendercache import CacheKey, RenderCache
 
@@ -80,7 +80,7 @@ class HtmlFrontend:
 
     def __init__(
         self,
-        network: SocialNetwork,
+        network: BaseNetwork,
         rate_limit: Optional[RateLimitConfig] = None,
         telemetry: Optional["Telemetry"] = None,
         cache: Optional[RenderCache] = None,
@@ -303,7 +303,7 @@ class HtmlFrontend:
         self.limiter.check(account_id)
 
     def _authenticate(self, account_id: int) -> None:
-        account = self.network.users.get(account_id)
+        account = self.network.find_account(account_id)
         if account is None:
             raise AuthenticationError(f"unknown session account {account_id}")
         if account.disabled:

@@ -1,8 +1,7 @@
 """The simulated Online Social Network.
 
-:class:`SocialNetwork` owns the account registry, the friendship graph,
-the school directory and the policy engine, and answers the only
-questions the outside world may ask:
+:class:`BaseNetwork` answers the only questions the outside world may
+ask, and writes each answer once:
 
 * ``view_profile(viewer, target)`` — the policy-filtered profile view;
 * ``friend_page(viewer, target, offset)`` — one page (20 entries, the
@@ -11,7 +10,15 @@ questions the outside world may ask:
 * ``school_search(...)`` — the Find Friends Portal: registered adults
   associated with a school, truncated per account, never minors;
 * ``graph_search(...)`` — structured queries ("current students at HS1
-  who live in city C"), with the same minor exclusion.
+  who live in city C"), with the same minor exclusion;
+* ``send_message`` / ``send_friend_request`` — the contact verbs.
+
+Two stores subclass it and implement only a narrow storage surface
+(see :class:`BaseNetwork`): :class:`SocialNetwork` keeps accounts as
+objects in dicts and a :class:`FriendGraph`, and owns the write verbs
+that build a world; ``ColumnarNetwork`` (:mod:`repro.colgen.serve`)
+reads the same facts off flat columns and CSR adjacency for city-tier
+worlds.  The tiers differ in storage, not in code path.
 
 Everything the crawler does goes through the HTML frontend
 (``repro.osn.frontend``) which in turn calls these methods, so the
@@ -22,15 +29,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .clock import SimClock
 from .errors import ForbiddenError, NotFoundError, RegistrationError
 from .graph import FriendGraph
 from .messaging import ContactService, FriendRequest, Message
 from .policy import SitePolicy, facebook_policy
-from .privacy import Audience, PrivacySettings, ProfileField, Relationship
-from .profile import Birthday, Profile
+from .privacy import PrivacySettings, ProfileField, Relationship
+from .profile import Birthday, Profile, SchoolAffiliation
 from .user import Account
 from .view import ProfileView, WallPostView
 
@@ -80,11 +87,9 @@ def render_profile_view(
 ) -> ProfileView:
     """Build the policy-filtered view of ``account`` for one viewer class.
 
-    Pure function of (policy, account, relationship, instant) — shared
-    by the object-world :class:`SocialNetwork` and the columnar serve
-    path (:mod:`repro.colgen.serve`), which is what makes the two
-    backends byte-identical: both render through this exact field
-    logic, then through the same HTML templates.
+    Pure function of (policy, account, relationship, instant).  Both
+    stores render through this exact field logic, then through the same
+    HTML templates, which is what makes their pages byte-identical.
     """
 
     def sees(field_: ProfileField) -> bool:
@@ -135,8 +140,30 @@ def render_profile_view(
     )
 
 
-class SocialNetwork:
-    """A complete in-memory OSN with Facebook-like semantics."""
+class BaseNetwork:
+    """The OSN's read and contact logic, written once over a store.
+
+    A subclass is a store: it implements the storage surface below, and
+    the policy, visibility, paging and search logic here runs unchanged
+    on top of it.
+
+    * ``_has_uid(uid)``: whether the account exists.
+      ``_light_account(uid)``: an eligibility view of an existing
+      account, with exact settings, birthdays and ``disabled`` flag but
+      possibly no profile.  ``get_account(uid)``: the full account, or
+      :class:`NotFoundError`.
+    * ``_friend_ids(uid)``: friend uids in ascending order.
+      ``_are_friends(a, b)``, ``_has_mutual_friend(a, b)`` and
+      ``_share_network(a, b)``: the relationship tests.
+    * ``_display_names(uids)``: the display name of each uid.
+    * ``_eligible_member_ids(school_id)``: ascending uids of the
+      school's members that people search may return.
+    * ``_affiliation_for(uid, school_id)`` and ``_current_city(uid)``:
+      the two profile fields Graph Search filters on.
+
+    The base declares none of these hooks, so the call-graph lint
+    resolves every ``self.<hook>()`` by name to both stores.
+    """
 
     def __init__(
         self,
@@ -158,13 +185,8 @@ class SocialNetwork:
         self.friends_page_size = friends_page_size
         self.search_salt = search_salt
 
-        self.users: Dict[int, Account] = {}
-        self.graph = FriendGraph()
         self.contact = ContactService()
         self.schools: Dict[int, School] = {}
-        self._next_user_id = 1
-        self._next_school_id = 1
-        self._school_members: Dict[int, List[int]] = {}
         self._version = 0
 
     # ------------------------------------------------------------------
@@ -187,17 +209,8 @@ class SocialNetwork:
         self._version += 1
 
     # ------------------------------------------------------------------
-    # Directory management
+    # Directory and accounts
     # ------------------------------------------------------------------
-    def register_school(
-        self, name: str, city: str, enrollment_hint: Optional[int] = None
-    ) -> School:
-        school = School(self._next_school_id, name, city, enrollment_hint)
-        self._next_school_id += 1
-        self.schools[school.school_id] = school
-        self.bump_version()
-        return school
-
     def get_school(self, school_id: int) -> School:
         try:
             return self.schools[school_id]
@@ -210,6 +223,265 @@ class SocialNetwork:
             if school.name.lower() == lowered:
                 return school
         return None
+
+    def find_account(self, user_id: int) -> Optional[Account]:
+        """The account's eligibility view, or ``None`` for an unknown uid.
+
+        The frontend authenticates sessions with it: only existence and
+        the ``disabled`` flag matter there.
+        """
+        if not self._has_uid(user_id):
+            return None
+        return self._light_account(user_id)
+
+    def _check_uid(self, user_id: int) -> None:
+        if not self._has_uid(user_id):
+            raise NotFoundError(f"no such user: {user_id}")
+
+    def is_registered_minor(self, user_id: int) -> bool:
+        self._check_uid(user_id)
+        return self.policy.is_registered_minor(
+            self._light_account(user_id), self.clock.now_year
+        )
+
+    # ------------------------------------------------------------------
+    # Viewer relationship
+    # ------------------------------------------------------------------
+    def relationship(self, viewer_id: Optional[int], target_id: int) -> Relationship:
+        """The viewer's relationship to the target (paper, Section 3).
+
+        ``viewer_id=None`` models a logged-out visitor: a stranger.
+        """
+        self._check_uid(target_id)
+        if viewer_id is None:
+            return Relationship.STRANGER
+        if viewer_id == target_id:
+            return Relationship.SELF
+        self._check_uid(viewer_id)
+        if self._are_friends(viewer_id, target_id):
+            return Relationship.FRIEND
+        if self._has_mutual_friend(viewer_id, target_id):
+            return Relationship.FRIEND_OF_FRIEND
+        if self._share_network(viewer_id, target_id):
+            return Relationship.NETWORK_MEMBER
+        return Relationship.STRANGER
+
+    # ------------------------------------------------------------------
+    # Profile views
+    # ------------------------------------------------------------------
+    def view_profile(self, viewer_id: Optional[int], target_id: int) -> ProfileView:
+        """Render ``target_id``'s profile as ``viewer_id`` sees it."""
+        account = self.get_account(target_id)
+        if account.disabled:
+            raise NotFoundError(f"account {target_id} is deactivated")
+        rel = self.relationship(viewer_id, target_id)
+        return render_profile_view(self.policy, account, rel, self.clock.now_year)
+
+    def _friend_list_visible(self, account: Account, rel: Relationship) -> bool:
+        return self.policy.field_visible_to(
+            account, ProfileField.FRIEND_LIST, rel, self.clock.now_year
+        )
+
+    # ------------------------------------------------------------------
+    # Friend lists (paginated; reverse-lookup countermeasure lives here)
+    # ------------------------------------------------------------------
+    def friend_page(
+        self, viewer_id: Optional[int], target_id: int, offset: int = 0
+    ) -> Tuple[int, List[DirectoryEntry]]:
+        """One page of ``target_id``'s friend list as seen by the viewer.
+
+        Returns ``(total_visible, entries)``.  Raises
+        :class:`ForbiddenError` when the list is not visible at all.
+
+        When ``reverse_lookup_enabled`` is ``False`` (the Section-8
+        countermeasure), a member is omitted from *other people's* friend
+        lists whenever their own friend list is hidden from this viewer —
+        so users who hide their list (and all registered minors) can no
+        longer be discovered through their friends' lists.
+        """
+        self._check_uid(target_id)
+        account = self._light_account(target_id)
+        rel = self.relationship(viewer_id, target_id)
+        if not self._friend_list_visible(account, rel):
+            raise ForbiddenError(f"friend list of {target_id} not visible")
+        friend_ids = self._friend_ids(target_id)
+        if not self.reverse_lookup_enabled:
+            friend_ids = [
+                fid for fid in friend_ids if self._visible_in_friend_lists(viewer_id, fid)
+            ]
+        total = len(friend_ids)
+        page = friend_ids[offset : offset + self.friends_page_size]
+        return total, self._entries(page)
+
+    def _visible_in_friend_lists(self, viewer_id: Optional[int], member_id: int) -> bool:
+        """Countermeasure predicate: may ``member_id`` appear in friend lists?"""
+        member = self.find_account(member_id)
+        if member is None or member.disabled:
+            return False
+        rel = self.relationship(viewer_id, member_id)
+        return self._friend_list_visible(member, rel)
+
+    def _entries(self, user_ids: List[int]) -> List[DirectoryEntry]:
+        return [
+            DirectoryEntry(uid, name)
+            for uid, name in zip(user_ids, self._display_names(user_ids))
+        ]
+
+    # ------------------------------------------------------------------
+    # Search
+    # ------------------------------------------------------------------
+    def _search_pool(self, viewer_account_id: int, school_id: int) -> List[int]:
+        """The truncated, per-account sample the Find Friends Portal serves.
+
+        Real Facebook returned only a few hundred results per search and
+        different (overlapping) result sets to different accounts — the
+        paper exploits this by searching from multiple fake accounts.  We
+        model it as a deterministic per-account shuffled sample of the
+        eligible users, capped at ``search_result_cap``: it depends only
+        on (viewer uid, school id, salt), so both stores serve the same
+        account the same pool.
+        """
+        eligible = self._eligible_member_ids(school_id)
+        if len(eligible) <= self.search_result_cap:
+            return eligible
+        rng = random.Random((viewer_account_id * 1_000_003 + school_id) ^ self.search_salt)
+        return sorted(rng.sample(eligible, self.search_result_cap))
+
+    def school_search(
+        self, viewer_account_id: int, school_id: int, offset: int = 0
+    ) -> Tuple[int, List[DirectoryEntry]]:
+        """One page of Find-Friends-Portal results for a school.
+
+        Registered minors are *never* returned (the precaution the paper
+        verified with ground truth).  Returns ``(total, entries)``.
+        """
+        self.get_school(school_id)
+        self._check_uid(viewer_account_id)
+        pool = self._search_pool(viewer_account_id, school_id)
+        page = pool[offset : offset + self.search_page_size]
+        return len(pool), self._entries(page)
+
+    def graph_search(
+        self, viewer_account_id: int, query: GraphSearchQuery
+    ) -> List[DirectoryEntry]:
+        """Structured search; same eligibility rules as the portal."""
+        self._check_uid(viewer_account_id)
+        if self.search_result_cap <= 0:
+            return []
+        current_year = self.clock.current_year
+        hits: List[int] = []
+        for uid in self._eligible_member_ids(query.school_id):
+            affiliation = self._affiliation_for(uid, query.school_id)
+            if affiliation is None:
+                continue
+            if query.current_students_only and not affiliation.is_current_student(
+                current_year
+            ):
+                continue
+            if query.year_op is not None:
+                if affiliation.graduation_year is None or query.year is None:
+                    continue
+                grad = affiliation.graduation_year
+                matches = {
+                    "in": grad == query.year,
+                    "after": grad > query.year,
+                    "before": grad < query.year,
+                }.get(query.year_op)
+                if matches is None:
+                    raise ValueError(f"bad year_op: {query.year_op!r}")
+                if not matches:
+                    continue
+            if (
+                query.current_city is not None
+                and self._current_city(uid) != query.current_city
+            ):
+                continue
+            hits.append(uid)
+            if len(hits) >= self.search_result_cap:
+                break
+        return self._entries(hits)
+
+    # ------------------------------------------------------------------
+    # Contact surfaces (messages and friend requests; Section 2 threats)
+    # ------------------------------------------------------------------
+    def can_message(self, sender_id: int, recipient_id: int) -> bool:
+        """Whether the sender sees the recipient's Message button."""
+        self._check_uid(recipient_id)
+        recipient = self._light_account(recipient_id)
+        rel = self.relationship(sender_id, recipient_id)
+        return self.policy.message_button_visible(recipient, rel, self.clock.now_year)
+
+    def send_message(self, sender_id: int, recipient_id: int, text: str) -> Message:
+        """Deliver a direct message, or raise :class:`ForbiddenError`.
+
+        The policy decides: strangers can never message registered
+        minors on Facebook, but *can* message the many minors whose
+        lied-about age makes them registered adults (Table 5's
+        'Message link' row).
+        """
+        self._check_uid(sender_id)
+        if not self.can_message(sender_id, recipient_id):
+            raise ForbiddenError(
+                f"user {sender_id} may not message user {recipient_id}"
+            )
+        message = Message(sender_id, recipient_id, text, self.clock.now_year)
+        self.contact.deliver_message(message)
+        return message
+
+    def send_friend_request(self, sender_id: int, recipient_id: int) -> bool:
+        """Send a friend request (allowed toward anyone, even minors)."""
+        self._check_uid(sender_id)
+        self._check_uid(recipient_id)
+        if self._are_friends(sender_id, recipient_id):
+            return False
+        return self.contact.add_request(
+            FriendRequest(sender_id, recipient_id, self.clock.now_year)
+        )
+
+
+class SocialNetwork(BaseNetwork):
+    """A complete in-memory OSN with Facebook-like semantics.
+
+    The object store: accounts in a dict, friendships in a
+    :class:`FriendGraph`, plus the write verbs that build a world.
+    Constructor knobs are :class:`BaseNetwork`'s.
+    """
+
+    # bench/trace.py wraps these eight reads from each class's own
+    # __dict__, so each store binds them itself.
+    relationship = BaseNetwork.relationship
+    view_profile = BaseNetwork.view_profile
+    friend_page = BaseNetwork.friend_page
+    school_search = BaseNetwork.school_search
+    graph_search = BaseNetwork.graph_search
+    get_school = BaseNetwork.get_school
+    can_message = BaseNetwork.can_message
+    is_registered_minor = BaseNetwork.is_registered_minor
+
+    def __init__(
+        self,
+        policy: Optional[SitePolicy] = None,
+        clock: Optional[SimClock] = None,
+        **knobs: Any,
+    ) -> None:
+        super().__init__(policy, clock, **knobs)
+        self.users: Dict[int, Account] = {}
+        self.graph = FriendGraph()
+        self._next_user_id = 1
+        self._next_school_id = 1
+        self._school_members: Dict[int, List[int]] = {}
+
+    # ------------------------------------------------------------------
+    # Directory management
+    # ------------------------------------------------------------------
+    def register_school(
+        self, name: str, city: str, enrollment_hint: Optional[int] = None
+    ) -> School:
+        school = School(self._next_school_id, name, city, enrollment_hint)
+        self._next_school_id += 1
+        self.schools[school.school_id] = school
+        self.bump_version()
+        return school
 
     # ------------------------------------------------------------------
     # Accounts
@@ -291,224 +563,6 @@ class SocialNetwork:
             return True
         return False
 
-    def friend_count(self, user_id: int) -> int:
-        return self.graph.degree(user_id)
-
-    @property
-    def current_year(self) -> int:
-        return self.clock.current_year
-
-    def is_registered_minor(self, user_id: int) -> bool:
-        return self.policy.is_registered_minor(self.get_account(user_id), self.clock.now_year)
-
-    # ------------------------------------------------------------------
-    # Viewer relationship
-    # ------------------------------------------------------------------
-    def relationship(self, viewer_id: Optional[int], target_id: int) -> Relationship:
-        """The viewer's relationship to the target (paper, Section 3).
-
-        ``viewer_id=None`` models a logged-out visitor: a stranger.
-        """
-        target = self.get_account(target_id)
-        if viewer_id is None:
-            return Relationship.STRANGER
-        if viewer_id == target_id:
-            return Relationship.SELF
-        viewer = self.get_account(viewer_id)
-        if self.graph.are_friends(viewer_id, target_id):
-            return Relationship.FRIEND
-        if self.graph.has_mutual_friend(viewer_id, target_id):
-            return Relationship.FRIEND_OF_FRIEND
-        if set(viewer.profile.networks) & set(target.profile.networks):
-            return Relationship.NETWORK_MEMBER
-        return Relationship.STRANGER
-
-    # ------------------------------------------------------------------
-    # Profile views
-    # ------------------------------------------------------------------
-    def view_profile(self, viewer_id: Optional[int], target_id: int) -> ProfileView:
-        """Render ``target_id``'s profile as ``viewer_id`` sees it."""
-        account = self.get_account(target_id)
-        if account.disabled:
-            raise NotFoundError(f"account {target_id} is deactivated")
-        rel = self.relationship(viewer_id, target_id)
-        return render_profile_view(self.policy, account, rel, self.clock.now_year)
-
-    def _friend_list_visible(self, account: Account, rel: Relationship) -> bool:
-        return self.policy.field_visible_to(
-            account, ProfileField.FRIEND_LIST, rel, self.clock.now_year
-        )
-
-    # ------------------------------------------------------------------
-    # Friend lists (paginated; reverse-lookup countermeasure lives here)
-    # ------------------------------------------------------------------
-    def friend_page(
-        self, viewer_id: Optional[int], target_id: int, offset: int = 0
-    ) -> Tuple[int, List[DirectoryEntry]]:
-        """One page of ``target_id``'s friend list as seen by the viewer.
-
-        Returns ``(total_visible, entries)``.  Raises
-        :class:`ForbiddenError` when the list is not visible at all.
-
-        When ``reverse_lookup_enabled`` is ``False`` (the Section-8
-        countermeasure), a member is omitted from *other people's* friend
-        lists whenever their own friend list is hidden from this viewer —
-        so users who hide their list (and all registered minors) can no
-        longer be discovered through their friends' lists.
-        """
-        account = self.get_account(target_id)
-        rel = self.relationship(viewer_id, target_id)
-        if not self._friend_list_visible(account, rel):
-            raise ForbiddenError(f"friend list of {target_id} not visible")
-        friend_ids = self.graph.neighbors_list(target_id)
-        if not self.reverse_lookup_enabled:
-            friend_ids = [
-                fid for fid in friend_ids if self._visible_in_friend_lists(viewer_id, fid)
-            ]
-        total = len(friend_ids)
-        page = friend_ids[offset : offset + self.friends_page_size]
-        entries = [
-            DirectoryEntry(fid, self.users[fid].profile.name.full) for fid in page
-        ]
-        return total, entries
-
-    def _visible_in_friend_lists(self, viewer_id: Optional[int], member_id: int) -> bool:
-        """Countermeasure predicate: may ``member_id`` appear in friend lists?"""
-        member = self.users.get(member_id)
-        if member is None or member.disabled:
-            return False
-        rel = self.relationship(viewer_id, member_id)
-        return self._friend_list_visible(member, rel)
-
-    # ------------------------------------------------------------------
-    # Search
-    # ------------------------------------------------------------------
-    def _school_member_ids(self, school_id: int) -> List[int]:
-        """All user ids whose profile lists ``school_id`` (any audience).
-
-        Pure read: the index is maintained eagerly at registration time
-        (``_index_member``), never rebuilt lazily on the serve path —
-        PURE001 holds the whole search surface to read-only.
-        """
-        return self._school_members.get(school_id, [])
-
-    def _search_pool(self, viewer_account_id: int, school_id: int) -> List[int]:
-        """The truncated, per-account sample the Find Friends Portal serves.
-
-        Real Facebook returned only a few hundred results per search and
-        different (overlapping) result sets to different accounts — the
-        paper exploits this by searching from multiple fake accounts.  We
-        model it as a deterministic per-account shuffled sample of the
-        eligible users, capped at ``search_result_cap``.
-        """
-        now = self.clock.now_year
-        eligible = [
-            uid
-            for uid in self._school_member_ids(school_id)
-            if self.policy.school_search_eligible(self.users[uid], now)
-        ]
-        if len(eligible) <= self.search_result_cap:
-            return eligible
-        rng = random.Random((viewer_account_id * 1_000_003 + school_id) ^ self.search_salt)
-        return sorted(rng.sample(eligible, self.search_result_cap))
-
-    def school_search(
-        self, viewer_account_id: int, school_id: int, offset: int = 0
-    ) -> Tuple[int, List[DirectoryEntry]]:
-        """One page of Find-Friends-Portal results for a school.
-
-        Registered minors are *never* returned (the precaution the paper
-        verified with ground truth).  Returns ``(total, entries)``.
-        """
-        self.get_school(school_id)
-        self.get_account(viewer_account_id)
-        pool = self._search_pool(viewer_account_id, school_id)
-        page = pool[offset : offset + self.search_page_size]
-        entries = [
-            DirectoryEntry(uid, self.users[uid].profile.name.full) for uid in page
-        ]
-        return len(pool), entries
-
-    def graph_search(
-        self, viewer_account_id: int, query: GraphSearchQuery
-    ) -> List[DirectoryEntry]:
-        """Structured search; same eligibility rules as the portal."""
-        self.get_account(viewer_account_id)
-        if self.search_result_cap <= 0:
-            return []
-        now = self.clock.now_year
-        current_year = self.clock.current_year
-        results: List[DirectoryEntry] = []
-        for uid in self._school_member_ids(query.school_id):
-            account = self.users[uid]
-            if not self.policy.school_search_eligible(account, now):
-                continue
-            affiliation = account.profile.affiliation_for(query.school_id)
-            if affiliation is None:
-                continue
-            if query.current_students_only and not affiliation.is_current_student(
-                current_year
-            ):
-                continue
-            if query.year_op is not None:
-                if affiliation.graduation_year is None or query.year is None:
-                    continue
-                grad = affiliation.graduation_year
-                matches = {
-                    "in": grad == query.year,
-                    "after": grad > query.year,
-                    "before": grad < query.year,
-                }.get(query.year_op)
-                if matches is None:
-                    raise ValueError(f"bad year_op: {query.year_op!r}")
-                if not matches:
-                    continue
-            if (
-                query.current_city is not None
-                and account.profile.current_city != query.current_city
-            ):
-                continue
-            results.append(DirectoryEntry(uid, account.profile.name.full))
-            if len(results) >= self.search_result_cap:
-                break
-        return results
-
-    # ------------------------------------------------------------------
-    # Contact surfaces (messages and friend requests; Section 2 threats)
-    # ------------------------------------------------------------------
-    def can_message(self, sender_id: int, recipient_id: int) -> bool:
-        """Whether the sender sees the recipient's Message button."""
-        recipient = self.get_account(recipient_id)
-        rel = self.relationship(sender_id, recipient_id)
-        return self.policy.message_button_visible(recipient, rel, self.clock.now_year)
-
-    def send_message(self, sender_id: int, recipient_id: int, text: str) -> Message:
-        """Deliver a direct message, or raise :class:`ForbiddenError`.
-
-        The policy decides: strangers can never message registered
-        minors on Facebook, but *can* message the many minors whose
-        lied-about age makes them registered adults (Table 5's
-        'Message link' row).
-        """
-        self.get_account(sender_id)
-        if not self.can_message(sender_id, recipient_id):
-            raise ForbiddenError(
-                f"user {sender_id} may not message user {recipient_id}"
-            )
-        message = Message(sender_id, recipient_id, text, self.clock.now_year)
-        self.contact.deliver_message(message)
-        return message
-
-    def send_friend_request(self, sender_id: int, recipient_id: int) -> bool:
-        """Send a friend request (allowed toward anyone, even minors)."""
-        self.get_account(sender_id)
-        self.get_account(recipient_id)
-        if self.graph.are_friends(sender_id, recipient_id):
-            return False
-        return self.contact.add_request(
-            FriendRequest(sender_id, recipient_id, self.clock.now_year)
-        )
-
     def respond_to_friend_request(
         self, recipient_id: int, sender_id: int, accept: bool
     ) -> bool:
@@ -519,6 +573,54 @@ class SocialNetwork:
         if accept:
             self.add_friendship(sender_id, recipient_id)
         return accept
+
+    # ------------------------------------------------------------------
+    # Storage surface (see BaseNetwork)
+    # ------------------------------------------------------------------
+    def _has_uid(self, user_id: int) -> bool:
+        return user_id in self.users
+
+    def _light_account(self, user_id: int) -> Account:
+        return self.users[user_id]
+
+    def _friend_ids(self, user_id: int) -> List[int]:
+        return self.graph.neighbors_list(user_id)
+
+    def _are_friends(self, a: int, b: int) -> bool:
+        return self.graph.are_friends(a, b)
+
+    def _has_mutual_friend(self, a: int, b: int) -> bool:
+        return self.graph.has_mutual_friend(a, b)
+
+    def _share_network(self, a: int, b: int) -> bool:
+        mine = self.users[a].profile.networks
+        theirs = self.users[b].profile.networks
+        return bool(set(mine) & set(theirs))
+
+    def _display_names(self, user_ids: List[int]) -> List[str]:
+        return [self.users[uid].profile.name.full for uid in user_ids]
+
+    def _eligible_member_ids(self, school_id: int) -> List[int]:
+        """Search-eligible members, in the registration-time index order.
+
+        Pure read: the index is maintained eagerly at registration time
+        (``_index_member``), never rebuilt lazily on the serve path —
+        PURE001 holds the whole search surface to read-only.
+        """
+        now = self.clock.now_year
+        return [
+            uid
+            for uid in self._school_members.get(school_id, [])
+            if self.policy.school_search_eligible(self.users[uid], now)
+        ]
+
+    def _affiliation_for(
+        self, user_id: int, school_id: int
+    ) -> Optional[SchoolAffiliation]:
+        return self.users[user_id].profile.affiliation_for(school_id)
+
+    def _current_city(self, user_id: int) -> Optional[str]:
+        return self.users[user_id].profile.current_city
 
     # ------------------------------------------------------------------
     # Statistics (for tests / world validation; not used by the attack)

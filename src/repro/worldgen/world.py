@@ -36,7 +36,8 @@ class SchoolGroundTruth:
 
     Mirrors the confidential student lists the paper used for HS1:
     current students segmented by graduation year, their account ids,
-    and derived per-account classifications (registered minors, students
+    each student account's real birth year and street address, and
+    derived per-account classifications (registered minors, students
     registered as adults, minimal-profile students).
     """
 
@@ -47,6 +48,10 @@ class SchoolGroundTruth:
     student_uids_by_year: Dict[int, List[int]] = field(default_factory=dict)
     former_student_uids: Set[int] = field(default_factory=set)
     alumni_uids: Set[int] = field(default_factory=set)
+    #: student uid -> real birth year (what age inference is scored on)
+    real_birth_years: Dict[int, int] = field(default_factory=dict)
+    #: student uid -> real street address, for students who have one
+    real_street_addresses: Dict[int, str] = field(default_factory=dict)
 
     @property
     def all_student_uids(self) -> Set[int]:
@@ -209,9 +214,17 @@ def _school_ground_truth(
     truth = SchoolGroundTruth(school=school)
     for year, pids in population.students_by_school.get(school_index, {}).items():
         truth.students_by_year[year] = list(pids)
-        truth.student_uids_by_year[year] = [
-            uid for pid in pids if (uid := index.user_for(pid)) is not None
-        ]
+        uids: List[int] = []
+        for pid in pids:
+            uid = index.user_for(pid)
+            if uid is None:
+                continue
+            uids.append(uid)
+            person = population.people[pid]
+            truth.real_birth_years[uid] = int(person.birth_year_fraction)
+            if person.street_address is not None:
+                truth.real_street_addresses[uid] = person.street_address
+        truth.student_uids_by_year[year] = uids
     truth.former_student_uids = {
         uid
         for pid in population.former_by_school.get(school_index, [])

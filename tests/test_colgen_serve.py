@@ -25,7 +25,11 @@ from repro.colgen.serve import (
 from repro.osn.clock import SimClock
 from repro.osn.errors import ForbiddenError, NotFoundError, OsnError
 from repro.osn.frontend import HtmlFrontend
-from repro.osn.pages import parse_profile_page, parse_search_page
+from repro.osn.pages import (
+    parse_friends_page,
+    parse_profile_page,
+    parse_search_page,
+)
 from repro.osn.policy import policy_by_name
 from repro.osn.ratelimit import RateLimitConfig
 from repro.worldgen.presets import tiny
@@ -155,6 +159,59 @@ class TestByteIdentity:
         ]
         for params in queries:
             assert_identical(serve_pair, viewers[0], "/graphsearch", params)
+
+
+@pytest.fixture(scope="module")
+def countermeasure_pair():
+    """A serve pair with the Section-8 countermeasure on
+    (``reverse_lookup_enabled=False``), built apart from ``serve_pair``
+    so that pair keeps reverse lookup enabled."""
+    world = build_world(tiny(seed=13))
+    viewers = world.create_attacker_accounts(1)
+    world.network.reverse_lookup_enabled = False
+    no_limit = RateLimitConfig(max_requests=10**9, window_seconds=1.0)
+    config = world.config
+    columnar_fe = columnar_frontend(
+        encode_world(world),
+        policy=policy_by_name(config.site),
+        reverse_lookup_enabled=False,
+        search_result_cap=config.osn.search_result_cap,
+        search_page_size=config.osn.search_page_size,
+        friends_page_size=config.osn.friends_page_size,
+        search_salt=config.seed,
+        rate_limit=no_limit,
+    )
+    return world, HtmlFrontend(world.network, no_limit), columnar_fe, viewers
+
+
+class TestCountermeasureParity:
+    def test_every_friend_list_page(self, countermeasure_pair):
+        """Every page of every friend list, for a stranger and a friend
+        viewer: the reverse-lookup filter agrees byte for byte."""
+        world, _, _, (stranger,) = countermeasure_pair
+        users = world.network.users
+        friend = next(uid for uid in sorted(users) if users[uid].friend_ids)
+        filtered = 0
+        for viewer in (stranger, friend):
+            for uid in sorted(users):
+                offset = 0
+                while True:
+                    page = assert_identical(
+                        countermeasure_pair,
+                        viewer,
+                        f"/profile/{uid}/friends",
+                        {"offset": str(offset)},
+                    )
+                    if not isinstance(page, str):
+                        break
+                    listing = parse_friends_page(page)
+                    if offset == 0 and listing.total < len(users[uid].friend_ids):
+                        filtered += 1
+                    if listing.next_offset is None:
+                        break
+                    offset = listing.next_offset
+        # The countermeasure really dropped members from some lists.
+        assert filtered > 0
 
 
 class TestPostParity:

@@ -1,11 +1,10 @@
 """The async crawl engine: determinism, pool invariance, client parity.
 
 The engine's promises: same seed + pool + plan reproduce the run
-bit-for-bit (visit order, effort, simulated clock); the ``jobs`` knob
-never changes results; pools of different sizes crawl the *same* result
-set at the same per-category effort, only faster in simulated time; and
-a single-account engine run observes exactly what the sequential
-``CrawlClient`` observes.
+bit-for-bit (visit order, effort, simulated clock); pools of different
+sizes crawl the *same* result set at the same per-category effort, only
+faster in simulated time; and a single-account engine run observes
+exactly what the sequential ``CrawlClient`` observes.
 """
 
 from __future__ import annotations
@@ -17,7 +16,11 @@ import pytest
 from repro.crawler.accounts import AccountPool
 from repro.crawler.client import CrawlClient
 from repro.crawler.engine import CrawlPlan, CrawlScheduler, TurnDispatcher
+from repro.crawler.politeness import PolitenessPolicy
 from repro.osn.clock import SimClock
+from repro.osn.frontend import HtmlFrontend
+from repro.osn.ratelimit import RateLimitConfig
+from repro.telemetry import Telemetry
 from repro.worldgen.presets import tiny
 from repro.worldgen.world import build_world
 
@@ -25,13 +28,13 @@ _SEED = 7
 _BUDGET = 12
 
 
-def engine_run(pool_size: int, jobs: int = 1, budget: int = _BUDGET):
+def engine_run(pool_size: int, budget: int = _BUDGET):
     """A full scheduler run on a private tiny world."""
     world = build_world(tiny(seed=_SEED))
     uids = world.create_attacker_accounts(pool_size)
     client = CrawlClient(world.frontend, AccountPool.of(uids), seed=_SEED)
     plan = CrawlPlan(school_id=world.school().school_id, max_profiles=budget)
-    return CrawlScheduler(client, plan, jobs=jobs).run()
+    return CrawlScheduler(client, plan).run()
 
 
 def categories(result):
@@ -74,7 +77,7 @@ class TestTurnDispatcher:
 
     def test_ties_break_by_registration_order(self):
         clock = SimClock(now_year=2012.25)
-        turns = TurnDispatcher(clock, jobs=1)
+        turns = TurnDispatcher(clock)
         order = []
 
         async def sleeper(name):
@@ -106,14 +109,6 @@ class TestDeterminism:
         assert first.effort == second.effort
         assert first.sim_seconds == second.sim_seconds
         assert first.pages_by_account == second.pages_by_account
-
-    def test_jobs_knob_cannot_change_results(self):
-        serial = engine_run(4, jobs=1)
-        batched = engine_run(4, jobs=4)
-        assert serial.visit_order == batched.visit_order
-        assert serial.result_signature() == batched.result_signature()
-        assert serial.sim_seconds == batched.sim_seconds
-        assert serial.effort == batched.effort
 
 
 class TestPoolInvariance:
@@ -180,3 +175,33 @@ class TestPlanValidation:
         assert len(result.profiles) == 4
         assert result.friend_lists == {}
         assert result.effort.friend_list_requests == 0
+
+
+class TestThrottleTelemetry:
+    def test_backoff_sleeps_carry_the_clients_label(self, school_network):
+        """A throttled engine fetch records its back-off sleep under
+        ``pacer_sleep_seconds{reason="backoff"}``, the label the
+        sequential client's ``Pacer.on_throttle`` uses for the same sleep."""
+        net, school, accounts = school_network
+        telemetry = Telemetry.in_memory(net.clock)
+        # One request per 30 s window: every immediate second GET is
+        # throttled once, then passes after the back-off.
+        frontend = HtmlFrontend(
+            net,
+            RateLimitConfig(
+                max_requests=1, window_seconds=30, strikes_to_disable=10**6
+            ),
+        )
+        client = CrawlClient(
+            frontend,
+            AccountPool.of([accounts["crawler"].user_id]),
+            PolitenessPolicy(base_delay_seconds=0, jitter_seconds=0),
+            telemetry=telemetry,
+        )
+        result = CrawlScheduler(
+            client, CrawlPlan(school_id=school.school_id, max_profiles=2)
+        ).run()
+        assert result.pages > 1
+        sleeps = telemetry.registry.get("pacer_sleep_seconds").series()
+        assert set(sleeps) == {(("reason", "backoff"),)}
+        assert sleeps[(("reason", "backoff"),)].count == result.pages - 1

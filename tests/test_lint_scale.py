@@ -142,6 +142,51 @@ MATERIALIZE_SUPPRESSED_MULTILINE = {
 }
 
 
+#: The stores share the base's read logic and re-bind its traced reads
+#: as class attributes; a per-person decode planted in a columnar
+#: storage hook must still be reached through the base's friend_page.
+MATERIALIZE_IN_STORAGE_HOOK = {
+    **_PKG,
+    "repro/osn/__init__.py": "",
+    "repro/osn/network.py": """
+        class BaseNetwork:
+            def friend_page(self, viewer_id, target_id):
+                return self._display_names(self._friend_ids(target_id))
+
+
+        class SocialNetwork(BaseNetwork):
+            friend_page = BaseNetwork.friend_page
+
+            def _friend_ids(self, uid):
+                return []
+
+            def _display_names(self, uids):
+                return []
+        """,
+    "repro/colgen/views.py": """
+        def person_view(world, pid):
+            return world.people[pid]
+        """,
+    "repro/colgen/serve.py": """
+        from repro.colgen.views import person_view
+        from repro.osn.network import BaseNetwork
+
+
+        class ColumnarNetwork(BaseNetwork):
+            friend_page = BaseNetwork.friend_page
+
+            def __init__(self, world):
+                self.world = world
+
+            def _friend_ids(self, uid):
+                return self.world.friends(uid)
+
+            def _display_names(self, uids):
+                return [person_view(self.world, uid).name for uid in uids]
+        """,
+}
+
+
 class TestScale001:
     def test_two_hop_materialisation_fires_with_witness(self, tmp_path):
         report = _scale(tmp_path, MATERIALIZE_TWO_HOP)
@@ -165,6 +210,17 @@ class TestScale001:
         finding = report.findings[0]
         assert "index" in finding.message
         assert "self.network.accounts" in finding.message
+
+    def test_decode_in_a_columnar_storage_hook_fires_via_the_base(self, tmp_path):
+        report = _scale(tmp_path, MATERIALIZE_IN_STORAGE_HOOK)
+        assert [f.rule for f in report.findings] == ["SCALE001"]
+        finding = report.findings[0]
+        assert finding.path.endswith("serve.py")
+        assert "per-person decode 'person_view'" in finding.message
+        assert (
+            "BaseNetwork.friend_page -> ColumnarNetwork._display_names"
+            in finding.message
+        )
 
     def test_multiline_statement_suppression_covers_the_call(self, tmp_path):
         report = _scale(tmp_path, MATERIALIZE_SUPPRESSED_MULTILINE)

@@ -4,11 +4,10 @@ The columnar generator stores every per-person and per-account attribute
 in a flat, typed buffer.  With numpy installed those buffers are compact
 dtyped ``ndarray``\\ s and the draws are vectorised; on a minimal install
 (no third-party packages at all) the same columns live in stdlib
-``array.array`` buffers and generation falls back to scalar loops.  The
-fallback is deliberately slow-but-correct: it keeps the ``smoke`` and
-``paper`` tiers (and every seed test that uses them) runnable anywhere,
-while the ``city``/``metro`` tiers refuse to start without numpy rather
-than grind for hours.
+``array.array`` buffers and generation falls back to scalar loops.
+numpy is a core dependency (the object world's friendship builder and
+graph need it), so the fallback keeps no tier runnable without numpy;
+the ``city``/``metro`` tiers still check for it up front.
 
 Nothing in this module draws randomness; it only owns buffer
 construction so the rest of the package can stay backend-agnostic.
@@ -40,8 +39,8 @@ def require_numpy(feature: str) -> None:
     """Fail fast (with an actionable message) when numpy is missing."""
     if not HAS_NUMPY:
         raise ColgenDependencyError(
-            f"{feature} needs numpy (install the 'scale' extra: "
-            "pip install repro[scale]); the smoke/paper tiers run without it"
+            f"{feature} needs numpy, a core dependency of repro "
+            "(pip install numpy)"
         )
 
 

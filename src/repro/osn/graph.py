@@ -4,12 +4,15 @@ A thin, fast adjacency structure (dict of sets) with the handful of
 queries the simulator and the attack need: neighbourhoods, mutual
 friends, and degree statistics.  We deliberately avoid networkx here —
 the hot loops (reverse lookup over tens of thousands of candidates) want
-plain set operations.
+plain set operations.  It is the object world's only adjacency store:
+accounts keep no copy of their friend set.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Set, Tuple, Union
+
+import numpy as np
 
 
 class FriendGraph:
@@ -118,13 +121,53 @@ class FriendGraph:
         """How many of ``user_id``'s friends fall inside ``within``."""
         return sum(1 for f in self._adj.get(user_id, ()) if f in within)
 
-    def bulk_add_edges(self, edges: Iterable[Tuple[int, int]]) -> int:
-        """Add many edges; returns how many were new."""
+    def bulk_add_edges(
+        self, edges: Union[Iterable[Tuple[int, int]], np.ndarray]
+    ) -> int:
+        """Add many edges; returns how many were new.
+
+        ``edges`` holds ``(a, b)`` pairs, as an iterable or an ``(n, 2)``
+        integer array, in either orientation and possibly repeated.  A
+        self-pair raises :class:`ValueError` before any edge is added.
+
+        The result equals an ``add_edge`` loop over the pairs, built in
+        one pass: both orientations are grouped by endpoint with one
+        stable argsort, and each endpoint's set grows by one
+        ``set.update``.  Neighbour entries reuse the int object that
+        already keys each node, so a million edges allocate no new ints.
+        """
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        loops = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
+        if loops.size:
+            raise ValueError(f"self-friendship not allowed: {pairs[loops[0], 0]}")
+        if not len(pairs):
+            return 0
+        # ends[i] and ends[i ± m] are the two ends of one pair.
+        m = len(pairs)
+        ends = np.concatenate((pairs[:, 0], pairs[:, 1]))
+        order = np.argsort(ends, kind="stable")
+        grouped = ends[order]
+        first = np.concatenate(([True], grouped[1:] != grouped[:-1]))
+        starts = np.flatnonzero(first)
+        node_of = np.empty_like(order)
+        node_of[order] = np.cumsum(first) - 1
+        partner = np.concatenate((node_of[m:], node_of[:m]))[order]
+        existing = {uid: uid for uid in self._adj}
+        objects = np.array(
+            [existing.get(uid, uid) for uid in grouped[starts].tolist()], dtype=object
+        )
+        neighbours = objects[partner].tolist()
+        bounds = starts.tolist() + [len(neighbours)]
         added = 0
-        for a, b in edges:
-            if self.add_edge(a, b):
-                added += 1
-        return added
+        for uid, lo, hi in zip(objects.tolist(), bounds, bounds[1:]):
+            friends = self._adj.setdefault(uid, set())
+            before = len(friends)
+            friends.update(neighbours[lo:hi])
+            added += len(friends) - before
+        # Each new edge adds one entry to each endpoint's set.
+        return added // 2
 
     def neighbors_list(self, user_id: int) -> List[int]:
         """Friends in a deterministic (sorted) order, for stable pagination."""

@@ -555,10 +555,9 @@ class SocialNetwork(BaseNetwork):
 
     def add_friendship(self, a: int, b: int) -> bool:
         """Create a (mutual) friendship between two existing accounts."""
-        acct_a, acct_b = self.get_account(a), self.get_account(b)
+        for uid in (a, b):
+            self.get_account(uid)  # raises NotFoundError for an unknown id
         if self.graph.add_edge(a, b):
-            acct_a.friend_ids.add(b)
-            acct_b.friend_ids.add(a)
             self.bump_version()
             return True
         return False

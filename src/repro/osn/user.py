@@ -17,7 +17,7 @@ An :class:`Account` separates two birth dates:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Set
+from typing import Optional
 
 from .privacy import PrivacySettings
 from .profile import Birthday, Profile
@@ -29,8 +29,7 @@ class Account:
 
     ``person_id`` links back to the world generator's ground-truth person
     (``None`` for accounts created directly, e.g. the attacker's fake
-    crawl accounts).  ``friend_ids`` is maintained by the network's graph
-    and mirrored here for convenience.
+    crawl accounts).  Friendships live only in the network's graph.
     """
 
     user_id: int
@@ -42,7 +41,6 @@ class Account:
     created_at_year: float = 2008.0
     is_fake: bool = False
     disabled: bool = False
-    friend_ids: Set[int] = field(default_factory=set)
 
     def registered_age(self, now_year_fraction: float) -> float:
         """Age according to the birth date given at registration."""
@@ -63,10 +61,6 @@ class Account:
     def lied_about_age(self) -> bool:
         """Whether the registered birth year differs from the real one."""
         return self.registered_birthday.year != self.real_birthday.year
-
-    @property
-    def friend_count(self) -> int:
-        return len(self.friend_ids)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -17,12 +17,10 @@ transfer students and leavers, so someone who left two years ago shares
 few friends with this year's freshmen — exactly the structure the paper
 relies on when classifying by year.
 
-numpy is optional (the ``scale`` extra): on a minimal install every
-sampler falls back to a scalar pure-python loop driven by its own
-seeded ``random.Random``.  Each backend is deterministic for a given
-seed, but the two backends draw different edge sets — cross-backend
-equality is not promised, and the numpy path never changes a single
-draw when the fallback exists (same calls, same order).
+Each sampler hands its draws over as endpoint uid arrays, and
+:meth:`FriendshipBuilder.build` installs every drawn pair with one
+:meth:`~repro.osn.graph.FriendGraph.bulk_add_edges` call, which folds
+repeats and both orientations of a pair into one edge.
 """
 
 from __future__ import annotations
@@ -30,15 +28,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-try:
-    import numpy as np
-
-    HAS_NUMPY = True
-except ImportError:  # pragma: no cover - minimal-install path
-    np = None  # type: ignore[assignment]
-    HAS_NUMPY = False
+import numpy as np
 
 from repro.osn.network import SocialNetwork
 
@@ -54,6 +46,10 @@ class _Member:
     uid: int
     window_start: float
     window_end: float
+
+
+def _uid_array(members: Sequence[_Member]) -> np.ndarray:
+    return np.array([m.uid for m in members], dtype=np.int64)
 
 
 def _attendance_window(person: Person, now: float) -> Tuple[float, float]:
@@ -86,34 +82,29 @@ class FriendshipBuilder:
         self.network = network
         self.index = index
         self.rng = rng
-        # Both backends consume the same 64 bits from rng here, so the
-        # caller's stream stays aligned whichever backend is active.
-        sampler_seed = rng.getrandbits(64)
-        self.np_rng = (
-            np.random.default_rng(sampler_seed) if HAS_NUMPY else None
-        )
-        self._py_rng = random.Random(sampler_seed)
-        self._edges: set[Tuple[int, int]] = set()
+        # One 64-bit draw from the caller's stream seeds the samplers.
+        self.np_rng = np.random.default_rng(rng.getrandbits(64))
+        self._drawn: List[np.ndarray] = []
 
     # ------------------------------------------------------------------
     # Entry point
     # ------------------------------------------------------------------
     def build(self) -> int:
-        """Create all edges; returns the number installed."""
+        """Sample every edge, install them in one pass; returns the
+        number installed."""
         for school_index in range(len(self.config.schools)):
             self._build_school_edges(school_index)
         self._build_family_edges()
         self._build_external_edges()
-        installed = self.network.graph.bulk_add_edges(self._edges)
-        for a, b in self._edges:
-            self.network.users[a].friend_ids.add(b)
-            self.network.users[b].friend_ids.add(a)
-        return installed
+        pairs = np.concatenate(self._drawn)
+        self._drawn = []  # free the per-sampler blocks before the install
+        # A sampler may pair a uid with itself; such a draw is no edge.
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        return self.network.graph.bulk_add_edges(pairs)
 
-    def _add_edge(self, a: int, b: int) -> None:
-        if a == b:
-            return
-        self._edges.add((a, b) if a < b else (b, a))
+    def _collect(self, uids_a: np.ndarray, uids_b: np.ndarray) -> None:
+        """Queue drawn pairs, given as two endpoint uid arrays."""
+        self._drawn.append(np.column_stack((uids_a, uids_b)))
 
     # ------------------------------------------------------------------
     # School blocks
@@ -201,17 +192,11 @@ class FriendshipBuilder:
                 )
 
     # ------------------------------------------------------------------
-    # Vectorised samplers (scalar pure-python fallbacks without numpy)
+    # Vectorised samplers
     # ------------------------------------------------------------------
-    def _pair_overlap(self, a: _Member, b: _Member) -> float:
-        """Scalar attendance-overlap factor for one pair (fallback path)."""
-        horizon = self.config.friendship.tenure_overlap_years
-        overlap = min(a.window_end, b.window_end) - max(a.window_start, b.window_start)
-        return min(max(overlap / horizon, 0.0), 1.0)
-
     def _overlap_factor(
         self, members_a: Sequence[_Member], members_b: Sequence[_Member]
-    ) -> "np.ndarray":
+    ) -> np.ndarray:
         """Pairwise attendance-overlap factor in [0, 1] (a × b matrix)."""
         horizon = self.config.friendship.tenure_overlap_years
         start_a = np.array([m.window_start for m in members_a])[:, None]
@@ -225,74 +210,41 @@ class FriendshipBuilder:
         n = len(members)
         if n < 2:
             return
-        if not HAS_NUMPY:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    p = base_p * self._pair_overlap(members[i], members[j])
-                    if self._py_rng.random() < p:
-                        self._add_edge(members[i].uid, members[j].uid)
-            return
         probs = base_p * self._overlap_factor(members, members)
         iu, ju = np.triu_indices(n, k=1)
         hits = self.np_rng.random(iu.shape[0]) < probs[iu, ju]
-        for i, j in zip(iu[hits], ju[hits]):
-            self._add_edge(members[i].uid, members[j].uid)
+        uids = _uid_array(members)
+        self._collect(uids[iu[hits]], uids[ju[hits]])
 
     def _cross_block(
         self, members_a: Sequence[_Member], members_b: Sequence[_Member], base_p: float
     ) -> None:
         if not members_a or not members_b:
             return
-        if not HAS_NUMPY:
-            for a in members_a:
-                for b in members_b:
-                    if self._py_rng.random() < base_p * self._pair_overlap(a, b):
-                        self._add_edge(a.uid, b.uid)
-            return
         probs = base_p * self._overlap_factor(members_a, members_b)
         hits = self.np_rng.random(probs.shape) < probs
-        for i, j in zip(*np.nonzero(hits)):
-            self._add_edge(members_a[i].uid, members_b[j].uid)
-
-    def _binomial_count(self, n_trials: int, p: float) -> int:
-        """Fallback binomial draw (normal approximation above 64 trials)."""
-        p = min(p, 1.0)
-        if n_trials <= 64:
-            return sum(self._py_rng.random() < p for _ in range(n_trials))
-        mean = n_trials * p
-        std = math.sqrt(n_trials * p * (1.0 - p))
-        return max(0, min(n_trials, round(self._py_rng.gauss(mean, std))))
+        ia, ib = np.nonzero(hits)
+        self._collect(_uid_array(members_a)[ia], _uid_array(members_b)[ib])
 
     def _sparse_bipartite(self, uids_a: Sequence[int], uids_b: Sequence[int], p: float) -> None:
         """Sample a sparse bipartite edge set without enumerating pairs."""
         na, nb = len(uids_a), len(uids_b)
         if na == 0 or nb == 0 or p <= 0:
             return
-        if not HAS_NUMPY:
-            for _ in range(self._binomial_count(na * nb, p)):
-                self._add_edge(
-                    uids_a[self._py_rng.randrange(na)],
-                    uids_b[self._py_rng.randrange(nb)],
-                )
-            return
         count = self.np_rng.binomial(na * nb, min(p, 1.0))
         if count == 0:
             return
         ia = self.np_rng.integers(0, na, size=count)
         ib = self.np_rng.integers(0, nb, size=count)
-        for i, j in zip(ia, ib):
-            self._add_edge(uids_a[i], uids_b[j])
+        self._collect(
+            np.asarray(uids_a, dtype=np.int64)[ia], np.asarray(uids_b, dtype=np.int64)[ib]
+        )
 
     def _sparse_within(self, uids: Sequence[int], p: float) -> None:
+        """Like ``_sparse_bipartite`` within one group; a draw of one
+        member twice is dropped with the other self-pairs in ``build``."""
         n = len(uids)
         if n < 2 or p <= 0:
-            return
-        if not HAS_NUMPY:
-            for _ in range(self._binomial_count(n * (n - 1) // 2, p)):
-                i = self._py_rng.randrange(n)
-                j = self._py_rng.randrange(n)
-                if i != j:
-                    self._add_edge(uids[i], uids[j])
             return
         n_pairs = n * (n - 1) // 2
         count = self.np_rng.binomial(n_pairs, min(p, 1.0))
@@ -300,15 +252,16 @@ class FriendshipBuilder:
             return
         ia = self.np_rng.integers(0, n, size=count)
         ib = self.np_rng.integers(0, n, size=count)
-        for i, j in zip(ia, ib):
-            if i != j:
-                self._add_edge(uids[i], uids[j])
+        group = np.asarray(uids, dtype=np.int64)
+        self._collect(group[ia], group[ib])
 
     # ------------------------------------------------------------------
     # Families
     # ------------------------------------------------------------------
     def _build_family_edges(self) -> None:
         p_friend = self.config.family.p_parent_friends_child
+        child_uids: List[int] = []
+        parent_uids: List[int] = []
         for children, parents in self.population.households.values():
             for child_pid in children:
                 child_uid = self.index.user_for(child_pid)
@@ -317,29 +270,26 @@ class FriendshipBuilder:
                 for parent_pid in parents:
                     parent_uid = self.index.user_for(parent_pid)
                     if parent_uid is not None and self.rng.random() < p_friend:
-                        self._add_edge(child_uid, parent_uid)
+                        child_uids.append(child_uid)
+                        parent_uids.append(parent_uid)
+        self._collect(
+            np.array(child_uids, dtype=np.int64), np.array(parent_uids, dtype=np.int64)
+        )
 
     # ------------------------------------------------------------------
     # External friends
     # ------------------------------------------------------------------
-    def _external_pool(self) -> Sequence[int]:
+    def _external_pool(self) -> np.ndarray:
         uids = [
             uid
             for role in (Role.EXTERNAL, Role.CITY_ADULT)
             for pid in self.population.ids_with_role(role)
             if (uid := self.index.user_for(pid)) is not None
         ]
-        if not HAS_NUMPY:
-            return uids
         return np.array(uids, dtype=np.int64)
 
-    def _external_degree(self, median: float, sigma: float, size: int) -> Sequence[int]:
+    def _external_degree(self, median: float, sigma: float, size: int) -> np.ndarray:
         mu = math.log(max(median, 1.0))
-        if not HAS_NUMPY:
-            return [
-                max(1, int(self._py_rng.lognormvariate(mu, sigma)))
-                for _ in range(size)
-            ]
         return np.maximum(1, self.np_rng.lognormal(mu, sigma, size).astype(int))
 
     def _build_external_edges(self) -> None:
@@ -362,12 +312,10 @@ class FriendshipBuilder:
             if not uids:
                 continue
             degrees = self._external_degree(median, sigma, len(uids))
-            if not HAS_NUMPY:
-                for uid, k in zip(uids, degrees):
-                    for t in self._py_rng.sample(pool, min(int(k), len(pool))):
-                        self._add_edge(uid, t)
-                continue
-            for uid, k in zip(uids, degrees):
-                targets = self.np_rng.choice(pool, size=min(int(k), len(pool)), replace=False)
-                for t in targets:
-                    self._add_edge(uid, int(t))
+            sizes = np.minimum(degrees, len(pool))
+            targets = [
+                self.np_rng.choice(pool, size=int(k), replace=False) for k in sizes
+            ]
+            self._collect(
+                np.repeat(np.array(uids, dtype=np.int64), sizes), np.concatenate(targets)
+            )

@@ -133,13 +133,14 @@ class TestByteIdentity:
     def test_friend_viewer_class(self, serve_pair):
         """Friend / friend-of-friend renders agree, not just strangers."""
         world, _, _, _ = serve_pair
+        graph = world.network.graph
         some_member = None
         for uid in sorted(world.network.users):
-            if world.network.users[uid].friend_ids:
+            if graph.neighbors(uid):
                 some_member = uid
                 break
         assert some_member is not None
-        friend = sorted(world.network.users[some_member].friend_ids)[0]
+        friend = graph.neighbors_list(some_member)[0]
         assert_identical(serve_pair, friend, f"/profile/{some_member}")
         assert_identical(
             serve_pair, friend, f"/profile/{some_member}/friends"
@@ -190,7 +191,8 @@ class TestCountermeasureParity:
         viewer: the reverse-lookup filter agrees byte for byte."""
         world, _, _, (stranger,) = countermeasure_pair
         users = world.network.users
-        friend = next(uid for uid in sorted(users) if users[uid].friend_ids)
+        graph = world.network.graph
+        friend = next(uid for uid in sorted(users) if graph.neighbors(uid))
         filtered = 0
         for viewer in (stranger, friend):
             for uid in sorted(users):
@@ -205,7 +207,7 @@ class TestCountermeasureParity:
                     if not isinstance(page, str):
                         break
                     listing = parse_friends_page(page)
-                    if offset == 0 and listing.total < len(users[uid].friend_ids):
+                    if offset == 0 and listing.total < graph.degree(uid):
                         filtered += 1
                     if listing.next_offset is None:
                         break

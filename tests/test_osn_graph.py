@@ -1,5 +1,6 @@
 """Unit and property tests for the friendship graph."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -132,3 +133,47 @@ class TestProperties:
             for b in nodes:
                 if a != b:
                     assert g.mutual_friend_count(a, b) == len(g.mutual_friends(a, b))
+
+
+def adjacency(graph):
+    return {uid: set(graph.neighbors(uid)) for uid in graph.nodes()}
+
+
+def graph_of(edges):
+    graph = FriendGraph()
+    for a, b in edges:
+        graph.add_edge(a, b)
+    return graph
+
+
+class TestBulkAddMatchesEdgeLoop:
+    """The per-edge ``add_edge`` loop is the reference for the bulk install."""
+
+    @given(start=edge_lists, fresh=edge_lists, data=st.data())
+    @settings(max_examples=100)
+    def test_same_adjacency_and_count(self, start, fresh, data):
+        # Repeats, both orientations, and pairs the graph already holds.
+        pairs = data.draw(
+            st.permutations(fresh + [(b, a) for a, b in fresh + start])
+        )
+        loop = graph_of(start)
+        expected = sum(loop.add_edge(a, b) for a, b in pairs)
+        for given_pairs in (pairs, np.array(pairs, dtype=np.int64).reshape(-1, 2)):
+            bulk = graph_of(start)
+            assert bulk.bulk_add_edges(given_pairs) == expected
+            assert adjacency(bulk) == adjacency(loop)
+
+    @given(
+        start=edge_lists,
+        fresh=edge_lists,
+        node=st.integers(0, 30),
+        data=st.data(),
+    )
+    @settings(max_examples=60)
+    def test_self_pair_raises_and_adds_nothing(self, start, fresh, node, data):
+        at = data.draw(st.integers(0, len(fresh)))
+        graph = graph_of(start)
+        before = adjacency(graph)
+        with pytest.raises(ValueError):
+            graph.bulk_add_edges(fresh[:at] + [(node, node)] + fresh[at:])
+        assert adjacency(graph) == before

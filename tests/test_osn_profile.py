@@ -101,8 +101,3 @@ class TestAccount:
     def test_lied_about_age(self):
         assert self.make().lied_about_age()
         assert not self.make(registered=1996, real=1996).lied_about_age()
-
-    def test_friend_count_tracks_set(self):
-        account = self.make()
-        account.friend_ids.update({2, 3})
-        assert account.friend_count == 2

@@ -34,6 +34,11 @@ from .backend import (
 )
 
 
+def index_dtype(n: int) -> "np.dtype":
+    """The ``indices`` dtype for ``n`` nodes: int32 when every id fits."""
+    return np.dtype(np.int32 if n <= 2**31 else np.int64)
+
+
 class CSRGraph:
     """An immutable undirected graph over dense integer ids ``0..n-1``."""
 
@@ -50,8 +55,8 @@ class CSRGraph:
     def from_edges(cls, n: int, edges: Iterable[Tuple[int, int]]) -> "CSRGraph":
         """Build from undirected edge pairs (either orientation, dups ok).
 
-        Pure-python path: fine up to paper scale.  The streaming builder
-        in :mod:`repro.colgen.generate` covers million-node worlds.
+        Pure-python path: fine up to paper scale, and the reference
+        :meth:`from_directed_arrays` is tested against.
         """
         adjacency: List[List[int]] = [[] for _ in range(n)]
         for a, b in edges:
@@ -75,31 +80,42 @@ class CSRGraph:
 
     @classmethod
     def from_directed_arrays(cls, n: int, src, dst) -> "CSRGraph":
-        """Vectorised build from directed endpoint arrays (numpy only).
+        """Vectorised build from endpoint arrays: edge ``i`` is ``src[i]``-``dst[i]``.
 
-        ``src``/``dst`` must already contain both orientations of every
-        undirected edge.  Rows are sorted and deduplicated here, so the
-        caller may stream duplicates in freely.
+        Accepts what :meth:`from_edges` accepts (either orientation,
+        repeats, self-loops) and builds the identical graph.  Both
+        orientations of every edge go into one int64 composite key
+        ``row * n + col``, sorted once in place and never copied; a key
+        equal to its predecessor is a duplicate edge.  ``indices`` has
+        the dtype :func:`index_dtype` derives from ``n``.
         """
-        if not HAS_NUMPY:  # pragma: no cover - guarded by callers
-            raise RuntimeError("from_directed_arrays needs numpy")
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        keep = src != dst
-        src, dst = src[keep], dst[keep]
-        # One global argsort on the composite key (row, col) sorts every
-        # row at once; consecutive-equal keys are duplicate edges.
-        key = src * np.int64(n) + dst
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        unique = np.ones(key.shape[0], dtype=bool)
-        if key.shape[0] > 1:
-            unique[1:] = key[1:] != key[:-1]
-        src = src[order][unique]
-        indices = dst[order][unique]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        return cls(indptr, indices.astype(np.int64, copy=False))
+        src = np.asarray(src)
+        dst = np.asarray(dst)
+        loops = src == dst
+        if loops.any():
+            src, dst = src[~loops], dst[~loops]
+        m = src.shape[0]
+        key = np.empty(2 * m, dtype=np.int64)
+        key[:m] = src
+        key[m:] = dst
+        key *= n
+        key[:m] += dst
+        key[m:] += src
+        key.sort()
+        fresh = np.empty(key.shape[0], dtype=bool)
+        fresh[:1] = True
+        np.not_equal(key[1:], key[:-1], out=fresh[1:])
+        # Row r starts at the first key >= r * n.  That key is never a
+        # duplicate, so dropping duplicates shifts each start back by
+        # the number of duplicates before it.
+        row_keys = np.arange(n + 1, dtype=np.int64)
+        row_keys *= n
+        indptr = np.searchsorted(key, row_keys).astype(np.int64)
+        indptr -= np.searchsorted(np.flatnonzero(~fresh), indptr)
+        key %= n
+        indices = key.astype(index_dtype(n))
+        del key  # before the dedup copy: the key and two int32 copies never coexist
+        return cls(indptr, indices[fresh])
 
     # ------------------------------------------------------------------
     # Queries (FriendGraph-compatible vocabulary)

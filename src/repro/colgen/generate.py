@@ -11,15 +11,15 @@ same *columnar schema* directly:
   ``SeedSequence([seed, stream, b])``.  One world seed therefore fans
   out into per-shard streams deterministically (DET001: no module-level
   RNG, every generator is constructed from an explicit seed), and any
-  shard can be regenerated independently — which is exactly what the
-  two-pass graph build exploits.
+  shard can be regenerated independently.
 
-* The friendship graph is built **streaming**: pass one regenerates each
-  block's edge batch only to count degrees, pass two regenerates the
-  identical batches and scatters endpoints straight into the final CSR
-  ``indices`` buffer.  No edge list for the whole world is ever held;
-  peak memory is the final CSR plus one composite sort key, which is
-  what keeps a 1M-account build in the low hundreds of MB.
+* The friendship graph is built in **one pass**: each block's edge
+  batch is drawn once, narrowed to int32 and appended to one
+  whole-world endpoint list (~96 MB for the city's ~12M edges), which
+  :meth:`CSRGraph.from_directed_arrays` turns into the CSR with one
+  int64 composite key (~192 MB) sorted in place.  That list and that
+  key exist at once; with the columns they set the city's peak RSS of
+  roughly half a GB.
 
 * Demography is a deliberately simplified projection of the paper's
   model — a school-age slice with the COPPA lying mix, adult privacy
@@ -46,7 +46,7 @@ from .columns import (
     audience_shift,
     pack_privacy,
 )
-from .csr import CSRGraph
+from .csr import CSRGraph, index_dtype
 from .encode import encode_world
 from .tiers import TierSpec, tier as tier_by_name
 from .views import GENDER_TO_ORDINAL, ROLE_TO_ORDINAL
@@ -352,7 +352,7 @@ def _generate_columns(spec: TierSpec, seed: int, n: int) -> ColumnarWorld:
 
 
 # ----------------------------------------------------------------------
-# Streaming two-pass CSR build
+# CSR build
 # ----------------------------------------------------------------------
 
 def _shard_edge_batch(
@@ -360,9 +360,8 @@ def _shard_edge_batch(
 ) -> Tuple["np.ndarray", "np.ndarray"]:
     """The (src, dst) endpoints contributed by one block.
 
-    Regenerable: the same (seed, shard) always yields the same batch,
-    which is what lets the counting and filling passes stream the graph
-    without ever holding the full edge list.
+    Each block draws from its own stream, so the batch is fixed by
+    ``(seed, shard)`` alone, whatever order the blocks are drawn in.
     """
     rng = _shard_rng(seed, _STREAM_EDGES, shard)
     lo = shard * spec.block_size
@@ -378,63 +377,19 @@ def _shard_edge_batch(
     return src[keep], dst[keep]
 
 
-def _scatter_fill(
-    cursor: "np.ndarray", indices: "np.ndarray", src: "np.ndarray", dst: "np.ndarray"
-) -> None:
-    """Write ``dst`` values into each ``src`` row's next free CSR slots.
-
-    A plain ``indices[cursor[src]] = dst`` would lose edges whenever a
-    source repeats within the batch (same cursor read twice), so the
-    batch is grouped by source and each duplicate gets its rank as an
-    offset.
-    """
-    order = np.argsort(src, kind="stable")
-    s = src[order]
-    d = dst[order]
-    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
-    counts = np.diff(np.concatenate((starts, [s.size])))
-    ranks = np.arange(s.size, dtype=np.int64) - np.repeat(starts, counts)
-    indices[cursor[s] + ranks] = d
-    np.add.at(cursor, s[starts], counts)
-
-
 def _build_graph(spec: TierSpec, seed: int, n: int) -> CSRGraph:
-    # Pass 1: degree counting only — every batch is discarded after its
-    # bincount, so memory stays at one shard.
-    degrees = np.zeros(n, dtype=np.int64)
-    for b in range(spec.blocks):
-        src, dst = _shard_edge_batch(spec, seed, b, n)
-        degrees += np.bincount(src, minlength=n)
-        degrees += np.bincount(dst, minlength=n)
+    """Draw every block's edges once and build the CSR from them.
 
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr[1:])
-    total = int(indptr[-1])
-    indices = np.empty(total, dtype=np.int32)
-
-    # Pass 2: regenerate the identical batches and scatter both
-    # orientations straight into the final buffer.
-    cursor = indptr[:-1].copy()
-    for b in range(spec.blocks):
-        src, dst = _shard_edge_batch(spec, seed, b, n)
-        _scatter_fill(cursor, indices, src, dst)
-        _scatter_fill(cursor, indices, dst, src)
-
-    # Sort every row at once via one composite key, then drop duplicate
-    # (row, neighbour) pairs; both orientations of a duplicate edge are
-    # dropped together, so symmetry survives.
-    key = np.repeat(np.arange(n, dtype=np.int64), degrees)
-    key *= n
-    key += indices
-    del indices
-    key.sort()
-    unique = np.ones(key.size, dtype=bool)
-    if key.size > 1:
-        unique[1:] = key[1:] != key[:-1]
-    key = key[unique]
-    rows = key // n
-    final_indices = (key % n).astype(np.int32)
-    del key
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return CSRGraph(indptr, final_indices)
+    Each batch is narrowed to the graph's index dtype as it is drawn,
+    so the city's whole-world endpoint list is int32 (~96 MB for ~12M
+    edges); it and the int64 composite key of
+    :meth:`CSRGraph.from_directed_arrays` (~192 MB) are the build's peak.
+    """
+    dtype = index_dtype(n)
+    parts = [
+        np.stack(_shard_edge_batch(spec, seed, b, n)).astype(dtype)
+        for b in range(spec.blocks)
+    ]
+    edges = np.concatenate(parts, axis=1) if parts else np.empty((2, 0), dtype)
+    del parts
+    return CSRGraph.from_directed_arrays(n, edges[0], edges[1])

@@ -9,7 +9,7 @@ CLI, benchmarks and CI can ask for:
   every published number is calibrated at; also object-generated, then
   encoded to columns.
 * ``city``   — ~1M accounts, generated natively on the columnar path
-  with sharded draws and a streaming CSR build.
+  with sharded draws and a one-pass CSR build (one in-place sort).
 * ``metro``  — ~10M accounts, generation-only: demographic and account
   columns are produced shard by shard, but adjacency is never
   materialised (that is the next scale rung, not this one).

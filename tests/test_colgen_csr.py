@@ -4,10 +4,14 @@ from __future__ import annotations
 
 from array import array
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.colgen import CSRGraph
 from repro.colgen.backend import HAS_NUMPY
+from repro.colgen.csr import index_dtype
 
 #: A small fixed graph: 0-1, 0-2, 1-2, 2-3, 4 isolated.
 _EDGES = [(0, 1), (0, 2), (1, 2), (2, 3)]
@@ -42,16 +46,63 @@ class TestConstruction:
         assert rebuilt.neighbors_list(2) == graph.neighbors_list(2)
         assert rebuilt.edge_count() == graph.edge_count()
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="native path needs numpy")
     def test_from_directed_arrays_dedups_and_sorts(self):
-        import numpy as np
-
         # both orientations of 0-1 (twice), 1-2, 2-3, plus a self loop
         src = np.array([0, 1, 0, 1, 1, 2, 2, 3, 0], dtype=np.int64)
         dst = np.array([1, 0, 1, 0, 2, 1, 3, 2, 0], dtype=np.int64)
         g = CSRGraph.from_directed_arrays(4, src, dst)
         g.validate()
         assert sorted(g.edges()) == [(0, 1), (1, 2), (2, 3)]
+
+
+def directed(n, pairs, dtype="int64"):
+    ends = np.array(pairs, dtype=dtype).reshape(-1, 2)
+    return CSRGraph.from_directed_arrays(n, ends[:, 0], ends[:, 1])
+
+
+class TestDirectedArraysMatchFromEdges:
+    """``from_edges`` is the pure-Python reference for the vectorised build."""
+
+    @given(
+        edges=st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)), max_size=60),
+        loops=st.lists(st.integers(0, 20), max_size=4),
+        tail=st.integers(0, 3),
+        dtype=st.sampled_from(["int32", "int64"]),
+        data=st.data(),
+    )
+    @settings(max_examples=100)
+    def test_same_graph(self, edges, loops, tail, dtype, data):
+        # Repeats, both orientations and self-loops; the ``tail`` nodes
+        # past the largest id stay isolated.
+        pairs = data.draw(
+            st.permutations(edges + [(b, a) for a, b in edges[::2]] + [(v, v) for v in loops])
+        )
+        n = max((max(p) for p in pairs), default=0) + 1 + tail
+        built = directed(n, pairs, dtype)
+        reference = CSRGraph.from_edges(n, pairs)
+        assert built.indptr.tolist() == list(reference.indptr)
+        assert built.indices.tolist() == list(reference.indices)
+        assert built.indptr.dtype == np.int64
+        assert built.indices.dtype == np.int32
+        built.validate()
+
+    @pytest.mark.parametrize(
+        "n, pairs",
+        [(4, []), (0, []), (3, [(0, 0), (2, 2), (2, 2)]), (1, []), (1, [(0, 0)])],
+        ids=["no-edges", "no-nodes", "only-self-loops", "one-node", "one-node-loop"],
+    )
+    def test_edgeless_graphs(self, n, pairs):
+        g = directed(n, pairs)
+        assert g.indptr.tolist() == [0] * (n + 1)
+        assert g.indices.tolist() == []
+        assert g.indptr.dtype == np.int64
+        assert g.indices.dtype == np.int32
+        g.validate()
+
+    def test_index_dtype_is_the_narrowest_that_holds_every_id(self):
+        assert index_dtype(1) == np.int32
+        assert index_dtype(2**31) == np.int32  # largest id 2**31 - 1
+        assert index_dtype(2**31 + 1) == np.int64
 
 
 class TestQueries:

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
 from repro.colgen import (
+    CSRGraph,
     TIER_NAMES,
     TIERS,
     bench_worldgen,
@@ -77,6 +79,19 @@ class TestNativeGeneration:
         mini_city.csr.validate()
         assert mini_city.n_edges > 0
 
+    def test_graph_matches_the_reference_build(self, mini_city):
+        from repro.colgen.generate import _shard_edge_batch
+
+        spec = TIERS["city"].with_blocks(_BLOCKS)
+        n = mini_city.n_accounts
+        edges = []
+        for b in range(_BLOCKS):
+            src, dst = _shard_edge_batch(spec, mini_city.seed, b, n)
+            edges.extend(zip(src.tolist(), dst.tolist()))
+        reference = CSRGraph.from_edges(n, edges)
+        assert mini_city.csr.indptr.tolist() == list(reference.indptr)
+        assert mini_city.csr.indices.tolist() == list(reference.indices)
+
     def test_views_decode_native_rows(self, mini_city):
         from repro.colgen import person_view
 
@@ -108,6 +123,34 @@ class TestNativeGeneration:
         assert world.csr is None
         with pytest.raises(RuntimeError, match="generation-only"):
             world.friends(0)
+
+
+def graph_digest(world) -> str:
+    """SHA-256 over the CSR's dtypes and bytes."""
+    digest = hashlib.sha256()
+    for column in (world.csr.indptr, world.csr.indices):
+        digest.update(str(column.dtype).encode())
+        digest.update(column.tobytes())
+    return digest.hexdigest()
+
+
+class TestNativeGraphIdentity:
+    """One seed yields one native graph, byte for byte: a digest moves
+    only when a change means to draw a different city."""
+
+    @pytest.mark.parametrize(
+        "seed, blocks, expected",
+        [
+            (7, 3, "7cf0df9fb330463923ae8e0af45438ebaea677761ea9331991ffa60807d881a2"),
+            (1, 5, "155503639eb760ca8aea514f380faec2a0150116b04c1a0711688c64ab5ebe7b"),
+            (29, 2, "692ebef4fc2eb27f7f359a0af16373af378bd9967611aa0167bdad13f1f1d45f"),
+        ],
+        ids=["seed7-blocks3", "seed1-blocks5", "seed29-blocks2"],
+    )
+    def test_pinned_digest(self, seed, blocks, expected):
+        world = generate("city", seed=seed, blocks=blocks)
+        assert (world.csr.indptr.dtype, world.csr.indices.dtype) == ("int64", "int32")
+        assert graph_digest(world) == expected
 
 
 @needs_numpy

@@ -314,8 +314,10 @@ class ColumnarWorld:
     cities: StringTable
     streets: StringTable
     #: first user id (legacy worldgen starts at 1; native tiers at 0).
-    #: Row ``i`` of accounts/CSR holds user ``uid_base + i``; the public
-    #: API below always speaks raw user ids.
+    #: Row ``i`` of the account and profile columns holds user
+    #: ``uid_base + i``; CSR row ``u`` holds user ``u`` (an encoded
+    #: world's row 0 is empty).  The public API below always speaks raw
+    #: user ids.
     uid_base: int = 0
     #: (name, city) per school index, aligned with ``people.school_index``.
     schools: List[Tuple[str, str]] = field(default_factory=list)
@@ -386,7 +388,9 @@ class ColumnarWorld:
     # ------------------------------------------------------------------
     # Friendship queries
     # ------------------------------------------------------------------
-    def _graph(self) -> CSRGraph:
+    @property
+    def graph(self) -> CSRGraph:
+        """The adjacency for reads; a generation-only tier has none."""
         if self.csr is None:
             raise RuntimeError(
                 f"tier {self.tier!r} is generation-only: no adjacency was "
@@ -396,18 +400,16 @@ class ColumnarWorld:
 
     def friends(self, user_id: int) -> List[int]:
         """Sorted friend ids of ``user_id``."""
-        base = self.uid_base
-        row = self._graph().neighbors_list(self._row(user_id))
-        return [n + base for n in row] if base else row
+        return self.graph.neighbors_list(user_id)
 
     def friend_set(self, user_id: int) -> frozenset:
         return frozenset(self.friends(user_id))
 
     def degree(self, user_id: int) -> int:
-        return self._graph().degree(self._row(user_id))
+        return self.graph.degree(user_id)
 
     def are_friends(self, a: int, b: int) -> bool:
-        return self._graph().are_friends(self._row(a), self._row(b))
+        return self.graph.are_friends(a, b)
 
     # ------------------------------------------------------------------
     # Privacy / ages

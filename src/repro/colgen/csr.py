@@ -1,37 +1,37 @@
 """CSR adjacency: the friendship graph as two flat arrays.
 
-``FriendGraph`` (dict of sets) costs ~200 bytes per edge endpoint in
-CPython — a hard ceiling around a few hundred thousand users.  The CSR
-layout here stores the same undirected graph as
+Every world keeps its friendships here: the object ``SocialNetwork``
+and the columnar ``ColumnarWorld`` hold the same structure.  The
+undirected graph is stored as
 
 * ``indptr``  — ``n + 1`` monotone offsets (int64), and
 * ``indices`` — every neighbour of node ``u`` in the half-open slice
   ``indices[indptr[u]:indptr[u + 1]]``, **sorted ascending**,
 
-which is 4–8 bytes per endpoint and answers the queries the attack
-pipeline actually issues (neighbour lists, degrees, membership, mutual
-counts) with contiguous scans and binary search.  Rows being sorted is a
-class invariant: construction sorts and deduplicates, ``validate()``
-re-checks it, and ``are_friends`` relies on it.
+which is 4–8 bytes per edge endpoint and answers the queries the
+simulator and the attack pipeline issue (neighbour lists, degrees,
+membership, mutual friends) with contiguous slices and binary search.
+Rows being sorted is a class invariant: construction sorts and
+deduplicates, ``validate()`` re-checks it, and ``are_friends`` and
+``mutual_friend_count`` rely on it.
 
-The structure is immutable by design — worldgen produces the final
-graph; mid-crawl mutation stays on the legacy object path.
+A row is a user id, and an id outside the rows has no friends.  That
+one rule covers every account registered after the graph was built:
+attacker accounts on the object network and the session accounts a
+columnar server lays over its world.
+
+The structure is immutable: a world's friendships are installed by one
+:meth:`CSRGraph.from_directed_arrays` build, and adding a friendship
+means building a new graph.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Iterable, Iterator, List, Sequence, Set, Tuple
 
-from .backend import (
-    HAS_NUMPY,
-    FloatBuffer,
-    IntBuffer,
-    buffer_nbytes,
-    cumulative_sum,
-    int_column,
-    np,
-)
+import numpy as np
+
+from .backend import IntBuffer, buffer_nbytes, cumulative_sum, int_column
 
 
 def index_dtype(n: int) -> "np.dtype":
@@ -40,7 +40,10 @@ def index_dtype(n: int) -> "np.dtype":
 
 
 class CSRGraph:
-    """An immutable undirected graph over dense integer ids ``0..n-1``."""
+    """An immutable undirected graph with a row for each id ``0..n-1``.
+
+    Any other id is a node without friends.
+    """
 
     __slots__ = ("indptr", "indices")
 
@@ -118,51 +121,54 @@ class CSRGraph:
         return cls(indptr, indices[fresh])
 
     # ------------------------------------------------------------------
-    # Queries (FriendGraph-compatible vocabulary)
+    # Queries
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self.indptr) - 1
 
-    def __contains__(self, user_id: int) -> bool:
-        return 0 <= user_id < len(self)
+    def _span(self, user_id: int) -> Tuple[int, int]:
+        """The ``indices`` range of ``user_id``'s row; empty outside the rows."""
+        if 0 <= user_id < len(self.indptr) - 1:
+            return int(self.indptr[user_id]), int(self.indptr[user_id + 1])
+        return 0, 0
 
     def degree(self, user_id: int) -> int:
-        return int(self.indptr[user_id + 1] - self.indptr[user_id])
+        lo, hi = self._span(user_id)
+        return hi - lo
 
     def neighbors_list(self, user_id: int) -> List[int]:
         """Neighbours sorted ascending (the row is stored that way)."""
-        lo, hi = int(self.indptr[user_id]), int(self.indptr[user_id + 1])
+        lo, hi = self._span(user_id)
         return self.indices[lo:hi].tolist()
 
     def neighbors(self, user_id: int) -> Set[int]:
         return set(self.neighbors_list(user_id))
 
     def are_friends(self, a: int, b: int) -> bool:
-        lo, hi = int(self.indptr[a]), int(self.indptr[a + 1])
-        if HAS_NUMPY and isinstance(self.indices, np.ndarray):
-            row = self.indices[lo:hi]
-            pos = int(np.searchsorted(row, b))
-            return pos < row.shape[0] and int(row[pos]) == b
-        pos = bisect_left(self.indices, b, lo, hi)
-        return pos < hi and self.indices[pos] == b
+        lo, hi = self._span(a)
+        if lo == hi:
+            return False
+        pos = lo + int(self.indices[lo:hi].searchsorted(b))
+        return pos < hi and int(self.indices[pos]) == b
 
     def mutual_friend_count(self, a: int, b: int) -> int:
-        """Sorted-merge intersection size of two rows (no allocation)."""
-        ia, ea = int(self.indptr[a]), int(self.indptr[a + 1])
-        ib, eb = int(self.indptr[b]), int(self.indptr[b + 1])
-        idx = self.indices
-        count = 0
-        while ia < ea and ib < eb:
-            va, vb = idx[ia], idx[ib]
-            if va == vb:
-                count += 1
-                ia += 1
-                ib += 1
-            elif va < vb:
-                ia += 1
-            else:
-                ib += 1
-        return count
+        """Size of the intersection of two sorted rows.
+
+        Each of ``a``'s friends is looked up in ``b``'s row by one
+        vectorised binary search; rows hold no duplicates, so every hit
+        is one mutual friend.
+        """
+        lo_a, hi_a = self._span(a)
+        if lo_a == hi_a:
+            return 0
+        lo_b, hi_b = self._span(b)
+        if lo_b == hi_b:
+            return 0
+        row_a = self.indices[lo_a:hi_a]
+        row_b = self.indices[lo_b:hi_b]
+        pos = row_b.searchsorted(row_a)
+        np.minimum(pos, hi_b - lo_b - 1, out=pos)
+        return int(np.count_nonzero(row_b[pos] == row_a))
 
     def mutual_friends(self, a: int, b: int) -> Set[int]:
         return self.neighbors(a) & self.neighbors(b)
@@ -173,13 +179,6 @@ class CSRGraph:
     def mean_degree(self) -> float:
         n = len(self)
         return (len(self.indices) / n) if n else 0.0
-
-    def degree_histogram(self) -> Dict[int, int]:
-        hist: Dict[int, int] = {}
-        for u in range(len(self)):
-            d = self.degree(u)
-            hist[d] = hist.get(d, 0) + 1
-        return hist
 
     def edges(self) -> Iterator[Tuple[int, int]]:
         """Each undirected edge once, as (low id, high id)."""

@@ -6,7 +6,10 @@ This is the bridge between the two generations of worldgen: the
 into the columnar layout.  Because encoding is a pure re-representation
 — no RNG draws, no reordering — the lazy views decode back to objects
 that compare equal field-for-field, which is exactly what the
-equivalence suite asserts.  The native vectorised path
+equivalence suite asserts.  The friendships are not re-encoded: the
+object network already keeps them in a :class:`~repro.colgen.csr.CSRGraph`
+with a row per uid, the layout a :class:`ColumnarWorld` reads, so the
+encoded world shares that graph.  The native vectorised path
 (:mod:`repro.colgen.generate`) takes over at ``city`` scale, where the
 object generator cannot go.
 """
@@ -26,7 +29,6 @@ from .columns import (
     StringTable,
     pack_privacy,
 )
-from .csr import CSRGraph
 from .views import GENDER_TO_ORDINAL, ROLE_TO_ORDINAL
 
 
@@ -135,7 +137,7 @@ def _encode_profiles(accounts: List, strings: StringTable) -> ProfileColumns:
 
 
 def encode_world(world: World, tier: str = "paper") -> ColumnarWorld:
-    """Losslessly re-represent a built world as columns + CSR."""
+    """Losslessly re-represent a built world as columns plus its CSR."""
     names = StringTable()
     cities = StringTable()
     streets = StringTable()
@@ -199,13 +201,6 @@ def encode_world(world: World, tier: str = "paper") -> ColumnarWorld:
         privacy=int_column((pack_privacy(a.settings) for a in accounts), dtype="u8"),
     )
 
-    # neighbors_list is already sorted; shifting every id by the same
-    # base preserves that order, so CSR rows inherit it directly.
-    csr = CSRGraph.from_sorted_rows(
-        [n - uid_base for n in world.network.graph.neighbors_list(uid)]
-        for uid in uids
-    )
-
     profile_strings = StringTable()
     profile_cols = _encode_profiles(accounts, profile_strings)
 
@@ -215,7 +210,7 @@ def encode_world(world: World, tier: str = "paper") -> ColumnarWorld:
         observation_year=world.config.observation_year,
         people=people_cols,
         accounts=account_cols,
-        csr=csr,
+        csr=world.network.graph,
         uid_base=uid_base,
         names=names,
         cities=cities,
@@ -233,6 +228,6 @@ def encode_world(world: World, tier: str = "paper") -> ColumnarWorld:
         ],
     )
     columnar.stats["accounts"] = float(n_users)
-    columnar.stats["edges"] = float(csr.edge_count())
+    columnar.stats["edges"] = float(columnar.n_edges)
     columnar.stats["profile_bytes"] = float(profile_cols.nbytes)
     return columnar

@@ -5,8 +5,8 @@
 profile views, friend pages, both search surfaces, the school directory
 and the contact verbs are the base's code, shared with the object
 :class:`~repro.osn.network.SocialNetwork`, and this module implements
-only the storage surface they read, off the flat columns and CSR
-adjacency instead of per-account objects.  That is what unlocks
+only the storage surface they read, off the flat columns instead of
+per-account objects.  That is what unlocks
 city-tier crawls: a million-account world held as ~100 bytes/user of
 columns is served page-by-page without ever materialising a million
 ``Account`` objects.
@@ -24,6 +24,11 @@ Two serving regimes:
   person columns, one school affiliation from ``school_index`` /
   ``cohort_year``, registered birthday from the account columns, and
   empty wall/photo/contact surfaces.
+
+The friendship reads are :class:`~repro.osn.network.BaseNetwork`'s
+own: the world's CSR has a row per uid, as the object network's does,
+and the session accounts lie past its last row, so they have no friends
+without any special case here.
 
 The whole read path is mutation-free (PURE001 proves it across the
 frontend call graph).  Everything it consults is built eagerly in
@@ -62,6 +67,7 @@ from .columns import (
     decode_profile,
     unpack_privacy,
 )
+from .csr import CSRGraph
 from .views import GENDER_ORDER
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -100,7 +106,7 @@ def _school_member_rows(world: ColumnarWorld) -> Dict[int, "np.ndarray"]:
 
 
 class ColumnarNetwork(BaseNetwork):
-    """The columnar store: :class:`BaseNetwork`'s reads over columns + CSR.
+    """The columnar store: :class:`BaseNetwork`'s reads over columns.
 
     Constructor knobs are :class:`BaseNetwork`'s, so a columnar server
     can be configured identically to the object world it was encoded
@@ -162,6 +168,11 @@ class ColumnarNetwork(BaseNetwork):
             word: unpack_privacy(word)
             for word in np.unique(world.accounts.privacy).tolist()
         }
+
+    @property
+    def graph(self) -> CSRGraph:
+        """The world's CSR; a generation-only tier raises ``RuntimeError``."""
+        return self.world.graph
 
     # ------------------------------------------------------------------
     # Session (attacker) accounts
@@ -314,28 +325,8 @@ class ColumnarNetwork(BaseNetwork):
         ]
 
     # ------------------------------------------------------------------
-    # Graph queries (CSR; overlay accounts are friendless by design)
+    # Networks (overlay accounts list none)
     # ------------------------------------------------------------------
-    def _are_friends(self, a: int, b: int) -> bool:
-        if a in self._overlay or b in self._overlay:
-            return False
-        return self.world.are_friends(a, b)
-
-    def _has_mutual_friend(self, a: int, b: int) -> bool:
-        if a in self._overlay or b in self._overlay:
-            return False
-        graph = self.world.csr
-        if graph is None:
-            raise RuntimeError(
-                f"tier {self.world.tier!r} is generation-only: no adjacency"
-            )
-        return graph.mutual_friend_count(self._row(a), self._row(b)) > 0
-
-    def _friend_ids(self, user_id: int) -> List[int]:
-        if user_id in self._overlay:
-            return []
-        return self.world.friends(user_id)
-
     def _network_ids(self, user_id: int) -> Tuple[int, ...]:
         """Interned ids of ``profile.networks`` (shared vocabulary)."""
         if user_id in self._overlay:

@@ -29,7 +29,6 @@ from .effects import MUTATOR_METHODS, EffectAnalysis, MutationSite, analysis_for
 #: SHARE001 leaves them to PURE001's jurisdiction.
 WORLD_MODULE_PREFIXES: Tuple[str, ...] = (
     "repro.osn.network",
-    "repro.osn.graph",
     "repro.osn.messaging",
     "repro.osn.profile",
     "repro.osn.user",

@@ -29,7 +29,6 @@ from .errors import (
     RegistrationError,
 )
 from .frontend import HtmlFrontend
-from .graph import FriendGraph
 from .network import DirectoryEntry, GraphSearchQuery, School, SocialNetwork
 from .policy import SitePolicy, facebook_policy, googleplus_policy, policy_by_name
 from .privacy import (
@@ -66,7 +65,6 @@ __all__ = [
     "DirectoryEntry",
     "EXTENDED_FIELDS",
     "ForbiddenError",
-    "FriendGraph",
     "FriendRequest",
     "Gender",
     "GraphSearchQuery",

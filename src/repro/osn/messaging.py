@@ -8,16 +8,15 @@ policy enforced:
 * a message can be sent only when the sender sees the recipient's
   "Message" button (never the case for a stranger messaging a
   registered minor on Facebook);
-* a friend request can be sent to anyone, and sits pending until the
-  recipient responds (acceptance behaviour is modelled by the caller —
-  the attack in this reproduction stays passive and merely *counts*
-  reachability).
+* a friend request can be sent to anyone, and stays pending: nothing
+  in the threat model accepts one — the attack in this reproduction
+  stays passive and merely *counts* reachability.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from .errors import ForbiddenError, NotFoundError
 
@@ -34,7 +33,7 @@ class Message:
 
 @dataclass(frozen=True)
 class FriendRequest:
-    """A pending (or answered) friend request."""
+    """A pending friend request."""
 
     sender_id: int
     recipient_id: int
@@ -89,14 +88,6 @@ class ContactService:
 
     def pending_requests(self, user_id: int) -> List[FriendRequest]:
         return list(self._pending.get(user_id, []))
-
-    def pop_request(self, recipient_id: int, sender_id: int) -> Optional[FriendRequest]:
-        """Remove and return a specific pending request (answering it)."""
-        queue = self._pending.get(recipient_id, [])
-        for i, request in enumerate(queue):
-            if request.sender_id == sender_id:
-                return queue.pop(i)
-        return None
 
     def has_pending(self, recipient_id: int, sender_id: int) -> bool:
         return any(

@@ -15,10 +15,11 @@ ask, and writes each answer once:
 
 Two stores subclass it and implement only a narrow storage surface
 (see :class:`BaseNetwork`): :class:`SocialNetwork` keeps accounts as
-objects in dicts and a :class:`FriendGraph`, and owns the write verbs
-that build a world; ``ColumnarNetwork`` (:mod:`repro.colgen.serve`)
-reads the same facts off flat columns and CSR adjacency for city-tier
-worlds.  The tiers differ in storage, not in code path.
+objects in dicts and owns the write verbs that build a world;
+``ColumnarNetwork`` (:mod:`repro.colgen.serve`) reads the same facts off
+flat columns for city-tier worlds.  Both keep their friendships in one
+:class:`~repro.colgen.csr.CSRGraph` with a row per uid, so the base
+reads the graph itself.  The tiers differ in storage, not in code path.
 
 Everything the crawler does goes through the HTML frontend
 (``repro.osn.frontend``) which in turn calls these methods, so the
@@ -31,9 +32,10 @@ import random
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from .clock import SimClock
 from .errors import ForbiddenError, NotFoundError, RegistrationError
-from .graph import FriendGraph
 from .messaging import ContactService, FriendRequest, Message
 from .policy import SitePolicy, facebook_policy
 from .privacy import PrivacySettings, ProfileField, Relationship
@@ -147,14 +149,16 @@ class BaseNetwork:
     the policy, visibility, paging and search logic here runs unchanged
     on top of it.
 
+    * ``graph``: the friendships, a
+      :class:`~repro.colgen.csr.CSRGraph` whose row ``uid`` lists that
+      account's friends.  A uid past its rows has none.
     * ``_has_uid(uid)``: whether the account exists.
       ``_light_account(uid)``: an eligibility view of an existing
       account, with exact settings, birthdays and ``disabled`` flag but
       possibly no profile.  ``get_account(uid)``: the full account, or
       :class:`NotFoundError`.
-    * ``_friend_ids(uid)``: friend uids in ascending order.
-      ``_are_friends(a, b)``, ``_has_mutual_friend(a, b)`` and
-      ``_share_network(a, b)``: the relationship tests.
+    * ``_share_network(a, b)``: whether two accounts list a common
+      network.
     * ``_display_names(uids)``: the display name of each uid.
     * ``_eligible_member_ids(school_id)``: ascending uids of the
       school's members that people search may return.
@@ -162,7 +166,9 @@ class BaseNetwork:
       the two profile fields Graph Search filters on.
 
     The base declares none of these hooks, so the call-graph lint
-    resolves every ``self.<hook>()`` by name to both stores.
+    resolves every ``self.<hook>()`` by name to both stores.  The graph
+    reads (``_friend_ids``, ``_are_friends``, ``_has_mutual_friend``)
+    are the base's own.
     """
 
     def __init__(
@@ -276,6 +282,19 @@ class BaseNetwork:
             raise NotFoundError(f"account {target_id} is deactivated")
         rel = self.relationship(viewer_id, target_id)
         return render_profile_view(self.policy, account, rel, self.clock.now_year)
+
+    # ------------------------------------------------------------------
+    # Friendship reads (one CSR row per uid in both stores)
+    # ------------------------------------------------------------------
+    def _friend_ids(self, user_id: int) -> List[int]:
+        """Friend uids in ascending order."""
+        return self.graph.neighbors_list(user_id)
+
+    def _are_friends(self, a: int, b: int) -> bool:
+        return self.graph.are_friends(a, b)
+
+    def _has_mutual_friend(self, a: int, b: int) -> bool:
+        return self.graph.mutual_friend_count(a, b) > 0
 
     def _friend_list_visible(self, account: Account, rel: Relationship) -> bool:
         return self.policy.field_visible_to(
@@ -442,8 +461,11 @@ class BaseNetwork:
 class SocialNetwork(BaseNetwork):
     """A complete in-memory OSN with Facebook-like semantics.
 
-    The object store: accounts in a dict, friendships in a
-    :class:`FriendGraph`, plus the write verbs that build a world.
+    The object store: accounts in a dict, plus the write verbs that
+    build a world.  Friendships live in a
+    :class:`~repro.colgen.csr.CSRGraph` with a row per uid: uids start
+    at 1, so row 0 stays empty, and an account registered after the
+    last :meth:`add_friendships` lies past the last row, friendless.
     Constructor knobs are :class:`BaseNetwork`'s.
     """
 
@@ -464,9 +486,12 @@ class SocialNetwork(BaseNetwork):
         clock: Optional[SimClock] = None,
         **knobs: Any,
     ) -> None:
+        # local: repro.colgen imports this module
+        from repro.colgen.csr import CSRGraph
+
         super().__init__(policy, clock, **knobs)
         self.users: Dict[int, Account] = {}
-        self.graph = FriendGraph()
+        self.graph = CSRGraph.from_edges(0, ())
         self._next_user_id = 1
         self._next_school_id = 1
         self._school_members: Dict[int, List[int]] = {}
@@ -524,7 +549,6 @@ class SocialNetwork(BaseNetwork):
         )
         self._next_user_id += 1
         self.users[account.user_id] = account
-        self.graph.add_node(account.user_id)
         self._index_member(account)
         self.bump_version()
         return account
@@ -553,25 +577,44 @@ class SocialNetwork(BaseNetwork):
         except KeyError:
             raise NotFoundError(f"no such user: {user_id}") from None
 
-    def add_friendship(self, a: int, b: int) -> bool:
-        """Create a (mutual) friendship between two existing accounts."""
-        for uid in (a, b):
-            self.get_account(uid)  # raises NotFoundError for an unknown id
-        if self.graph.add_edge(a, b):
-            self.bump_version()
-            return True
-        return False
+    def add_friendships(self, src: Any, dst: Any) -> int:
+        """Befriend ``src[i]`` and ``dst[i]`` for every ``i``; returns how
+        many of the friendships are new.
 
-    def respond_to_friend_request(
-        self, recipient_id: int, sender_id: int, accept: bool
-    ) -> bool:
-        """Answer a pending request; creates the friendship on accept."""
-        request = self.contact.pop_request(recipient_id, sender_id)
-        if request is None:
-            return False
-        if accept:
-            self.add_friendship(sender_id, recipient_id)
-        return accept
+        Pairs may repeat and come in either orientation.  An unknown uid
+        raises :class:`NotFoundError` and a self-pair :class:`ValueError`,
+        both before anything changes.  The graph is rebuilt in one
+        :meth:`~repro.colgen.csr.CSRGraph.from_directed_arrays` pass over
+        its old edges and the new pairs, with a row for every registered
+        uid, and :attr:`version` moves only when an edge was added.
+        """
+        from repro.colgen.csr import CSRGraph  # local: see __init__
+
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        if src.size:
+            # Uids are dense from 1, so known extremes mean known uids.
+            for uid in (src.min(), src.max(), dst.min(), dst.max()):
+                self._check_uid(int(uid))
+        loops = np.flatnonzero(src == dst)
+        if loops.size:
+            raise ValueError(f"self-friendship not allowed: {src[loops[0]]}")
+        old = self.graph
+        rows = np.repeat(np.arange(len(old), dtype=np.int64), np.diff(old.indptr))
+        self.graph = CSRGraph.from_directed_arrays(
+            self._next_user_id,
+            np.concatenate((rows, src)),
+            np.concatenate((old.indices, dst)),
+        )
+        added = self.graph.edge_count() - old.edge_count()
+        if added:
+            self.bump_version()
+        return added
+
+    def add_friendship(self, a: int, b: int) -> bool:
+        """Create a (mutual) friendship between two existing accounts;
+        ``False`` if they already were friends."""
+        return self.add_friendships([a], [b]) == 1
 
     # ------------------------------------------------------------------
     # Storage surface (see BaseNetwork)
@@ -581,15 +624,6 @@ class SocialNetwork(BaseNetwork):
 
     def _light_account(self, user_id: int) -> Account:
         return self.users[user_id]
-
-    def _friend_ids(self, user_id: int) -> List[int]:
-        return self.graph.neighbors_list(user_id)
-
-    def _are_friends(self, a: int, b: int) -> bool:
-        return self.graph.are_friends(a, b)
-
-    def _has_mutual_friend(self, a: int, b: int) -> bool:
-        return self.graph.has_mutual_friend(a, b)
 
     def _share_network(self, a: int, b: int) -> bool:
         mine = self.users[a].profile.networks
@@ -631,10 +665,12 @@ class SocialNetwork(BaseNetwork):
             1 for a in self.users.values() if self.policy.is_registered_minor(a, now)
         )
         liars = sum(1 for a in self.users.values() if a.lied_about_age())
+        edges = self.graph.edge_count()
         return {
             "users": float(total),
             "registered_minors": float(minors),
             "age_liars": float(liars),
-            "edges": float(self.graph.edge_count()),
-            "mean_degree": self.graph.mean_degree(),
+            "edges": float(edges),
+            # over every registered account, friendless ones included
+            "mean_degree": 2.0 * edges / total if total else 0.0,
         }

@@ -19,8 +19,9 @@ relies on when classifying by year.
 
 Each sampler hands its draws over as endpoint uid arrays, and
 :meth:`FriendshipBuilder.build` installs every drawn pair with one
-:meth:`~repro.osn.graph.FriendGraph.bulk_add_edges` call, which folds
-repeats and both orientations of a pair into one edge.
+:meth:`~repro.osn.network.SocialNetwork.add_friendships` call, which
+builds the network's CSR graph in one pass and folds repeats and both
+orientations of a pair into one edge.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ class FriendshipBuilder:
         self.rng = rng
         # One 64-bit draw from the caller's stream seeds the samplers.
         self.np_rng = np.random.default_rng(rng.getrandbits(64))
-        self._drawn: List[np.ndarray] = []
+        self._drawn: List[Tuple[np.ndarray, np.ndarray]] = []
 
     # ------------------------------------------------------------------
     # Entry point
@@ -96,15 +97,15 @@ class FriendshipBuilder:
             self._build_school_edges(school_index)
         self._build_family_edges()
         self._build_external_edges()
-        pairs = np.concatenate(self._drawn)
+        src, dst = (np.concatenate(ends) for ends in zip(*self._drawn))
         self._drawn = []  # free the per-sampler blocks before the install
         # A sampler may pair a uid with itself; such a draw is no edge.
-        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-        return self.network.graph.bulk_add_edges(pairs)
+        keep = src != dst
+        return self.network.add_friendships(src[keep], dst[keep])
 
     def _collect(self, uids_a: np.ndarray, uids_b: np.ndarray) -> None:
         """Queue drawn pairs, given as two endpoint uid arrays."""
-        self._drawn.append(np.column_stack((uids_a, uids_b)))
+        self._drawn.append((uids_a, uids_b))
 
     # ------------------------------------------------------------------
     # School blocks

@@ -16,6 +16,8 @@ from repro.colgen.csr import index_dtype
 #: A small fixed graph: 0-1, 0-2, 1-2, 2-3, 4 isolated.
 _EDGES = [(0, 1), (0, 2), (1, 2), (2, 3)]
 _N = 5
+#: Ids with no row in that graph: below 0 and at or past ``_N``.
+_OUTSIDE = (-1, _N, _N + 7)
 
 
 @pytest.fixture
@@ -25,7 +27,8 @@ def graph():
 
 class TestConstruction:
     def test_from_edges_round_trips(self, graph):
-        assert sorted(graph.edges()) == sorted(_EDGES)
+        # Each edge exactly once, as (low id, high id), in row order.
+        assert list(graph.edges()) == _EDGES
 
     def test_rows_are_sorted_and_symmetric(self, graph):
         graph.validate()
@@ -108,6 +111,7 @@ class TestDirectedArraysMatchFromEdges:
 class TestQueries:
     def test_degree(self, graph):
         assert [graph.degree(u) for u in range(_N)] == [2, 2, 3, 1, 0]
+        assert sum(graph.degree(u) for u in range(_N)) == 2 * graph.edge_count()
 
     def test_are_friends_is_symmetric(self, graph):
         for a, b in _EDGES:
@@ -120,10 +124,64 @@ class TestQueries:
         assert graph.mutual_friend_count(0, 1) == 1
         assert graph.mutual_friends(0, 3) == {2}
         assert graph.mutual_friend_count(2, 4) == 0
+        assert graph.mutual_friends(1, 3) == {2}
+        assert graph.mutual_friend_count(2, 2) == graph.degree(2)
+        for a in range(_N):
+            for b in range(_N):
+                assert graph.mutual_friend_count(a, b) == len(graph.mutual_friends(a, b))
+
+    def test_subgraph_degree(self, graph):
+        assert graph.subgraph_degree(2, {0, 3, 99}) == 2
+        assert graph.subgraph_degree(0, {1, 99}) == 1
+        assert graph.subgraph_degree(4, set(range(_N))) == 0
+
+    @pytest.mark.parametrize("outside", _OUTSIDE)
+    def test_ids_outside_the_rows_have_no_friends(self, graph, outside):
+        assert graph.degree(outside) == 0
+        assert graph.neighbors_list(outside) == []
+        assert graph.neighbors(outside) == set()
+        assert graph.subgraph_degree(outside, set(range(_N))) == 0
+        for u in range(_N):
+            assert not graph.are_friends(outside, u)
+            assert not graph.are_friends(u, outside)
+            assert graph.mutual_friends(outside, u) == set()
+            assert graph.mutual_friend_count(outside, u) == 0
+            assert graph.mutual_friend_count(u, outside) == 0
 
     def test_mean_degree_and_edge_count(self, graph):
         assert graph.edge_count() == len(_EDGES)
         assert graph.mean_degree() == pytest.approx(2 * len(_EDGES) / _N)
+        empty = CSRGraph.from_edges(0, [])
+        assert (empty.edge_count(), empty.mean_degree()) == (0, 0.0)
+
+    @given(
+        edges=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)), max_size=60),
+        tail=st.integers(0, 3),
+    )
+    @settings(max_examples=60)
+    def test_queries_match_a_set_reference(self, edges, tail):
+        """Every query against a dict of sets built from the same pairs."""
+        n = max((max(p) for p in edges), default=0) + 1 + tail
+        graph = directed(n, edges)
+        friends = {u: set() for u in range(n)}
+        for a, b in edges:
+            if a != b:
+                friends[a].add(b)
+                friends[b].add(a)
+        assert sum(graph.degree(u) for u in range(n)) == 2 * graph.edge_count()
+        assert list(graph.edges()) == sorted(
+            (a, b) for a in friends for b in friends[a] if a < b
+        )
+        for u in range(n):
+            assert graph.neighbors_list(u) == sorted(friends[u])
+        probes = [u for u in range(n) if friends[u]][:6] + [-1, n]
+        for a in probes:
+            for b in probes:
+                mutual = friends.get(a, set()) & friends.get(b, set())
+                assert graph.mutual_friends(a, b) == mutual
+                assert graph.mutual_friend_count(a, b) == len(mutual)
+                assert graph.are_friends(a, b) == graph.are_friends(b, a)
+                assert graph.are_friends(a, b) == (b in friends.get(a, ()))
 
     def test_nbytes_positive(self, graph):
         assert graph.nbytes > 0

@@ -9,6 +9,7 @@ import pytest
 
 from repro.colgen import (
     CSRGraph,
+    ColumnarNetwork,
     TIER_NAMES,
     TIERS,
     bench_worldgen,
@@ -123,6 +124,9 @@ class TestNativeGeneration:
         assert world.csr is None
         with pytest.raises(RuntimeError, match="generation-only"):
             world.friends(0)
+        # The served network reads the same graph and fails the same way.
+        with pytest.raises(RuntimeError, match="generation-only"):
+            ColumnarNetwork(world).relationship(1, 0)
 
 
 def graph_digest(world) -> str:

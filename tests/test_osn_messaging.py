@@ -51,15 +51,6 @@ class TestFriendRequests:
         with pytest.raises(ForbiddenError):
             service.add_request(FriendRequest(1, 1, 2012.25))
 
-    def test_pop_answers_request(self, service):
-        service.add_request(FriendRequest(1, 2, 2012.25))
-        popped = service.pop_request(2, 1)
-        assert popped is not None and popped.sender_id == 1
-        assert not service.has_pending(2, 1)
-
-    def test_pop_missing_returns_none(self, service):
-        assert service.pop_request(2, 1) is None
-
     def test_directional(self, service):
         service.add_request(FriendRequest(1, 2, 2012.25))
         assert not service.has_pending(1, 2)  # other direction unaffected

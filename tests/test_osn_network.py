@@ -7,6 +7,9 @@ from repro.osn.errors import ForbiddenError, NotFoundError, RegistrationError
 from repro.osn.network import GraphSearchQuery, SocialNetwork
 from repro.osn.privacy import Audience, PrivacySettings, ProfileField, Relationship
 from repro.osn.profile import Birthday, Name, Profile, SchoolAffiliation
+from repro.worldgen.export import world_summary
+from repro.worldgen.presets import tiny
+from repro.worldgen.world import build_world
 
 
 class TestRegistration:
@@ -77,6 +80,80 @@ class TestRelationships:
         net, _, accounts = school_network
         uid = accounts["minor"].user_id
         assert net.relationship(uid, uid) is Relationship.SELF
+
+
+def friendships(net):
+    """Every friendship and the world version: what a failed write must keep."""
+    return sorted(net.graph.edges()), net.version
+
+
+class TestFriendships:
+    def test_existing_pair_returns_false_and_keeps_version(self, school_network):
+        net, _, accounts = school_network
+        lying, minor = accounts["lying_minor"].user_id, accounts["minor"].user_id
+        before = friendships(net)
+        assert not net.add_friendship(lying, minor)
+        assert not net.add_friendship(minor, lying)
+        assert friendships(net) == before
+
+    def test_new_pair_is_mutual_and_bumps_version(self, school_network):
+        net, _, accounts = school_network
+        minor, alumnus = accounts["minor"].user_id, accounts["alumnus"].user_id
+        version = net.version
+        assert net.add_friendship(minor, alumnus)
+        assert net.version == version + 1
+        assert net.relationship(minor, alumnus) is Relationship.FRIEND
+        assert net.relationship(alumnus, minor) is Relationship.FRIEND
+
+    def test_add_friendships_counts_new_pairs_only(self, school_network):
+        net, _, accounts = school_network
+        lying, minor, alumnus = (
+            accounts[k].user_id for k in ("lying_minor", "minor", "alumnus")
+        )
+        # minor-alumnus is new (given twice, once reversed); alumnus-lying exists.
+        assert net.add_friendships([minor, alumnus, alumnus], [alumnus, minor, lying]) == 1
+        assert net.population_stats()["edges"] == 3
+
+    @pytest.mark.parametrize(
+        "pair, error",
+        [
+            (("minor", "minor"), ValueError),
+            (("minor", 404), NotFoundError),
+            ((0, "minor"), NotFoundError),  # row 0 of the graph is no account
+            ((-1, "minor"), NotFoundError),
+        ],
+        ids=["self-pair", "unknown-uid", "uid-0", "negative-uid"],
+    )
+    def test_bad_pair_raises_and_changes_nothing(self, school_network, pair, error):
+        net, _, accounts = school_network
+        a, b = (accounts[end].user_id if isinstance(end, str) else end for end in pair)
+        alumnus = accounts["alumnus"].user_id
+        before = friendships(net)
+        with pytest.raises(error):
+            net.add_friendship(a, b)
+        with pytest.raises(error):  # a good pair beside it is not added either
+            net.add_friendships([accounts["minor"].user_id, a], [alumnus, b])
+        assert friendships(net) == before
+
+    def test_account_registered_later_is_friendless(self, school_network):
+        net, _, accounts = school_network
+        lying = accounts["lying_minor"].user_id
+        late = net.register_account(
+            profile=Profile(name=Name("Late", "Comer")),
+            registered_birthday=Birthday(1985),
+            settings=PrivacySettings.facebook_adult_default_2012(),
+        ).user_id
+        assert net.friend_page(None, late) == (0, [])
+        for uid in net.users:
+            if uid != late:
+                assert net.relationship(uid, late) is not Relationship.FRIEND
+        _, entries = net.friend_page(None, lying)
+        assert late not in {e.user_id for e in entries}
+        # lying has friends, but shares no friend and no network with late.
+        assert net.relationship(late, lying) is Relationship.STRANGER
+        assert net.relationship(lying, late) is Relationship.STRANGER
+        assert net.add_friendship(late, lying)
+        assert net.relationship(late, lying) is Relationship.FRIEND
 
 
 class TestProfileViews:
@@ -257,3 +334,18 @@ class TestStats:
         assert stats["registered_minors"] == 1
         assert stats["age_liars"] == 1
         assert stats["edges"] == 2
+
+    def test_degree_stats_pinned_on_a_built_world(self):
+        """Pinned on ``tiny(seed=7)``: ``population_stats`` averages the
+        degree over every registered account, ``world_summary`` over the
+        non-fake ones."""
+        world = build_world(tiny(seed=7))
+        stats = world.network.population_stats()
+        assert (stats["edges"], stats["mean_degree"]) == (22101.0, 23.549280767181674)
+        summary = world_summary(world)
+        assert (summary["edges"], summary["mean_degree"]) == (22101, 23.549280767181674)
+        world.create_attacker_accounts(2)  # friendless, and counted
+        stats = world.network.population_stats()
+        assert (stats["edges"], stats["mean_degree"]) == (22101.0, 23.52421500798297)
+        summary = world_summary(world)
+        assert (summary["edges"], summary["mean_degree"]) == (22101, 23.549280767181674)

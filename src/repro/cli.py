@@ -395,6 +395,7 @@ def cmd_crawl(args: argparse.Namespace) -> int:
         ("seed_requests", str(effort.seed_requests)),
         ("profile_requests", str(effort.profile_requests)),
         ("friend_list_requests", str(effort.friend_list_requests)),
+        ("failures", str(len(result.failures))),
     ]
     if result.cache_stats is not None:
         rows.append(

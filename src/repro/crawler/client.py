@@ -8,11 +8,17 @@ OSN's HTML frontend with:
 * per-category request accounting (the Table-3 effort breakdown),
 * page parsing (every byte of knowledge the attack has comes out of
   :mod:`repro.osn.pages` parsers — never from simulator internals).
+
+The transport is written once, sans-IO: a request and each page walk is
+a :data:`Step` that yields every simulated wait and returns its parsed
+result.  The public methods sleep those waits on the
+:class:`~repro.osn.clock.SimClock`; the async engine parks on them, so
+both run the same retries, rotation, accounting and telemetry events.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, Generator, List, Mapping, Optional, TypeVar
 
 from repro.osn.errors import (
     AccountDisabledError,
@@ -46,6 +52,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry.runtime import Telemetry
 
 _MAX_THROTTLE_RETRIES = 8
+
+_T = TypeVar("_T")
+
+#: A sans-IO crawl step: yields each simulated wait (seconds) its driver
+#: must sleep before resuming it, and returns the step's result.
+Step = Generator[float, None, _T]
 
 
 class CrawlClient:
@@ -96,6 +108,17 @@ class CrawlClient:
     # ------------------------------------------------------------------
     # Transport with rotation / back-off
     # ------------------------------------------------------------------
+    def _drive(self, step: Step[_T]) -> _T:
+        """Run a step to its result, sleeping each wait on the clock."""
+        clock = self.frontend.clock
+        while True:
+            try:
+                wait = next(step)
+            except StopIteration as done:
+                return done.value
+            if wait > 0:
+                clock.sleep(wait)
+
     def _get(
         self,
         path: str,
@@ -104,7 +127,7 @@ class CrawlClient:
         account_id: Optional[int] = None,
     ) -> str:
         """One logical GET: paces, rotates accounts, retries throttles."""
-        return self._transport(False, path, params, category, account_id)
+        return self._drive(self._request_step(False, path, params, category, account_id))
 
     def _post(
         self,
@@ -114,22 +137,30 @@ class CrawlClient:
         account_id: Optional[int] = None,
     ) -> str:
         """One logical POST (state-changing action), same pacing rules."""
-        return self._transport(True, path, params, category, account_id)
+        return self._drive(self._request_step(True, path, params, category, account_id))
 
-    def _transport(
+    def _request_step(
         self,
         write: bool,
         path: str,
         params: Optional[Mapping[str, str]],
         category: str,
         account_id: Optional[int] = None,
-    ) -> str:
+    ) -> Step[str]:
+        """One logical request: polite delay, issue, back off, rotate, give up.
+
+        Pinned to ``account_id``, or else rotating over the pool; raises
+        once that account (or the last usable one) is lost, or past the
+        throttle retry ceiling.
+        """
         telemetry = self.telemetry
         throttles = 0
         while True:
             chosen = account_id if account_id is not None else self.pool.next()
             pacer = self.pacer_for(chosen)
-            pacer.before_request()
+            delay = pacer.next_polite_delay()
+            pacer.note_slept(delay, "polite")
+            yield delay
             try:
                 if write:
                     page = self.frontend.post(chosen, path, params)
@@ -147,7 +178,9 @@ class CrawlClient:
                             throttles=throttles,
                         )
                     raise
-                slept = pacer.on_throttle(exc.retry_after)
+                slept = pacer.next_throttle_penalty(exc.retry_after)
+                pacer.note_slept(slept, "backoff")
+                yield slept
                 if telemetry is not None:
                     telemetry.emit(
                         "throttle",
@@ -196,21 +229,34 @@ class CrawlClient:
         """
         seeds: Dict[int, str] = {}
         for account_id in accounts if accounts is not None else self.pool.usable:
-            offset = 0
-            for _ in range(max_pages_per_account):
-                page = self._get(
-                    "/find-friends/browser",
-                    {"school": str(school_id), "offset": str(offset)},
-                    CATEGORY_SEEDS,
-                    account_id=account_id,
-                )
-                listing = parse_search_page(page)
-                for entry in listing.entries:
-                    seeds[entry.user_id] = entry.name
-                if listing.next_offset is None:
-                    break
-                offset = listing.next_offset
+            self._drive(
+                self.portal_step(school_id, account_id, seeds, max_pages_per_account)
+            )
         return seeds
+
+    def portal_step(
+        self, school_id: int, account_id: int, seeds: Dict[int, str], max_pages: int = 100
+    ) -> Step[None]:
+        """One account's scroll of the Find Friends Portal.
+
+        Each parsed entry goes straight into ``seeds`` (uid -> display
+        name), so a scroll cut short by a failure keeps what it parsed.
+        """
+        offset = 0
+        for _ in range(max_pages):
+            page = yield from self._request_step(
+                False,
+                "/find-friends/browser",
+                {"school": str(school_id), "offset": str(offset)},
+                CATEGORY_SEEDS,
+                account_id,
+            )
+            listing = parse_search_page(page)
+            for entry in listing.entries:
+                seeds[entry.user_id] = entry.name
+            if listing.next_offset is None:
+                break
+            offset = listing.next_offset
 
     def collect_seeds_graph_search(
         self,
@@ -240,8 +286,16 @@ class CrawlClient:
     # ------------------------------------------------------------------
     def fetch_profile(self, user_id: int) -> Optional[ProfileView]:
         """Download and parse one public profile; ``None`` if gone."""
+        return self._drive(self.profile_step(user_id))
+
+    def profile_step(
+        self, user_id: int, account_id: Optional[int] = None
+    ) -> Step[Optional[ProfileView]]:
+        """The step behind :meth:`fetch_profile`, optionally pinned."""
         try:
-            page = self._get(f"/profile/{user_id}", None, CATEGORY_PROFILES)
+            page = yield from self._request_step(
+                False, f"/profile/{user_id}", None, CATEGORY_PROFILES, account_id
+            )
         except NotFoundError:
             return None
         return parse_profile_page(page)
@@ -257,14 +311,22 @@ class CrawlClient:
         Returns ``None`` when the list is not visible to a stranger —
         the distinction between the paper's C' and core set C.
         """
+        return self._drive(self.friend_list_step(user_id, max_pages=max_pages))
+
+    def friend_list_step(
+        self, user_id: int, account_id: Optional[int] = None, max_pages: int = 200
+    ) -> Step[Optional[List[DirectoryEntry]]]:
+        """The step behind :meth:`fetch_friend_list`, optionally pinned."""
         entries: List[DirectoryEntry] = []
         offset = 0
         for _ in range(max_pages):
             try:
-                page = self._get(
+                page = yield from self._request_step(
+                    False,
                     f"/profile/{user_id}/friends",
                     {"offset": str(offset)},
                     CATEGORY_FRIEND_LISTS,
+                    account_id,
                 )
             except ForbiddenError:
                 return None

@@ -12,7 +12,7 @@ for cross-checking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -92,6 +92,13 @@ class EffortCounter:
     @property
     def total(self) -> int:
         return int(sum(self.count(c) for c in _CATEGORIES))
+
+    def by_account(self) -> Dict[int, int]:
+        """Successful GETs per crawl account id."""
+        return {
+            int(key[0][1]): int(series.value)
+            for key, series in self._account_requests.series().items()
+        }
 
     def report(self) -> EffortReport:
         return EffortReport(

@@ -29,10 +29,13 @@ sorted seed set truncated at ``max_profiles`` — so pools of 1, 4 and 8
 accounts visit the same pages and spend the same per-category effort,
 they just overlap the waits.
 
-Everything here speaks the :class:`~repro.crawler.client.CrawlClient`
-vocabulary — per-account pacers, the Table-3 effort counter, the HTML
-parsers — so the engine observes exactly what a single-account crawl
-observes, never simulator internals.
+The engine has no transport of its own: each work item runs one of the
+client's sans-IO steps pinned to the session's account and parks on
+every wait it yields, so pacing, retries, Table-3 accounting and
+telemetry are the sequential client's, and the engine sees parsed
+pages only, never simulator internals.  A lost account or an exhausted
+retry never aborts a run; it is recorded in
+:attr:`CrawlRunResult.failures`.
 """
 
 from __future__ import annotations
@@ -53,12 +56,10 @@ from typing import (
 )
 
 from repro.osn.clock import SimClock
-from repro.osn.errors import (
-    AccountDisabledError,
-    ForbiddenError,
-    NotFoundError,
-    RateLimitedError,
-)
+from repro.osn.errors import AccountDisabledError, RateLimitedError
+
+# Unused here (the client's steps parse); kept because bench/trace.py
+# wraps these names on this module.
 from repro.osn.pages import (
     parse_friends_page,
     parse_profile_page,
@@ -67,15 +68,16 @@ from repro.osn.pages import (
 from repro.osn.public import DirectoryEntry
 from repro.osn.view import ProfileView
 
-from .client import CrawlClient, _MAX_THROTTLE_RETRIES
-from .effort import (
-    CATEGORY_FRIEND_LISTS,
-    CATEGORY_PROFILES,
-    CATEGORY_SEEDS,
-    EffortReport,
-)
+from .client import CrawlClient, Step
+from .effort import EffortReport
 
-_Worker = Coroutine[Any, Any, None]
+_Worker = Coroutine[Any, Any, object]
+
+#: ``("seeds", school_id)``, ``("profile", uid)`` or ``("friends", uid)``.
+WorkItem = Tuple[str, int]
+
+#: ``(reason, account, item)``; the account is ``None`` for ``unserved``.
+Failure = Tuple[str, Optional[int], WorkItem]
 
 
 class TurnDispatcher:
@@ -156,26 +158,35 @@ class _RunState:
         self.seeds: Dict[int, str] = {}
         self.profiles: Dict[int, Optional[ProfileView]] = {}
         self.friend_lists: Dict[int, Optional[List[DirectoryEntry]]] = {}
-        self.visit_order: List[Tuple[Any, ...]] = []
-        self.pages = 0
-        self.pages_by_account: Dict[int, int] = {}
-        self.work: Deque[Tuple[str, int]] = deque()
+        self.visit_order: List[Tuple[str, int, int]] = []
+        self.failures: List[Failure] = []
+        self.work: Deque[WorkItem] = deque()
 
 
 @dataclass
 class CrawlRunResult:
-    """Everything a scheduler run produced, plus its cost."""
+    """Everything a scheduler run produced, plus its cost and failures."""
 
     seeds: Dict[int, str]
     profiles: Dict[int, Optional[ProfileView]]
     friend_lists: Dict[int, Optional[List[DirectoryEntry]]]
-    #: successful page fetches in execution order (deterministic).
-    visit_order: List[Tuple[Any, ...]]
+    #: one ``(kind, account, key)`` entry per completed work item, in
+    #: completion order (deterministic).
+    visit_order: List[Tuple[str, int, int]]
+    #: failed work items in the order they failed: ``account_lost`` (a
+    #: queued item goes back to the queue, a harvest keeps the seeds it
+    #: parsed), ``retry_exhausted`` (dropped) and ``unserved`` (no
+    #: session was left to take it).
+    failures: List[Failure]
     effort: EffortReport
     sim_seconds: float
-    pages: int
     pages_by_account: Dict[int, int]
     cache_stats: Optional[Dict[str, float]] = None
+
+    @property
+    def pages(self) -> int:
+        """Successful GETs, as the client's effort counter tallied them."""
+        return self.effort.total
 
     @property
     def pages_per_sim_second(self) -> float:
@@ -216,18 +227,18 @@ class CrawlScheduler:
     # Phases
     # ------------------------------------------------------------------
     def run(self) -> CrawlRunResult:
-        """Harvest seeds, then drain the profile/friend-list queue."""
+        """Harvest seeds, then drain the queue; failures are listed, not raised."""
         client = self.client
         plan = self.plan
         clock = client.frontend.clock
         start = clock.seconds()
         state = _RunState()
 
-        pool = sorted(client.pool.account_ids)
-        harvesters = pool[: max(1, plan.harvest_accounts)]
+        harvest: WorkItem = ("seeds", plan.school_id)
+        harvesters = sorted(client.pool.account_ids)[: max(1, plan.harvest_accounts)]
         self._run_phase(
             lambda turns: [
-                self._harvest(turns, state, account_id, plan.school_id)
+                self._serve(turns, state, account_id, harvest)
                 for account_id in harvesters
             ]
         )
@@ -235,15 +246,17 @@ class CrawlScheduler:
         targets = sorted(state.seeds)
         if plan.max_profiles is not None:
             targets = targets[: plan.max_profiles]
-        work: List[Tuple[str, int]] = [("profile", uid) for uid in targets]
+        work: List[WorkItem] = [("profile", uid) for uid in targets]
         if plan.fetch_friend_lists:
             work.extend(("friends", uid) for uid in targets)
         state.work = deque(work)
         self._run_phase(
             lambda turns: [
-                self._drain(turns, state, account_id) for account_id in pool
+                self._drain(turns, state, account_id)
+                for account_id in sorted(client.pool.usable)
             ]
         )
+        state.failures.extend(("unserved", None, item) for item in state.work)
 
         cache = client.frontend.cache
         return CrawlRunResult(
@@ -251,10 +264,10 @@ class CrawlScheduler:
             profiles=dict(state.profiles),
             friend_lists=dict(state.friend_lists),
             visit_order=list(state.visit_order),
+            failures=list(state.failures),
             effort=client.effort_report(),
             sim_seconds=clock.seconds() - start,
-            pages=state.pages,
-            pages_by_account=dict(state.pages_by_account),
+            pages_by_account=client.counter.by_account(),
             cache_stats=cache.stats() if cache is not None else None,
         )
 
@@ -282,139 +295,49 @@ class CrawlScheduler:
     # ------------------------------------------------------------------
     # Workers
     # ------------------------------------------------------------------
-    async def _harvest(
-        self,
-        turns: TurnDispatcher,
-        state: _RunState,
-        account_id: int,
-        school_id: int,
-    ) -> None:
-        """Scroll the Find Friends Portal from one pinned account."""
-        offset = 0
-        for _ in range(self.plan.max_pages_per_account):
-            page = await self._fetch(
-                turns,
-                state,
-                account_id,
-                "/find-friends/browser",
-                {"school": str(school_id), "offset": str(offset)},
-                CATEGORY_SEEDS,
-            )
-            listing = parse_search_page(page)
-            for entry in listing.entries:
-                state.seeds[entry.user_id] = entry.name
-            state.visit_order.append(("seeds", account_id, offset))
-            if listing.next_offset is None:
-                break
-            offset = listing.next_offset
-
     async def _drain(
         self, turns: TurnDispatcher, state: _RunState, account_id: int
     ) -> None:
-        """Pull queue items until the shared deque is empty."""
+        """Pull queue items until the queue is empty or the account is lost."""
         work = state.work
         while work:
-            kind, uid = work.popleft()
-            if kind == "profile":
-                await self._fetch_profile(turns, state, account_id, uid)
-            else:
-                await self._fetch_friends(turns, state, account_id, uid)
-
-    async def _fetch_profile(
-        self,
-        turns: TurnDispatcher,
-        state: _RunState,
-        account_id: int,
-        user_id: int,
-    ) -> None:
-        try:
-            page = await self._fetch(
-                turns,
-                state,
-                account_id,
-                f"/profile/{user_id}",
-                None,
-                CATEGORY_PROFILES,
-            )
-        except NotFoundError:
-            state.profiles[user_id] = None
-            return
-        state.profiles[user_id] = parse_profile_page(page)
-        state.visit_order.append(("profile", account_id, user_id))
-
-    async def _fetch_friends(
-        self,
-        turns: TurnDispatcher,
-        state: _RunState,
-        account_id: int,
-        user_id: int,
-    ) -> None:
-        entries: List[DirectoryEntry] = []
-        offset = 0
-        for _ in range(self.plan.max_friend_pages):
-            try:
-                page = await self._fetch(
-                    turns,
-                    state,
-                    account_id,
-                    f"/profile/{user_id}/friends",
-                    {"offset": str(offset)},
-                    CATEGORY_FRIEND_LISTS,
-                )
-            except ForbiddenError:
-                state.friend_lists[user_id] = None
+            item = work.popleft()
+            if not await self._serve(turns, state, account_id, item):
+                work.appendleft(item)
                 return
-            listing = parse_friends_page(page)
-            entries.extend(listing.entries)
-            state.visit_order.append(("friends", account_id, user_id, offset))
-            if listing.next_offset is None:
-                break
-            offset = listing.next_offset
-        state.friend_lists[user_id] = entries
 
-    # ------------------------------------------------------------------
-    # Transport (CrawlClient._transport semantics on cooperative time)
-    # ------------------------------------------------------------------
-    async def _fetch(
+    async def _serve(
         self,
         turns: TurnDispatcher,
         state: _RunState,
         account_id: int,
-        path: str,
-        params: Optional[Dict[str, str]],
-        category: str,
-    ) -> str:
-        """One logical GET: polite delay, throttle back-off, accounting.
+        item: WorkItem,
+    ) -> bool:
+        """Run one item's step, parking on each wait; ``False`` if the account is lost."""
+        try:
+            for wait in self._step(state, account_id, item):
+                await turns.sleep(wait)
+        except AccountDisabledError:
+            state.failures.append(("account_lost", account_id, item))
+            return False
+        except RateLimitedError:
+            state.failures.append(("retry_exhausted", account_id, item))
+            return True
+        state.visit_order.append((item[0], account_id, item[1]))
+        return True
 
-        Mirrors ``CrawlClient._transport`` exactly — same pacer draws,
-        same retry ceiling, same effort recording — except sleeps park
-        the session on the dispatcher instead of summing onto the
-        clock, so concurrent sessions overlap their waits.
-        """
+    def _step(self, state: _RunState, account_id: int, item: WorkItem) -> Step[None]:
+        """The client step behind one work item, storing its result."""
         client = self.client
-        pacer = client.pacer_for(account_id)
-        throttles = 0
-        while True:
-            delay = pacer.next_polite_delay()
-            pacer.note_slept(delay, "polite")
-            await turns.sleep(delay)
-            try:
-                page = client.frontend.get(account_id, path, params)
-            except RateLimitedError as exc:
-                throttles += 1
-                if throttles > _MAX_THROTTLE_RETRIES:
-                    raise
-                penalty = pacer.next_throttle_penalty(exc.retry_after)
-                pacer.note_slept(penalty, "backoff")
-                await turns.sleep(penalty)
-                continue
-            except AccountDisabledError:
-                client.pool.mark_disabled(account_id)
-                raise
-            client.counter.record(category, account_id)
-            pacer.on_success()
-            state.pages += 1
-            state.pages_by_account[account_id] = (
-                state.pages_by_account.get(account_id, 0) + 1
+        plan = self.plan
+        kind, key = item
+        if kind == "seeds":
+            yield from client.portal_step(
+                key, account_id, state.seeds, plan.max_pages_per_account
             )
-            return page
+        elif kind == "profile":
+            state.profiles[key] = yield from client.profile_step(key, account_id)
+        else:
+            state.friend_lists[key] = yield from client.friend_list_step(
+                key, account_id, plan.max_friend_pages
+            )

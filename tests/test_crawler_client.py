@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.crawler.accounts import AccountPool
+from repro.crawler.accounts import AccountPool, NoUsableAccountsError
 from repro.crawler.client import CrawlClient
 from repro.crawler.effort import CATEGORY_PROFILES, CATEGORY_SEEDS
 from repro.crawler.politeness import PolitenessPolicy
+from repro.osn.errors import AccountDisabledError
 from repro.osn.frontend import HtmlFrontend
 from repro.osn.privacy import PrivacySettings
 from repro.osn.profile import Birthday, Name, Profile
@@ -135,13 +136,23 @@ class TestResilience:
             AccountPool.of([accounts["crawler"].user_id, extra.user_id]),
             PolitenessPolicy(base_delay_seconds=0.0, jitter_seconds=0),
         )
-        # Burn through both accounts' budgets; first account gets disabled
-        # and the client rotates to the second.
+        first, spare = accounts["crawler"].user_id, extra.user_id
+        target = accounts["alumnus"].user_id
+        # Fetches 1-4 alternate over the pool and spend both budgets.
         for _ in range(4):
-            crawl.fetch_profile(accounts["alumnus"].user_id)
-        assert crawl.pool.is_disabled(accounts["crawler"].user_id) or True
+            assert crawl.fetch_profile(target) is not None
+        assert crawl.pool.usable == [first, spare]
+        # The 5th disables the first account, rotates to the spare and
+        # loses it too: with no account left, the loss is raised.
+        with pytest.raises(AccountDisabledError):
+            crawl.fetch_profile(target)
+        assert crawl.pool.is_disabled(first)
+        assert crawl.pool.is_disabled(spare)
+        with pytest.raises(NoUsableAccountsError):
+            crawl.fetch_profile(target)
         report = crawl.effort_report()
         assert report.profile_requests == 4
+        assert report.accounts_used == 2
 
 
 class TestThrottleExhaustion:

@@ -3,21 +3,26 @@
 The engine's promises: same seed + pool + plan reproduce the run
 bit-for-bit (visit order, effort, simulated clock); pools of different
 sizes crawl the *same* result set at the same per-category effort, only
-faster in simulated time; and a single-account engine run observes
-exactly what the sequential ``CrawlClient`` observes.
+faster in simulated time; a single-account engine run observes exactly
+what the sequential ``CrawlClient`` observes, event for event; and a
+ban or an exhausted retry yields a partial result plus a failure
+ledger, never an aborted run.
 """
 
 from __future__ import annotations
 
 import asyncio
+from collections import Counter
 
 import pytest
 
+from repro.colgen.serve import frontend_for_object_world, session_accounts
 from repro.crawler.accounts import AccountPool
 from repro.crawler.client import CrawlClient
 from repro.crawler.engine import CrawlPlan, CrawlScheduler, TurnDispatcher
 from repro.crawler.politeness import PolitenessPolicy
 from repro.osn.clock import SimClock
+from repro.osn.errors import AccountDisabledError
 from repro.osn.frontend import HtmlFrontend
 from repro.osn.ratelimit import RateLimitConfig
 from repro.telemetry import Telemetry
@@ -28,13 +33,56 @@ _SEED = 7
 _BUDGET = 12
 
 
-def engine_run(pool_size: int, budget: int = _BUDGET):
-    """A full scheduler run on a private tiny world."""
+class BanFrom:
+    """Fault injection: a frontend that bans each listed account from its
+    *n*-th GET on (``{account_id: n}``); everything else passes through."""
+
+    def __init__(self, frontend, bans):
+        self._frontend = frontend
+        self._bans = bans
+        self._gets = Counter()
+
+    def __getattr__(self, name):
+        return getattr(self._frontend, name)
+
+    def get(self, account_id, path, params=None):
+        self._gets[account_id] += 1
+        if self._gets[account_id] >= self._bans.get(account_id, float("inf")):
+            raise AccountDisabledError(f"account {account_id} banned")
+        return self._frontend.get(account_id, path, params)
+
+
+def crawl(pool_size: int, budget: int = _BUDGET, bans=None, frontend=None):
+    """A full scheduler run on a private tiny world, plus the pool's uids.
+
+    ``bans`` maps a pool index to the GET from which that account is
+    banned; ``frontend`` builds the frontend to crawl from the world.
+    """
     world = build_world(tiny(seed=_SEED))
     uids = world.create_attacker_accounts(pool_size)
-    client = CrawlClient(world.frontend, AccountPool.of(uids), seed=_SEED)
+    served = world.frontend if frontend is None else frontend(world)
+    if bans is not None:
+        served = BanFrom(served, {uids[k]: n for k, n in bans.items()})
+    client = CrawlClient(served, AccountPool.of(uids), seed=_SEED)
     plan = CrawlPlan(school_id=world.school().school_id, max_profiles=budget)
-    return CrawlScheduler(client, plan).run()
+    return CrawlScheduler(client, plan).run(), uids
+
+
+def engine_run(pool_size: int, budget: int = _BUDGET):
+    """A full scheduler run on a private tiny world."""
+    return crawl(pool_size, budget)[0]
+
+
+def work_items(result):
+    """Every drain-phase work item the run's plan queued."""
+    targets = sorted(result.seeds)[:_BUDGET]
+    return {("profile", uid) for uid in targets} | {("friends", uid) for uid in targets}
+
+
+def completed(result):
+    return {("profile", uid) for uid in result.profiles} | {
+        ("friends", uid) for uid in result.friend_lists
+    }
 
 
 def categories(result):
@@ -123,6 +171,23 @@ class TestPoolInvariance:
         # Every account actually participated in the drain phase.
         assert len(pooled.pages_by_account) == 3
 
+    def test_zero_waits_still_pass_the_turn(self):
+        """A zero polite delay parks the session like any other wait, so
+        sessions alternate instead of the first draining the queue."""
+        world = build_world(tiny(seed=_SEED))
+        uids = world.create_attacker_accounts(2)
+        client = CrawlClient(
+            world.frontend,
+            AccountPool.of(uids),
+            PolitenessPolicy(base_delay_seconds=0, jitter_seconds=0),
+            seed=_SEED,
+        )
+        plan = CrawlPlan(school_id=world.school().school_id, max_profiles=4)
+        result = CrawlScheduler(client, plan).run()
+        assert result.sim_seconds == 0
+        profile_fetchers = [a for kind, a, _ in result.visit_order if kind == "profile"]
+        assert profile_fetchers == [uids[0], uids[1], uids[0], uids[1]]
+
     def test_budget_bounds_the_result_set(self):
         tight = engine_run(2, budget=5)
         assert len(tight.profiles) == 5
@@ -154,6 +219,116 @@ class TestClientParity:
         )
 
 
+    def test_single_account_engine_emits_the_clients_events(self):
+        """One transport: the engine's request/throttle/loss events are
+        the client's, stamped at the same simulated instants."""
+
+        def events(crawl_with):
+            world = build_world(tiny(seed=_SEED))
+            uids = world.create_attacker_accounts(1)
+            telemetry = Telemetry.in_memory(world.network.clock)
+            client = CrawlClient(
+                world.frontend, AccountPool.of(uids), seed=_SEED, telemetry=telemetry
+            )
+            crawl_with(client, world.school().school_id)
+            return [(e.kind, e.sim_ts, e.fields) for e in telemetry.events]
+
+        def engine(client, school_id):
+            plan = CrawlPlan(school_id=school_id, max_profiles=_BUDGET)
+            CrawlScheduler(client, plan).run()
+
+        def sequential(client, school_id):
+            targets = sorted(client.collect_seeds(school_id))[:_BUDGET]
+            for uid in targets:
+                client.fetch_profile(uid)
+            for uid in targets:
+                client.fetch_friend_list(uid)
+
+        engine_events = events(engine)
+        assert len(engine_events) == engine_run(1).pages
+        assert engine_events == events(sequential)
+
+
+class TestServeParity:
+    @pytest.mark.parametrize("pool_size", [1, 3])
+    def test_columnar_frontend_crawls_what_the_object_frontend_does(self, pool_size):
+        world = build_world(tiny(seed=_SEED))
+        frontend = frontend_for_object_world(world)
+        client = CrawlClient(
+            frontend, AccountPool.of(session_accounts(frontend, pool_size)), seed=_SEED
+        )
+        plan = CrawlPlan(school_id=world.school().school_id, max_profiles=_BUDGET)
+        columnar = CrawlScheduler(client, plan).run()
+        objects = engine_run(pool_size)
+        assert columnar.pages == objects.pages > 0
+        assert columnar.result_signature() == objects.result_signature()
+        assert categories(columnar) == categories(objects)
+        assert columnar.sim_seconds == objects.sim_seconds
+
+
+class TestFailSoft:
+    """A ban or an exhausted retry yields a partial result and a ledger."""
+
+    def test_lost_account_hands_its_item_to_the_survivors(self):
+        clean = engine_run(3)
+        result, uids = crawl(3, bans={1: 5})
+        rerun, _ = crawl(3, bans={1: 5})
+        assert result.result_signature() == clean.result_signature()
+        assert result.pages == clean.pages
+        assert categories(result) == categories(clean)
+        [(reason, account, item)] = result.failures
+        assert (reason, account) == ("account_lost", uids[1])
+        # The in-flight item went back to the queue; a survivor took it.
+        [served_by] = [a for kind, a, key in result.visit_order if (kind, key) == item]
+        assert served_by != uids[1]
+        assert result.pages_by_account[uids[1]] == 4
+        assert rerun.visit_order == result.visit_order
+        assert rerun.failures == result.failures
+        assert rerun.sim_seconds == result.sim_seconds
+
+    def test_every_account_lost_gives_a_partial_result(self):
+        result, uids = crawl(3, bans={0: 5, 1: 5, 2: 5})
+        reasons = [reason for reason, _, _ in result.failures]
+        assert reasons[:3] == ["account_lost"] * 3
+        assert {account for _, account, _ in result.failures[:3]} == set(uids)
+        unserved = [item for reason, account, item in result.failures if reason == "unserved"]
+        assert unserved and reasons[3:] == ["unserved"] * len(unserved)
+        assert all(account is None for _, account, _ in result.failures[3:])
+        # Every queued item was either crawled or left unserved.
+        assert completed(result) | set(unserved) == work_items(result)
+        assert not completed(result) & set(unserved)
+        assert result.pages == 4 * len(uids)
+
+    def test_failed_harvest_keeps_its_seeds_and_skips_the_lost_account(self):
+        clean = engine_run(3)
+        result, uids = crawl(3, bans={0: 2})
+        harvest = ("seeds", clean.visit_order[0][2])
+        assert result.failures == [("account_lost", uids[0], harvest)]
+        # The one portal page parsed before the ban is kept.
+        assert 0 < len(result.seeds) < len(clean.seeds)
+        assert set(result.seeds.items()) <= set(clean.seeds.items())
+        # Phase B ran only on the accounts still usable.
+        assert result.pages_by_account[uids[0]] == 1
+        drained = {account for kind, account, _ in result.visit_order if kind != "seeds"}
+        assert drained == set(uids[1:])
+        assert completed(result) == work_items(result)
+
+    def test_exhausted_retries_are_recorded_and_the_session_moves_on(self):
+        def never_refills(world):
+            return HtmlFrontend(
+                world.network,
+                RateLimitConfig(max_requests=10, window_seconds=10**9, strikes_to_disable=10**6),
+            )
+
+        result, uids = crawl(3, frontend=never_refills)
+        exhausted = [item for reason, _, item in result.failures]
+        assert {reason for reason, _, _ in result.failures} == {"retry_exhausted"}
+        assert {account for _, account, _ in result.failures} == set(uids)
+        assert completed(result) | set(exhausted) == work_items(result)
+        assert not completed(result) & set(exhausted)
+        assert result.pages == 10 * len(uids)
+
+
 class TestPlanValidation:
     def test_harvest_account_pinning(self):
         # More harvest accounts may surface more seeds, but the pinned
@@ -181,7 +356,8 @@ class TestThrottleTelemetry:
     def test_backoff_sleeps_carry_the_clients_label(self, school_network):
         """A throttled engine fetch records its back-off sleep under
         ``pacer_sleep_seconds{reason="backoff"}``, the label the
-        sequential client's ``Pacer.on_throttle`` uses for the same sleep."""
+        sequential client uses for the same sleep, and emits the
+        client's ``throttle`` event for each one."""
         net, school, accounts = school_network
         telemetry = Telemetry.in_memory(net.clock)
         # One request per 30 s window: every immediate second GET is
@@ -205,3 +381,5 @@ class TestThrottleTelemetry:
         sleeps = telemetry.registry.get("pacer_sleep_seconds").series()
         assert set(sleeps) == {(("reason", "backoff"),)}
         assert sleeps[(("reason", "backoff"),)].count == result.pages - 1
+        throttles = [e for e in telemetry.events if e.kind == "throttle"]
+        assert len(throttles) == result.pages - 1

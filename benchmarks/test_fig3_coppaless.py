@@ -12,12 +12,12 @@ methodology inside an actual no-age-ban, no-lying world.
 
 from repro.analysis.figures import figure3, log10_gap_at_matched_coverage, render_figure
 from repro.core.api import make_client, run_attack
-from repro.core.coppaless import (
+from repro.core.coppaless import run_natural_approach
+from repro.core.evaluation import (
+    evaluate_full,
     natural_approach_points,
-    run_natural_approach,
     with_coppa_minimal_points,
 )
-from repro.core.evaluation import evaluate_full
 from repro.core.profiler import ProfilerConfig
 from repro.worldgen.presets import hs1
 from repro.worldgen.world import build_world

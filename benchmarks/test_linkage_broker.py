@@ -10,7 +10,12 @@ more precise than surname-only guessing.
 from repro.analysis.tables import ascii_table
 from repro.core.api import make_client
 from repro.core.extension import build_extended_profiles
-from repro.core.linkage import Confidence, evaluate_linkage, link_home_addresses
+from repro.core.linkage import (
+    Confidence,
+    evaluate_linkage,
+    friend_name_resolver,
+    link_home_addresses,
+)
 from repro.worldgen.records import build_voter_registry
 
 from _bench_utils import emit
@@ -24,14 +29,7 @@ def test_linkage_broker(benchmark, hs1_world, hs1_enhanced):
         seed=hs1_world.config.seed,
     )
 
-    name_cache = {}
-
-    def friend_name_of(uid):
-        if uid not in name_cache:
-            view = hs1_enhanced.profiles.get(uid) or client.fetch_profile(uid)
-            name_cache[uid] = view.name if view else None
-        return name_cache[uid]
-
+    friend_name_of = friend_name_resolver(hs1_enhanced.profiles, client)
     linked = benchmark.pedantic(
         lambda: link_home_addresses(extended, registry, friend_name_of),
         rounds=1,

@@ -10,8 +10,12 @@ its memory ceiling against.
 from __future__ import annotations
 
 from repro.colgen import bench_worldgen
-from repro.perf.benches import RSS_TOLERANCE_PCT, THROUGHPUT_TOLERANCE_PCT
-from repro.perf.record import metric, new_record
+from repro.perf.record import (
+    RSS_TOLERANCE_PCT,
+    THROUGHPUT_TOLERANCE_PCT,
+    metric,
+    new_record,
+)
 
 from _bench_utils import emit, emit_json
 
@@ -43,7 +47,7 @@ def test_worldgen_tier_throughput():
     city = bench_worldgen("city", seed=1, blocks=_CITY_BLOCKS)
 
     lines = ["Columnar worldgen (repro.colgen)"]
-    lines.append(f"smoke tier ({smoke['backend']} backend, object+encode):")
+    lines.append("smoke tier (object+encode):")
     lines.extend(_fmt(smoke))
     lines.append(f"city tier @ {_CITY_BLOCKS} blocks (native columnar):")
     lines.extend(_fmt(city))

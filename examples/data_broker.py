@@ -20,7 +20,11 @@ from repro import (
     make_client,
     run_attack,
 )
-from repro.core.linkage import evaluate_linkage, link_home_addresses
+from repro.core.linkage import (
+    evaluate_linkage,
+    friend_name_resolver,
+    link_home_addresses,
+)
 from repro.worldgen.records import build_voter_registry
 
 
@@ -42,13 +46,7 @@ def main() -> None:
     print(f"  {len(registry)} registered voters on file")
 
     # The broker resolves friend names by visiting their (public) pages.
-    name_cache: dict[int, str | None] = {}
-
-    def friend_name_of(uid: int) -> str | None:
-        if uid not in name_cache:
-            view = result.profiles.get(uid) or client.fetch_profile(uid)
-            name_cache[uid] = view.name if view else None
-        return name_cache[uid]
+    friend_name_of = friend_name_resolver(result.profiles, client)
 
     print("Linking students to household addresses...")
     linked = link_home_addresses(extended, registry, friend_name_of)

@@ -12,12 +12,15 @@ Examples
     python -m repro coppaless --preset hs1
     python -m repro countermeasure --preset hs1
     python -m repro worldinfo --preset hs2
-    python -m repro bench run --all
+    python -m repro worldgen --tier city --bench-out BENCH_worldgen.json
     python -m repro bench compare old-records/ benchmarks/output
 
-Every subcommand builds the requested synthetic world (deterministic
-per ``--seed``), runs the corresponding experiment through the
-crawlable frontend, and prints paper-style tables/series.
+Every experiment subcommand builds the requested synthetic world
+(deterministic per ``--seed``), runs the corresponding experiment
+through the crawlable frontend, and prints paper-style tables/series.
+``bench compare|report`` gate and render the ``BENCH_*.json`` records
+the benchmark suite writes; the pipeline's own speed is measured by
+``python bench/run.py`` (see ``bench/README.md``).
 """
 
 from __future__ import annotations
@@ -317,7 +320,6 @@ def cmd_worldgen(args: argparse.Namespace) -> int:
     )
     rows = [
         ("tier", record["tier"]),
-        ("backend", record["backend"]),
         ("accounts", f"{record['accounts']:,}"),
         ("friendship edges", f"{record['edges']:,}"),
         ("graph materialised", record["graph_materialized"]),
@@ -574,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="perf trajectory: run benchmarks, compare records, gate CI",
+        help="perf trajectory: compare BENCH_*.json records, gate CI",
     )
     add_bench_arguments(bench)
     bench.set_defaults(func=run_bench)

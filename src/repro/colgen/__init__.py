@@ -15,8 +15,7 @@ Entry points:
 * CLI: ``python -m repro worldgen --tier city``.
 """
 
-from .backend import ColgenDependencyError, HAS_NUMPY
-from .bench import bench_worldgen, peak_rss_bytes, write_bench_json
+from .bench import bench_worldgen, write_bench_json
 from .columns import (
     AccountColumns,
     ColumnarWorld,
@@ -44,10 +43,8 @@ from .views import PopulationView, person_view
 __all__ = [
     "AccountColumns",
     "CSRGraph",
-    "ColgenDependencyError",
     "ColumnarNetwork",
     "ColumnarWorld",
-    "HAS_NUMPY",
     "PRIVACY_FIELD_ORDER",
     "PeopleColumns",
     "PopulationView",
@@ -65,7 +62,6 @@ __all__ = [
     "session_accounts",
     "generate",
     "pack_privacy",
-    "peak_rss_bytes",
     "person_view",
     "tier",
     "unpack_privacy",

@@ -14,15 +14,11 @@ from __future__ import annotations
 import platform
 from typing import Any, Dict, Optional
 
-# Shared with the rest of the perf trajectory; re-exported here so
-# existing ``from repro.colgen.bench import peak_rss_bytes`` callers
-# keep working.
-from repro.perf.record import _RSS_UNIT, atomic_write_json, peak_rss_bytes
+from repro.perf.record import atomic_write_json, peak_rss_bytes
 
-from .backend import HAS_NUMPY
 from .generate import generate
 
-__all__ = ["_RSS_UNIT", "bench_worldgen", "peak_rss_bytes", "write_bench_json"]
+__all__ = ["bench_worldgen", "write_bench_json"]
 
 
 def bench_worldgen(
@@ -53,7 +49,6 @@ def bench_worldgen(
         "graph_nbytes": world.graph_nbytes,
         "peak_rss_bytes": rss_after,
         "peak_rss_before_bytes": rss_before,
-        "backend": "numpy" if HAS_NUMPY else "stdlib-array",
         "python": platform.python_version(),
     }
     for key in ("build_seconds", "encode_seconds", "columns_seconds"):

@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.osn.privacy import Audience, PrivacySettings, ProfileField
 from repro.osn.profile import (
     Birthday,
@@ -39,7 +41,6 @@ from repro.osn.profile import (
     WallPost,
 )
 
-from .backend import FloatBuffer, IntBuffer, buffer_nbytes
 from .csr import CSRGraph
 
 #: Fixed field order for the packed audiences (declaration order is part
@@ -127,46 +128,46 @@ class StringTable:
 class PeopleColumns:
     """The ground-truth population as parallel columns (row == person id)."""
 
-    birth_year_fraction: FloatBuffer
-    role: IntBuffer            # Role ordinal (views.ROLE_ORDER)
-    gender: IntBuffer          # Gender ordinal (views.GENDER_ORDER)
-    school_index: IntBuffer    # -1 when unaffiliated
-    cohort_year: IntBuffer     # -1 when not cohorted
-    tenure_years: FloatBuffer
-    left_years_ago: FloatBuffer
-    household_id: IntBuffer    # -1 when no household
-    first_name_id: IntBuffer
-    last_name_id: IntBuffer
-    city_id: IntBuffer
-    street_id: IntBuffer       # -1 when no street address
+    birth_year_fraction: np.ndarray
+    role: np.ndarray            # Role ordinal (views.ROLE_ORDER)
+    gender: np.ndarray          # Gender ordinal (views.GENDER_ORDER)
+    school_index: np.ndarray    # -1 when unaffiliated
+    cohort_year: np.ndarray     # -1 when not cohorted
+    tenure_years: np.ndarray
+    left_years_ago: np.ndarray
+    household_id: np.ndarray    # -1 when no household
+    first_name_id: np.ndarray
+    last_name_id: np.ndarray
+    city_id: np.ndarray
+    street_id: np.ndarray       # -1 when no street address
 
     def __len__(self) -> int:
         return len(self.role)
 
     @property
     def nbytes(self) -> int:
-        return sum(buffer_nbytes(getattr(self, f)) for f in self.__dataclass_fields__)
+        return sum(getattr(self, f).nbytes for f in self.__dataclass_fields__)
 
 
 @dataclass
 class AccountColumns:
     """Every OSN account as parallel columns (row == user id)."""
 
-    person_id: IntBuffer            # -1 for accounts with no ground-truth person
-    registered_birth_year: IntBuffer
-    registered_birth_fraction: FloatBuffer
-    real_birth_year: IntBuffer
-    real_birth_fraction: FloatBuffer
-    created_at_year: FloatBuffer
-    is_fake: IntBuffer
-    privacy: IntBuffer              # 64-bit packed words (pack_privacy)
+    person_id: np.ndarray            # -1 for accounts with no ground-truth person
+    registered_birth_year: np.ndarray
+    registered_birth_fraction: np.ndarray
+    real_birth_year: np.ndarray
+    real_birth_fraction: np.ndarray
+    created_at_year: np.ndarray
+    is_fake: np.ndarray
+    privacy: np.ndarray              # 64-bit packed words (pack_privacy)
 
     def __len__(self) -> int:
         return len(self.person_id)
 
     @property
     def nbytes(self) -> int:
-        return sum(buffer_nbytes(getattr(self, f)) for f in self.__dataclass_fields__)
+        return sum(getattr(self, f).nbytes for f in self.__dataclass_fields__)
 
 
 #: Gender ordinals for :class:`ProfileColumns` (mirrors views.GENDER_ORDER;
@@ -193,41 +194,41 @@ class ProfileColumns:
     ``None`` throughout.
     """
 
-    first_name_id: IntBuffer
-    last_name_id: IntBuffer
-    gender: IntBuffer              # Gender ordinal (GENDER_ORDER)
-    has_profile_photo: IntBuffer
-    has_birthday: IntBuffer        # whether profile.birthday was set
-    birthday_year: IntBuffer       # -1 when no birthday
-    birthday_fraction: FloatBuffer
-    relationship_id: IntBuffer
-    interested_in_id: IntBuffer
-    hometown_id: IntBuffer
-    current_city_id: IntBuffer
-    employer_id: IntBuffer
-    graduate_school_id: IntBuffer
-    photo_count: IntBuffer
-    has_contact: IntBuffer         # whether profile.contact_info was set
-    contact_email_id: IntBuffer
-    contact_phone_id: IntBuffer
-    contact_im_id: IntBuffer
-    contact_street_id: IntBuffer
-    networks_indptr: IntBuffer
-    network_id: IntBuffer
-    hs_indptr: IntBuffer
-    hs_school_id: IntBuffer
-    hs_name_id: IntBuffer
-    hs_grad_year: IntBuffer        # -1 when no graduation year
-    wall_indptr: IntBuffer
-    wall_author: IntBuffer
-    wall_text_id: IntBuffer
+    first_name_id: np.ndarray
+    last_name_id: np.ndarray
+    gender: np.ndarray              # Gender ordinal (GENDER_ORDER)
+    has_profile_photo: np.ndarray
+    has_birthday: np.ndarray        # whether profile.birthday was set
+    birthday_year: np.ndarray       # -1 when no birthday
+    birthday_fraction: np.ndarray
+    relationship_id: np.ndarray
+    interested_in_id: np.ndarray
+    hometown_id: np.ndarray
+    current_city_id: np.ndarray
+    employer_id: np.ndarray
+    graduate_school_id: np.ndarray
+    photo_count: np.ndarray
+    has_contact: np.ndarray         # whether profile.contact_info was set
+    contact_email_id: np.ndarray
+    contact_phone_id: np.ndarray
+    contact_im_id: np.ndarray
+    contact_street_id: np.ndarray
+    networks_indptr: np.ndarray
+    network_id: np.ndarray
+    hs_indptr: np.ndarray
+    hs_school_id: np.ndarray
+    hs_name_id: np.ndarray
+    hs_grad_year: np.ndarray        # -1 when no graduation year
+    wall_indptr: np.ndarray
+    wall_author: np.ndarray
+    wall_text_id: np.ndarray
 
     def __len__(self) -> int:
         return len(self.gender)
 
     @property
     def nbytes(self) -> int:
-        return sum(buffer_nbytes(getattr(self, f)) for f in self.__dataclass_fields__)
+        return sum(getattr(self, f).nbytes for f in self.__dataclass_fields__)
 
 
 def decode_profile(

@@ -31,8 +31,6 @@ from typing import Iterable, Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from .backend import IntBuffer, buffer_nbytes, cumulative_sum, int_column
-
 
 def index_dtype(n: int) -> "np.dtype":
     """The ``indices`` dtype for ``n`` nodes: int32 when every id fits."""
@@ -47,7 +45,7 @@ class CSRGraph:
 
     __slots__ = ("indptr", "indices")
 
-    def __init__(self, indptr: IntBuffer, indices: IntBuffer) -> None:
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray) -> None:
         self.indptr = indptr
         self.indices = indices
 
@@ -79,7 +77,9 @@ class CSRGraph:
         for row in rows:
             counts.append(len(row))
             flat.extend(row)
-        return cls(cumulative_sum(counts), int_column(flat, dtype="i8"))
+        indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(np.asarray(counts, dtype=np.int64), out=indptr[1:])
+        return cls(indptr, np.asarray(flat, dtype=np.int64))
 
     @classmethod
     def from_directed_arrays(cls, n: int, src, dst) -> "CSRGraph":
@@ -192,7 +192,7 @@ class CSRGraph:
 
     @property
     def nbytes(self) -> int:
-        return buffer_nbytes(self.indptr) + buffer_nbytes(self.indices)
+        return self.indptr.nbytes + self.indices.nbytes
 
     # ------------------------------------------------------------------
     # Invariants

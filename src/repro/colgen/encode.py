@@ -16,11 +16,12 @@ object generator cannot go.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Iterable, List
+
+import numpy as np
 
 from repro.worldgen.world import World
 
-from .backend import float_column, int_column
 from .columns import (
     AccountColumns,
     ColumnarWorld,
@@ -30,6 +31,15 @@ from .columns import (
     pack_privacy,
 )
 from .views import GENDER_TO_ORDINAL, ROLE_TO_ORDINAL
+
+
+def int_column(values: Iterable[int], *, dtype: str) -> np.ndarray:
+    """Freeze integers into a column of numpy dtype code ``dtype``."""
+    return np.asarray(list(values), dtype=np.dtype(dtype))
+
+
+def float_column(values: Iterable[float]) -> np.ndarray:
+    return np.asarray(list(values), dtype=np.float64)
 
 
 def _encode_profiles(accounts: List, strings: StringTable) -> ProfileColumns:

@@ -33,9 +33,10 @@ from __future__ import annotations
 import time
 from typing import Optional, Tuple
 
+import numpy as np
+
 from repro.worldgen.presets import preset
 
-from .backend import require_numpy, np
 from .columns import (
     AccountColumns,
     ColumnarWorld,
@@ -86,7 +87,7 @@ def generate(
     """Generate a columnar world for a named tier.
 
     ``smoke``/``paper`` run the calibrated object generator and encode;
-    ``city``/``metro`` run the native sharded path (numpy required).
+    ``city``/``metro`` run the native sharded path.
     ``blocks`` overrides the native shard count — tests use it to run
     the full city machinery at a few thousand accounts.
     """
@@ -124,7 +125,6 @@ def _shard_rng(seed: int, stream: int, shard: int) -> "np.random.Generator":
 
 
 def _generate_native(spec: TierSpec, seed: int) -> ColumnarWorld:
-    require_numpy(f"tier {spec.name!r} (native columnar generation)")
     n = spec.blocks * spec.block_size
     t0 = time.perf_counter()
     world = _generate_columns(spec, seed, n)

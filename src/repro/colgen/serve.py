@@ -50,6 +50,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.osn.clock import SimClock
 from repro.osn.frontend import HtmlFrontend
 from repro.osn.network import BaseNetwork, School
@@ -60,7 +62,6 @@ from repro.osn.ratelimit import RateLimitConfig
 from repro.osn.rendercache import RenderCache
 from repro.osn.user import Account
 
-from .backend import np, require_numpy
 from .columns import (
     PRIVACY_SEARCH_SHIFT,
     ColumnarWorld,
@@ -135,7 +136,6 @@ class ColumnarNetwork(BaseNetwork):
         search_salt: Optional[int] = None,
         **knobs: Any,
     ) -> None:
-        require_numpy("columnar serving")
         super().__init__(
             policy,
             clock or SimClock(now_year=world.observation_year),

@@ -66,6 +66,7 @@ from .linkage import (
     Confidence,
     LinkageEvaluation,
     evaluate_linkage,
+    friend_name_resolver,
     link_home_addresses,
 )
 from .hidden_links import (
@@ -126,6 +127,7 @@ __all__ = [
     "evaluate_partial",
     "extract_claims",
     "filter_reason",
+    "friend_name_resolver",
     "infer_birth_year",
     "infer_hidden_links",
     "interaction_counts",

@@ -11,12 +11,12 @@ We implement:
 
 * :func:`run_natural_approach` — the Section 7.1 heuristic, driven
   through the crawl client like every other attack;
-* :func:`with_coppa_minimal_points` / :func:`natural_approach_points` —
-  the two Figure-3 series (false positives, log scale, vs. percentage
-  of minimal-profile ground-truth students found);
 * a direct counterfactual: run the heuristic inside an actual
   without-COPPA world (``WorldConfig.without_coppa()``), something the
   paper's authors could only approximate.
+
+The two Figure-3 series score attack output against ground truth, an
+evaluator's job, so they live in :mod:`repro.core.evaluation`.
 """
 
 from __future__ import annotations
@@ -110,20 +110,6 @@ def run_natural_approach(
         core_friend_counts={uid: len(owners) for uid, owners in index.items()},
         effort=client.effort_report(),
     )
-
-
-# ----------------------------------------------------------------------
-# Figure 3 scoring moved behind the oracle seam
-# ----------------------------------------------------------------------
-
-# The series builders compare attack output against minimal-profile
-# ground truth, which is an *evaluator* activity: they now live in
-# repro.core.evaluation.  Re-exported here for compatibility.
-from .evaluation import (  # noqa: E402,F401
-    CoveragePoint,
-    natural_approach_points,
-    with_coppa_minimal_points,
-)
 
 
 @dataclass(frozen=True)

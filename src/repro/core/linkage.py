@@ -29,6 +29,9 @@ from typing import (
     Sequence,
 )
 
+from repro.crawler.client import CrawlClient
+from repro.osn.view import ProfileView
+
 from .extension import ExtendedProfile
 from .oracle import GroundTruthOracle
 
@@ -84,6 +87,27 @@ def _surname(full_name: str) -> str:
     return full_name.rsplit(" ", 1)[-1]
 
 
+def friend_name_resolver(
+    crawled: Mapping[int, ProfileView], client: CrawlClient
+) -> Callable[[int], Optional[str]]:
+    """A memoised ``friend_name_of`` for :func:`link_home_addresses`.
+
+    A friend's display name comes from a page the crawl already fetched
+    (``crawled``), else from one ``client.fetch_profile`` GET.  Each uid
+    is resolved once, when the linkage first asks for it, so the GETs
+    follow that order.
+    """
+    names: Dict[int, Optional[str]] = {}
+
+    def friend_name_of(uid: int) -> Optional[str]:
+        if uid not in names:
+            view = crawled.get(uid) or client.fetch_profile(uid)
+            names[uid] = view.name if view else None
+        return names[uid]
+
+    return friend_name_of
+
+
 def link_home_addresses(
     extended: Mapping[int, ExtendedProfile],
     registry: VoterFile,
@@ -92,7 +116,8 @@ def link_home_addresses(
     """Match every extended profile against the voter file.
 
     ``friend_name_of`` resolves a friend uid to a display name (e.g.
-    from crawled pages); without it only the surname+city channel runs.
+    :func:`friend_name_resolver`); without it only the surname+city
+    channel runs.
     Returns uid -> candidates ordered best first.
     """
     linked: Dict[int, List[AddressCandidate]] = {}

@@ -1,15 +1,12 @@
-"""repro.perf — the repo-wide performance trajectory.
+"""repro.perf — the bench-record schema and the regression gate.
 
-Turns ad-hoc bench JSON into a measured, gateable trend:
+The pipeline itself is timed by the end-to-end benchmark under
+``bench/``; this package holds what the remaining ``BENCH_*.json``
+records (worldgen, lint, telemetry overhead) share:
 
 * :mod:`repro.perf.record` — the versioned ``BENCH_*.json`` schema
   (stable keys, explicit units/directions, environment fingerprint,
-  durations only) plus the shared :func:`peak_rss_bytes`;
-* :mod:`repro.perf.benches` — deterministic SimClock benchmarks for
-  the crawl, attack and linkage hot paths (imported lazily by the CLI;
-  import it explicitly when driving benches from code);
-* :mod:`repro.perf.profile` — per-phase hotspot aggregation over
-  telemetry spans and an opt-in cProfile breakdown;
+  durations only), the shared noise bands and :func:`peak_rss_bytes`;
 * :mod:`repro.perf.compare` — the regression gate behind
   ``python -m repro bench compare`` and CI's trajectory job.
 """
@@ -24,13 +21,6 @@ from .compare import (
     load_record_set,
     render_markdown,
     render_text,
-)
-from .profile import (
-    PhaseStat,
-    aggregate_phases,
-    phases_json,
-    profile_call,
-    render_phase_table,
 )
 from .record import (
     BenchRecordError,
@@ -51,10 +41,8 @@ __all__ = [
     "ComparisonItem",
     "ComparisonReport",
     "DEFAULT_TOLERANCE_PCT",
-    "PhaseStat",
     "RecordSetError",
     "SCHEMA_VERSION",
-    "aggregate_phases",
     "atomic_write_json",
     "check_budgets",
     "compare_sets",
@@ -65,10 +53,7 @@ __all__ = [
     "metric",
     "new_record",
     "peak_rss_bytes",
-    "phases_json",
-    "profile_call",
     "render_markdown",
-    "render_phase_table",
     "render_text",
     "validate_record",
     "write_record",

@@ -1,18 +1,17 @@
-"""``python -m repro bench run|compare|report`` — the perf-trajectory CLI.
+"""``python -m repro bench compare|report`` — the perf-trajectory CLI.
 
-``run`` executes the registered benchmarks and writes one schema-valid
-``BENCH_<name>.json`` per bench; ``compare`` gates a new record set
-against an old one (exit 1 on regression, 2 on infrastructure
-failures); ``report`` renders the same comparison as a markdown trend
-table without gating.
+``compare`` gates a new record set against an old one (exit 1 on
+regression, 2 on infrastructure failures); ``report`` renders the same
+comparison as a markdown trend table without gating.  The records come
+from the benchmark suite (``benchmarks/``) and ``python -m repro
+worldgen --bench-out``; the pipeline's own speed is measured by the
+end-to-end benchmark under ``bench/``.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from typing import Any, Dict
 
 from .compare import (
     DEFAULT_TOLERANCE_PCT,
@@ -22,67 +21,11 @@ from .compare import (
     render_markdown,
     render_text,
 )
-from .record import write_record
-
-#: Where ``bench run`` drops records by default (the CI artifact dir).
-DEFAULT_OUTPUT_DIR = os.path.join("benchmarks", "output")
-
-#: Benches ``bench run`` executes when asked for ``--all`` (worldgen has
-#: its own CLI path and tier ladder; ``all`` here covers the attack-side
-#: trajectory the paper's cost curves are about).
-DEFAULT_BENCHES = ("crawl", "attack", "linkage")
 
 
 def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the ``run``/``compare``/``report`` sub-subcommands."""
+    """Attach the ``compare``/``report`` sub-subcommands."""
     sub = parser.add_subparsers(dest="bench_command", required=True)
-
-    run = sub.add_parser("run", help="run benchmarks, write BENCH_*.json")
-    run.add_argument(
-        "--bench",
-        action="append",
-        choices=("crawl", "attack", "linkage", "worldgen", "lint"),
-        default=None,
-        help="which benchmark to run (repeatable; default: all three hot paths)",
-    )
-    run.add_argument(
-        "--all",
-        action="store_true",
-        help="run every attack-side benchmark (crawl, attack, linkage)",
-    )
-    run.add_argument("--preset", default="hs1", help="world preset (default hs1)")
-    run.add_argument("--seed", type=int, default=None, help="world seed override")
-    run.add_argument("--accounts", type=int, default=2, help="fake crawl accounts")
-    run.add_argument(
-        "--serve",
-        choices=("object", "columnar"),
-        default="object",
-        help="serving path for the crawl bench baseline (default object)",
-    )
-    run.add_argument(
-        "--tier", default="smoke", help="worldgen tier (worldgen bench only)"
-    )
-    run.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="lint worker processes (lint bench only)",
-    )
-    run.add_argument(
-        "--profile-top",
-        type=int,
-        default=0,
-        metavar="N",
-        help="embed a cProfile top-N function breakdown (skews throughput)",
-    )
-    run.add_argument(
-        "--out",
-        default=DEFAULT_OUTPUT_DIR,
-        metavar="DIR",
-        help=f"record output directory (default {DEFAULT_OUTPUT_DIR})",
-    )
-    run.set_defaults(bench_func=cmd_run)
 
     compare = sub.add_parser(
         "compare", help="gate a new record set against an old one"
@@ -129,44 +72,6 @@ def run_bench(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # Subcommands
 # ----------------------------------------------------------------------
-
-def cmd_run(args: argparse.Namespace) -> int:
-    from .benches import BENCH_RUNNERS  # heavy import (worldgen/core), defer
-
-    names = list(args.bench or ())
-    if args.all or not names:
-        names = [n for n in DEFAULT_BENCHES if n not in names] + names
-        names.sort(key=("crawl", "attack", "linkage", "worldgen", "lint").index)
-    os.makedirs(args.out, exist_ok=True)
-    for name in names:
-        runner = BENCH_RUNNERS[name]
-        kwargs: Dict[str, Any] = {}
-        if name == "worldgen":
-            kwargs.update(
-                tier_name=args.tier, seed=args.seed or 1,
-                profile_top=args.profile_top,
-            )
-        elif name == "lint":
-            kwargs.update(jobs=args.jobs)
-        else:
-            kwargs.update(
-                preset_name=args.preset, seed=args.seed,
-                accounts=args.accounts, profile_top=args.profile_top,
-            )
-            if name == "crawl":
-                kwargs["serve"] = args.serve
-        record = runner(**kwargs)
-        path = os.path.join(args.out, f"BENCH_{name}.json")
-        write_record(record, path)
-        summary = ", ".join(
-            f"{metric_name}={entry['value']:g} {entry['unit']}"
-            for metric_name, entry in sorted(record["metrics"].items())
-            if entry["direction"] in ("higher", "lower")
-        )
-        print(f"{name}: {summary}")
-        print(f"  -> {path}")
-    return 0
-
 
 def _load_both(args: argparse.Namespace):
     old = load_record_set(args.old)

@@ -3,8 +3,8 @@
 One record is one point on the repo's perf trajectory.  The contract:
 
 * **stable keys** — ``schema_version``, ``benchmark``, ``params``,
-  ``environment``, ``metrics`` and optional ``phases``/``profile``;
-  producers may add extra top-level sections, comparators ignore them;
+  ``environment`` and ``metrics``; producers may add extra top-level
+  sections, comparators ignore them;
 * **explicit units and directions** — every metric says what it is
   measured in and whether bigger is better (``higher``), smaller is
   better (``lower``), the value must be bit-identical across seeded
@@ -15,8 +15,8 @@ One record is one point on the repo's perf trajectory.  The contract:
 * **an environment fingerprint** — enough machine context to explain
   a trajectory step without ever gating on it.
 
-:func:`peak_rss_bytes` lives here (shared by worldgen and the perf
-benches) because memory high-water marks are part of every record.
+:func:`peak_rss_bytes` lives here (shared by the worldgen and lint
+records) because memory high-water marks are part of every record.
 """
 
 from __future__ import annotations
@@ -28,11 +28,19 @@ import platform
 import resource
 import sys
 from importlib import util as importlib_util
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional, Union
 
 #: Bump when a key is renamed/removed or its meaning changes; the
 #: comparator refuses to gate across versions (it warns and skips).
 SCHEMA_VERSION = 1
+
+#: Noise band for wall-clock throughput on shared runners.  Kept under
+#: 20% so a one-fifth throughput loss — the kind of step a bad cache or
+#: an accidental O(n^2) introduces — always gates.
+THROUGHPUT_TOLERANCE_PCT = 15.0
+#: Noise band for peak-RSS and byte footprints (allocator and
+#: interpreter jitter).
+RSS_TOLERANCE_PCT = 20.0
 
 #: Comparison semantics a metric may declare.
 DIRECTIONS = frozenset({"higher", "lower", "exact", "info"})
@@ -113,8 +121,6 @@ def new_record(
     benchmark: str,
     params: Mapping[str, Scalar],
     metrics: Mapping[str, Mapping[str, Any]],
-    phases: Optional[Iterable[Mapping[str, Any]]] = None,
-    profile: Optional[Iterable[Mapping[str, Any]]] = None,
     **extra: Any,
 ) -> Dict[str, Any]:
     """Assemble a schema-shaped record (validate separately on write)."""
@@ -125,10 +131,6 @@ def new_record(
         "environment": environment_fingerprint(),
         "metrics": {name: dict(entry) for name, entry in metrics.items()},
     }
-    if phases is not None:
-        record["phases"] = [dict(p) for p in phases]
-    if profile is not None:
-        record["profile"] = [dict(p) for p in profile]
     record.update(extra)
     return record
 
@@ -168,18 +170,6 @@ def _check_metric(name: str, entry: Any, problems: List[str]) -> None:
         problems.append(f"{where}: 'tolerance_pct' must be >= 0")
 
 
-def _check_phase(index: int, entry: Any, problems: List[str]) -> None:
-    where = f"phases[{index}]"
-    if not isinstance(entry, Mapping):
-        problems.append(f"{where}: not a mapping")
-        return
-    if not isinstance(entry.get("name"), str) or not entry.get("name"):
-        problems.append(f"{where}: 'name' must be a non-empty string")
-    for key in ("calls", "wall_seconds", "sim_seconds"):
-        if not _is_number(entry.get(key)):
-            problems.append(f"{where}: {key!r} must be a finite number")
-
-
 def validate_record(record: Any) -> List[str]:
     """Every schema violation in ``record`` (empty list == valid)."""
     if not isinstance(record, Mapping):
@@ -216,13 +206,6 @@ def validate_record(record: Any) -> List[str]:
     else:
         for name, entry in metrics.items():
             _check_metric(name, entry, problems)
-
-    phases = record.get("phases", [])
-    if not isinstance(phases, list):
-        problems.append("'phases' must be a list")
-    else:
-        for index, entry in enumerate(phases):
-            _check_phase(index, entry, problems)
 
     for key in record:
         lowered = str(key).lower()

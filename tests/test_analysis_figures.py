@@ -12,9 +12,8 @@ from repro.analysis.figures import (
     log10_gap_at_matched_coverage,
     render_figure,
 )
-from repro.core.coppaless import CoveragePoint
 from repro.core.countermeasures import CountermeasurePoint, CountermeasureReport
-from repro.core.evaluation import FullEvaluation, PartialEvaluation
+from repro.core.evaluation import CoveragePoint, FullEvaluation, PartialEvaluation
 
 
 def full_eval(t, found, fp, m=100):

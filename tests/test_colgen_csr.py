@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.colgen import CSRGraph
-from repro.colgen.backend import HAS_NUMPY
 from repro.colgen.csr import index_dtype
 
 #: A small fixed graph: 0-1, 0-2, 1-2, 2-3, 4 isolated.
@@ -189,10 +188,6 @@ class TestQueries:
     @pytest.mark.parametrize("backend", ["numpy", "array"])
     def test_neighbors_list_is_python_ints(self, graph, backend):
         if backend == "numpy":
-            if not HAS_NUMPY:
-                pytest.skip("numpy buffers need numpy")
-            import numpy as np
-
             # int32 indices, as the native city tier stores them
             buffers = CSRGraph(
                 np.asarray(list(graph.indptr), dtype=np.int64),

@@ -17,18 +17,12 @@ from repro.colgen import (
     tier,
     write_bench_json,
 )
-from repro.colgen.backend import HAS_NUMPY
-
-needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="native tiers need numpy")
-
 #: 3 blocks x 4k = 12k accounts: full native machinery, test-sized.
 _BLOCKS = 3
 
 
 @pytest.fixture(scope="module")
 def mini_city():
-    if not HAS_NUMPY:
-        pytest.skip("native tiers need numpy")
     return generate("city", seed=7, blocks=_BLOCKS)
 
 
@@ -48,7 +42,6 @@ class TestTierRegistry:
             tier("galaxy")
 
 
-@needs_numpy
 class TestNativeGeneration:
     def test_shape_and_identity_mapping(self, mini_city):
         spec = TIERS["city"]
@@ -157,7 +150,6 @@ class TestNativeGraphIdentity:
         assert graph_digest(world) == expected
 
 
-@needs_numpy
 class TestBench:
     def test_bench_record_fields(self, tmp_path):
         record = bench_worldgen("city", seed=7, blocks=_BLOCKS)
@@ -165,7 +157,6 @@ class TestBench:
         assert record["graph_materialized"]
         assert record["accounts_per_second"] > 0
         assert record["peak_rss_bytes"] > 0
-        assert record["backend"] == "numpy"
 
         out = tmp_path / "BENCH_worldgen.json"
         write_bench_json(record, str(out))
@@ -189,7 +180,6 @@ class TestCli:
         assert record["tier"] == "smoke"
         assert record["accounts"] > 5_000
 
-    @needs_numpy
     def test_worldgen_city_blocks_override(self, capsys):
         from repro.cli import main
 

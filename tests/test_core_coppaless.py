@@ -3,11 +3,8 @@
 import pytest
 
 from repro.core.api import make_client
-from repro.core.coppaless import (
-    natural_approach_points,
-    run_natural_approach,
-    with_coppa_minimal_points,
-)
+from repro.core.coppaless import run_natural_approach
+from repro.core.evaluation import natural_approach_points, with_coppa_minimal_points
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,9 @@ sizes crawl the *same* result set at the same per-category effort, only
 faster in simulated time; a single-account engine run observes exactly
 what the sequential ``CrawlClient`` observes, event for event; and a
 ban or an exhausted retry yields a partial result plus a failure
-ledger, never an aborted run.
+ledger, never an aborted run.  On the paper-tier hs1 crawl, eight
+accounts finish in at most a third of one account's simulated time, and
+a render cache replays the crawl exactly.
 """
 
 from __future__ import annotations
@@ -25,12 +27,16 @@ from repro.osn.clock import SimClock
 from repro.osn.errors import AccountDisabledError
 from repro.osn.frontend import HtmlFrontend
 from repro.osn.ratelimit import RateLimitConfig
+from repro.osn.rendercache import RenderCache
 from repro.telemetry import Telemetry
-from repro.worldgen.presets import tiny
+from repro.worldgen.presets import hs1, tiny
 from repro.worldgen.world import build_world
 
 _SEED = 7
 _BUDGET = 12
+#: hs1's default seed and a 150-profile budget: a 1,965-page crawl.
+_HS1_SEED = 101
+_HS1_BUDGET = 150
 
 
 class BanFrom:
@@ -71,6 +77,17 @@ def crawl(pool_size: int, budget: int = _BUDGET, bans=None, frontend=None):
 def engine_run(pool_size: int, budget: int = _BUDGET):
     """A full scheduler run on a private tiny world."""
     return crawl(pool_size, budget)[0]
+
+
+def hs1_crawl(pool_size: int, cache=None):
+    """A scheduler run on a fresh hs1 world, through ``cache`` if given."""
+    world = build_world(hs1(seed=_HS1_SEED))
+    if cache is not None:
+        world.frontend.set_cache(cache)
+    uids = world.create_attacker_accounts(pool_size)
+    client = CrawlClient(world.frontend, AccountPool.of(uids), seed=_HS1_SEED)
+    plan = CrawlPlan(school_id=world.school().school_id, max_profiles=_HS1_BUDGET)
+    return CrawlScheduler(client, plan).run()
 
 
 def work_items(result):
@@ -250,7 +267,7 @@ class TestClientParity:
 
 
 class TestServeParity:
-    @pytest.mark.parametrize("pool_size", [1, 3])
+    @pytest.mark.parametrize("pool_size", [1, 3, 8])
     def test_columnar_frontend_crawls_what_the_object_frontend_does(self, pool_size):
         world = build_world(tiny(seed=_SEED))
         frontend = frontend_for_object_world(world)
@@ -264,6 +281,39 @@ class TestServeParity:
         assert columnar.result_signature() == objects.result_signature()
         assert categories(columnar) == categories(objects)
         assert columnar.sim_seconds == objects.sim_seconds
+
+
+class TestPaperTierPool:
+    """The hs1 crawl: pools of 4 and 8 accounts crawl what one account
+    does, eight take at most a third of its simulated time, and a render
+    cache replays the crawl exactly."""
+
+    @pytest.fixture(scope="class")
+    def uncached(self):
+        return {pool_size: hs1_crawl(pool_size) for pool_size in (1, 4, 8)}
+
+    def test_pools_reproduce_the_solo_crawl(self, uncached):
+        solo = uncached[1]
+        assert solo.pages == 1965
+        for pool_size in (4, 8):
+            assert uncached[pool_size].result_signature() == solo.result_signature()
+            assert categories(uncached[pool_size]) == categories(solo)
+
+    def test_eight_accounts_take_at_most_a_third_of_the_solo_time(self, uncached):
+        assert uncached[8].sim_seconds / uncached[1].sim_seconds <= 1 / 3
+
+    def test_render_cache_replays_the_uncached_crawl(self, uncached):
+        cache = RenderCache()
+        cold = hs1_crawl(8, cache)
+        hits_after_fill = cache.hits
+        # One seed yields one world, so a fresh build replays the pages
+        # the cold crawl left in the cache.
+        warm = hs1_crawl(8, cache)
+        assert cache.hits > hits_after_fill
+        for cached in (cold, warm):
+            assert cached.result_signature() == uncached[8].result_signature()
+            assert categories(cached) == categories(uncached[8])
+            assert cached.sim_seconds == uncached[8].sim_seconds
 
 
 class TestFailSoft:

@@ -1,5 +1,7 @@
 """Tests for the Section-2 data-broker linkage (voter registry -> address)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.api import make_client
@@ -8,6 +10,7 @@ from repro.core.linkage import (
     AddressCandidate,
     Confidence,
     evaluate_linkage,
+    friend_name_resolver,
     link_home_addresses,
 )
 from repro.worldgen.records import VoterRecord, VoterRegistry, build_voter_registry
@@ -144,6 +147,22 @@ class TestLinkageUnit:
             inferred_birth_year=1996, appears_registered_adult=False, view=None,
         )
         assert link_home_addresses({1: student}, registry) == {}
+
+    def test_friend_names_come_from_crawled_pages_else_one_get_per_uid(self):
+        class ProfileGets:
+            def __init__(self, pages):
+                self.pages = pages
+                self.fetched = []
+
+            def fetch_profile(self, uid):
+                self.fetched.append(uid)
+                return self.pages.get(uid)
+
+        client = ProfileGets({2: SimpleNamespace(name="Sam Lee")})
+        friend_name_of = friend_name_resolver({1: SimpleNamespace(name="Pat Miller")}, client)
+        names = [friend_name_of(uid) for uid in (1, 3, 2, 3, 2, 1)]
+        assert names == ["Pat Miller", None, "Sam Lee", None, "Sam Lee", "Pat Miller"]
+        assert client.fetched == [3, 2]
 
 
 class TestLinkageEndToEnd:

@@ -2,15 +2,19 @@
 
 Runs the enhanced+filtered HS1 attack with telemetry off and with the
 JSONL sink attached (the most expensive shipped sink: every event is
-serialised at emit time), interleaved best-of-N to shrug off scheduler
-noise.  The <10% budget rides the perf comparator: the emitted
-``BENCH_telemetry_overhead.json`` declares ``max_value`` on the
+serialised when the session closes, inside the timed region),
+interleaved best-of-N to shrug off scheduler noise.  Each round starts
+from a fresh collection and runs with the collector paused, so the
+verdict measures telemetry rather than which rounds a full collection
+happened to land in.  The <10% budget rides the perf comparator: the
+emitted ``BENCH_telemetry_overhead.json`` declares ``max_value`` on the
 overhead metric, and the same :func:`repro.perf.compare.check_budgets`
 gate that ``bench compare`` applies in CI enforces it here.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 
 from repro.core.api import run_attack
@@ -34,13 +38,16 @@ def _attack_once(world, tmp_path, instrumented: bool):
         telemetry = Telemetry.to_jsonl(
             world.network.clock, str(tmp_path / "overhead.jsonl")
         )
-    start = time.perf_counter()
-    result = run_attack(world, accounts=2, config=_CONFIG, telemetry=telemetry)
-    if telemetry is not None:
-        telemetry.close()
-    elapsed = time.perf_counter() - start
-    # Detach so the next telemetry-off round runs the true fast path.
-    world.frontend.set_telemetry(None)
+    gc.collect()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        result = run_attack(world, accounts=2, config=_CONFIG, telemetry=telemetry)
+        if telemetry is not None:
+            telemetry.close()
+        elapsed = time.perf_counter() - start
+    finally:
+        gc.enable()
     return elapsed, result, telemetry
 
 

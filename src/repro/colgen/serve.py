@@ -48,7 +48,7 @@ registered up front via :meth:`add_session_accounts`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -70,9 +70,6 @@ from .columns import (
 )
 from .csr import CSRGraph
 from .views import GENDER_ORDER
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.telemetry.runtime import Telemetry
 
 #: Shared sentinel profile for *eligibility* account views: policy
 #: predicates (friend-list audience, message button, minor status) read
@@ -416,7 +413,6 @@ def columnar_frontend(
     friends_page_size: int = 20,
     search_salt: Optional[int] = None,
     rate_limit: Optional[RateLimitConfig] = None,
-    telemetry: Optional["Telemetry"] = None,
     cache: Optional[RenderCache] = None,
 ) -> HtmlFrontend:
     """Stand up an :class:`HtmlFrontend` over a columnar world.
@@ -435,13 +431,12 @@ def columnar_frontend(
         friends_page_size=friends_page_size,
         search_salt=search_salt,
     )
-    return HtmlFrontend(network, rate_limit, telemetry=telemetry, cache=cache)
+    return HtmlFrontend(network, rate_limit, cache=cache)
 
 
 def frontend_for_object_world(
     world: "object",
     *,
-    telemetry: Optional["Telemetry"] = None,
     cache: Optional[RenderCache] = None,
 ) -> HtmlFrontend:
     """Encode a built object :class:`~repro.worldgen.world.World` and
@@ -470,7 +465,6 @@ def frontend_for_object_world(
             max_requests=config.osn.rate_limit_max_requests,
             window_seconds=config.osn.rate_limit_window_seconds,
         ),
-        telemetry=telemetry,
         cache=cache,
     )
 

@@ -32,13 +32,12 @@ def make_client(
     """A crawl client with ``accounts`` fresh fake accounts on this world.
 
     Passing a :class:`~repro.telemetry.runtime.Telemetry` instruments
-    the whole stack for this session — the world's HTML frontend and
-    rate limiter included — so request spans, throttle strikes and
-    effort counters all land in one registry/event stream.
+    this session: the client records every request attempt, throttle
+    and lost account in its event stream.  The world's frontend is
+    shared by every session and is left untouched, so a later session
+    on the same world writes nothing into this one.
     """
     pool = AccountPool.of(world.create_attacker_accounts(accounts))
-    if telemetry is not None:
-        world.frontend.set_telemetry(telemetry)
     return CrawlClient(world.frontend, pool, politeness, telemetry=telemetry)
 
 

@@ -14,16 +14,27 @@ a :data:`Step` that yields every simulated wait and returns its parsed
 result.  The public methods sleep those waits on the
 :class:`~repro.osn.clock.SimClock`; the async engine parks on them, so
 both run the same retries, rotation, accounting and telemetry events.
+
+The client is the only component that records requests.  With a
+:class:`~repro.telemetry.runtime.Telemetry` handle it emits one
+``request`` event per frontend attempt (account, category, path,
+outcome, wall time and the polite delay slept before it), plus
+``throttle``, ``retry_exhausted`` and ``account_lost``; without one, the
+cost is one ``is None`` check per attempt.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Generator, List, Mapping, Optional, TypeVar
+import time
+from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Mapping, Optional, TypeVar
 
 from repro.osn.errors import (
     AccountDisabledError,
+    AuthenticationError,
+    BadRequestError,
     ForbiddenError,
     NotFoundError,
+    OsnError,
     RateLimitedError,
 )
 from repro.osn.frontend import HtmlFrontend
@@ -53,6 +64,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _MAX_THROTTLE_RETRIES = 8
 
+#: Exception type -> the ``outcome`` of a ``request`` event.
+_OUTCOMES: Dict[type, str] = {
+    RateLimitedError: "rate_limited",
+    AccountDisabledError: "account_disabled",
+    AuthenticationError: "auth_failed",
+    NotFoundError: "not_found",
+    ForbiddenError: "forbidden",
+    BadRequestError: "bad_request",
+}
+
 _T = TypeVar("_T")
 
 #: A sans-IO crawl step: yields each simulated wait (seconds) its driver
@@ -68,7 +89,6 @@ class CrawlClient:
         frontend: HtmlFrontend,
         pool: AccountPool,
         politeness: Optional[PolitenessPolicy] = None,
-        counter: Optional[EffortCounter] = None,
         telemetry: Optional["Telemetry"] = None,
         seed: int = 0,
     ) -> None:
@@ -78,11 +98,7 @@ class CrawlClient:
         self.seed = seed
         self._politeness = politeness
         self._pacers: Dict[int, Pacer] = {}
-        if counter is None:
-            counter = EffortCounter(
-                registry=telemetry.registry if telemetry is not None else None
-            )
-        self.counter = counter
+        self.counter = EffortCounter()
 
     def pacer_for(self, account_id: int) -> Pacer:
         """The per-account pacer, created on first use.
@@ -100,7 +116,6 @@ class CrawlClient:
                 self.frontend.clock,
                 self._politeness,
                 rng=pacer_rng(self.seed, account_id),
-                telemetry=self.telemetry,
             )
             self._pacers[account_id] = pacer  # repro-lint: shared(CrawlClient) -- first-use registry insert; pacing state lives on the per-account object
         return pacer
@@ -159,13 +174,16 @@ class CrawlClient:
             chosen = account_id if account_id is not None else self.pool.next()
             pacer = self.pacer_for(chosen)
             delay = pacer.next_polite_delay()
-            pacer.note_slept(delay, "polite")
+            pacer.note_slept(delay)
             yield delay
+            call = self.frontend.post if write else self.frontend.get
             try:
-                if write:
-                    page = self.frontend.post(chosen, path, params)
+                if telemetry is None:
+                    page = call(chosen, path, params)
                 else:
-                    page = self.frontend.get(chosen, path, params)
+                    page = self._observed(
+                        telemetry, call, chosen, path, params, category, delay
+                    )
             except RateLimitedError as exc:
                 throttles += 1
                 if throttles > _MAX_THROTTLE_RETRIES:
@@ -179,7 +197,7 @@ class CrawlClient:
                         )
                     raise
                 slept = pacer.next_throttle_penalty(exc.retry_after)
-                pacer.note_slept(slept, "backoff")
+                pacer.note_slept(slept)
                 yield slept
                 if telemetry is not None:
                     telemetry.emit(
@@ -204,12 +222,46 @@ class CrawlClient:
                     raise
                 continue
             self.counter.record(category, chosen)
-            if telemetry is not None:
-                telemetry.emit(
-                    "request", account=chosen, category=category, path=path
-                )
             pacer.on_success()
             return page
+
+    @staticmethod
+    def _observed(
+        telemetry: "Telemetry",
+        call: Callable[[int, str, Optional[Mapping[str, str]]], str],
+        account: int,
+        path: str,
+        params: Optional[Mapping[str, str]],
+        category: str,
+        delay: float,
+    ) -> str:
+        """One frontend attempt and its ``request`` event.
+
+        ``outcome`` is ``ok`` or the :data:`_OUTCOMES` label of the
+        :class:`~repro.osn.errors.OsnError` the frontend answered with.
+        Any other exception is a fault, not an answer, and propagates
+        unrecorded.
+        """
+        outcome: Optional[str] = None
+        start = time.perf_counter()
+        try:
+            page = call(account, path, params)
+            outcome = "ok"
+            return page
+        except OsnError as exc:
+            outcome = _OUTCOMES.get(type(exc), "error")
+            raise
+        finally:
+            if outcome is not None:
+                telemetry.emit(
+                    "request",
+                    account=account,
+                    category=category,
+                    path=path,
+                    outcome=outcome,
+                    wall_seconds=time.perf_counter() - start,
+                    delay=delay,
+                )
 
     # ------------------------------------------------------------------
     # Seed collection (Step 1)

@@ -7,14 +7,16 @@ friend lists.  :class:`EffortCounter` measures the same categories from
 the live request stream, so Table 3 can be regenerated from observed
 counts, and :func:`predicted_requests` implements the analytic formula
 for cross-checking.
+
+The counter is plain bookkeeping that runs whether or not a session is
+instrumented; telemetry derives the same counts from the client's
+``request`` events instead of sharing this object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
-
-from repro.telemetry.metrics import MetricsRegistry
+from typing import Dict
 
 
 #: Request categories matching Table 3's columns.
@@ -56,53 +58,32 @@ class EffortReport:
 
 
 class EffortCounter:
-    """Counts HTTP GETs by category as the crawl proceeds.
+    """Counts successful HTTP GETs by category and by crawl account."""
 
-    Implemented on the telemetry metrics model: the per-category and
-    per-account tallies live in label-keyed counter families, so a
-    crawl session that shares its :class:`MetricsRegistry` (via
-    ``EffortCounter(registry=telemetry.registry)``) exposes Table 3
-    through the same registry the rest of the pipeline reports into —
-    one source of truth for the effort numbers.  Without a registry the
-    counter owns a private one and behaves exactly as before.
-    """
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._requests = self.registry.counter(
-            "crawl_requests_total",
-            "Successful crawl GETs by Table-3 category",
-            labelnames=("category",),
-        )
-        self._account_requests = self.registry.counter(
-            "crawl_account_requests_total",
-            "Successful crawl GETs per crawl account",
-            labelnames=("account",),
-        )
+    def __init__(self) -> None:
+        self._by_category: Dict[str, int] = dict.fromkeys(_CATEGORIES, 0)
+        self._by_account: Dict[int, int] = {}
 
     def record(self, category: str, account_id: int) -> None:
         if category not in _CATEGORIES:
             category = CATEGORY_OTHER
-        self._requests.labels(category=category).inc()
-        self._account_requests.labels(account=str(account_id)).inc()
+        self._by_category[category] += 1  # repro-lint: shared(EffortCounter) -- Table 3 is one tally across sessions; the dispatcher runs one session at a time
+        self._by_account[account_id] = self._by_account.get(account_id, 0) + 1  # repro-lint: shared(EffortCounter) -- Table 3 is one tally across sessions; the dispatcher runs one session at a time
 
     def count(self, category: str) -> int:
-        return int(self._requests.labels(category=category).value)
+        return self._by_category.get(category, 0)
 
     @property
     def total(self) -> int:
-        return int(sum(self.count(c) for c in _CATEGORIES))
+        return sum(self._by_category.values())
 
     def by_account(self) -> Dict[int, int]:
         """Successful GETs per crawl account id."""
-        return {
-            int(key[0][1]): int(series.value)
-            for key, series in self._account_requests.series().items()
-        }
+        return dict(self._by_account)
 
     def report(self) -> EffortReport:
         return EffortReport(
-            accounts_used=self._account_requests.series_count(),
+            accounts_used=len(self._by_account),
             seed_requests=self.count(CATEGORY_SEEDS),
             profile_requests=self.count(CATEGORY_PROFILES),
             friend_list_requests=self.count(CATEGORY_FRIEND_LISTS),

@@ -11,12 +11,8 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
 
 from repro.osn.clock import SimClock
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.telemetry.runtime import Telemetry
 
 #: Legacy shared-jitter seed; still the default for a bare ``Pacer()``
 #: so single-pacer tests stay draw-for-draw identical.
@@ -80,7 +76,6 @@ class Pacer:
         clock: SimClock,
         policy: PolitenessPolicy | None = None,
         rng: random.Random | None = None,
-        telemetry: Optional["Telemetry"] = None,
     ) -> None:
         self.clock = clock
         self.policy = policy or PolitenessPolicy()
@@ -88,13 +83,6 @@ class Pacer:
         self.rng = rng or random.Random(DEFAULT_PACER_SEED)
         self._consecutive_throttles = 0
         self.total_slept = 0.0
-        self.telemetry = telemetry
-        if telemetry is not None:
-            self._sleep_metric = telemetry.registry.histogram(
-                "pacer_sleep_seconds",
-                "Simulated seconds slept between requests, by reason",
-                labelnames=("reason",),
-            )
 
     def next_polite_delay(self) -> float:
         """Draw the next polite inter-request delay without sleeping it.
@@ -118,7 +106,7 @@ class Pacer:
 
     def before_request(self) -> None:
         """Sleep the polite inter-request delay (simulated time)."""
-        self._sleep(self.next_polite_delay(), "polite")
+        self._sleep(self.next_polite_delay())
 
     def on_throttle(self, retry_after: float) -> float:
         """Back off after a rate-limit response, escalating geometrically.
@@ -127,25 +115,23 @@ class Pacer:
         caller can attribute the backoff cost on its telemetry events.
         """
         penalty = self.next_throttle_penalty(retry_after)
-        self._sleep(penalty, "backoff")
+        self._sleep(penalty)
         return penalty
 
     def on_success(self) -> None:
         self._consecutive_throttles = 0
 
-    def note_slept(self, seconds: float, reason: str = "polite") -> None:
+    def note_slept(self, seconds: float) -> None:
         """Account a sleep performed on the pacer's behalf.
 
         The concurrent scheduler advances the clock itself (overlapped
-        across accounts); this keeps ``total_slept`` and the sleep
-        histogram meaningful per account either way.
+        across accounts); this keeps ``total_slept`` meaningful per
+        account either way.
         """
         if seconds > 0:
             self.total_slept += seconds
-            if self.telemetry is not None:
-                self._sleep_metric.labels(reason=reason).observe(seconds)
 
-    def _sleep(self, seconds: float, reason: str = "polite") -> None:
+    def _sleep(self, seconds: float) -> None:
         if seconds > 0:
             self.clock.sleep(seconds)
-            self.note_slept(seconds, reason)
+            self.note_slept(seconds)

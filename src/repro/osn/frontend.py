@@ -9,7 +9,9 @@ the HTML source code of each Web page" (Section 3.2).  Actions that
 change world state (messages, friend requests) go through ``post()``:
 the GET surface is read-only end to end, which is the invariant the
 PURE001 lint rule proves over the whole call graph so concurrent
-sessions can serve off one shared world.
+sessions can serve off one shared world.  The frontend records nothing
+about the requests it serves: a crawl session's telemetry lives on its
+client, which sees every answer and every error.
 
 GET routes
 ----------
@@ -36,43 +38,20 @@ POST routes
 from __future__ import annotations
 
 import re
-import time
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Dict, Iterator, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, Mapping, Optional
 
 from . import pages
-from .errors import (
-    AccountDisabledError,
-    AuthenticationError,
-    BadRequestError,
-    ForbiddenError,
-    NotFoundError,
-    OsnError,
-    RateLimitedError,
-)
+from .errors import AuthenticationError, BadRequestError, NotFoundError
 from .network import BaseNetwork, GraphSearchQuery
 from .ratelimit import RateLimitConfig, RateLimiter
 from .rendercache import CacheKey, RenderCache
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.telemetry.runtime import Telemetry
-
     from .clock import SimClock
 
 _PROFILE_RE = re.compile(r"^/profile/(\d+)$")
 _FRIENDS_RE = re.compile(r"^/profile/(\d+)/friends$")
 _SCHOOL_RE = re.compile(r"^/school/(\d+)$")
-
-
-#: Exception type -> status-outcome label used on request telemetry.
-_OUTCOMES: Dict[type, str] = {
-    RateLimitedError: "rate_limited",
-    AccountDisabledError: "account_disabled",
-    AuthenticationError: "auth_failed",
-    NotFoundError: "not_found",
-    ForbiddenError: "forbidden",
-    BadRequestError: "bad_request",
-}
 
 
 class HtmlFrontend:
@@ -82,15 +61,11 @@ class HtmlFrontend:
         self,
         network: BaseNetwork,
         rate_limit: Optional[RateLimitConfig] = None,
-        telemetry: Optional["Telemetry"] = None,
         cache: Optional[RenderCache] = None,
     ) -> None:
         self.network = network
-        self.limiter = RateLimiter(network.clock, rate_limit, telemetry=telemetry)
-        self.telemetry = telemetry
+        self.limiter = RateLimiter(network.clock, rate_limit)
         self.cache = cache
-        if telemetry is not None:
-            self._init_metrics(telemetry)
 
     @property
     def clock(self) -> "SimClock":
@@ -121,24 +96,6 @@ class HtmlFrontend:
         """
         self.cache = cache
 
-    def set_telemetry(self, telemetry: Optional["Telemetry"]) -> None:
-        """Attach (or detach) observability; also covers the rate limiter."""
-        self.telemetry = telemetry
-        self.limiter.set_telemetry(telemetry)
-        if telemetry is not None:
-            self._init_metrics(telemetry)
-
-    def _init_metrics(self, telemetry: "Telemetry") -> None:
-        self._requests_metric = telemetry.registry.counter(
-            "frontend_requests_total",
-            "HTTP requests served by the OSN frontend, by outcome",
-            labelnames=("outcome",),
-        )
-        self._wall_metric = telemetry.registry.histogram(
-            "frontend_request_wall_seconds",
-            "Wall-clock time spent serving one request",
-        )
-
     # ------------------------------------------------------------------
     # Entry points
     # ------------------------------------------------------------------
@@ -153,52 +110,6 @@ class HtmlFrontend:
         Strictly read-only: no world mutation is reachable from here
         (machine-checked by PURE001).
         """
-        with self._measured(account_id, path):
-            return self._serve_read(account_id, path, params)
-
-    def post(
-        self,
-        account_id: int,
-        path: str,
-        params: Optional[Mapping[str, str]] = None,
-    ) -> str:
-        """Perform one authenticated state-changing POST."""
-        with self._measured(account_id, path):
-            return self._serve_write(account_id, path, params)
-
-    @contextmanager
-    def _measured(self, account_id: int, path: str) -> Iterator[None]:
-        """Request-telemetry envelope shared by the GET and POST paths."""
-        telemetry = self.telemetry
-        if telemetry is None:
-            yield
-            return
-        wall_start = time.perf_counter()
-        outcome = "ok"
-        try:
-            yield
-        except OsnError as exc:
-            outcome = _OUTCOMES.get(type(exc), "error")
-            raise
-        finally:
-            wall = time.perf_counter() - wall_start
-            self._requests_metric.labels(outcome=outcome).inc()
-            self._wall_metric.labels().observe(wall)
-            telemetry.emit(
-                "http",
-                account=account_id,
-                path=path,
-                outcome=outcome,
-                wall_seconds=wall,
-            )
-
-    def _serve_read(
-        self,
-        account_id: int,
-        path: str,
-        params: Optional[Mapping[str, str]] = None,
-    ) -> str:
-        """Authenticate, charge the limiter, route a read (telemetry-free)."""
         self._admit(account_id)
         params = dict(params or {})
         cache = self.cache
@@ -211,6 +122,21 @@ class HtmlFrontend:
                     cache.put(key, page)
                 return page
         return self._route_read(account_id, path, params)
+
+    def post(
+        self,
+        account_id: int,
+        path: str,
+        params: Optional[Mapping[str, str]] = None,
+    ) -> str:
+        """Perform one authenticated state-changing POST."""
+        self._admit(account_id)
+        params = dict(params or {})
+        if path == "/messages/send":
+            return self._send_message(account_id, params)
+        if path == "/friend-request":
+            return self._friend_request(account_id, params)
+        raise NotFoundError(f"no POST route for {path!r}")
 
     def _route_read(
         self, account_id: int, path: str, params: Dict[str, str]
@@ -280,22 +206,6 @@ class HtmlFrontend:
         if match:
             return ("school", int(match.group(1)), version)
         return None
-
-    def _serve_write(
-        self,
-        account_id: int,
-        path: str,
-        params: Optional[Mapping[str, str]] = None,
-    ) -> str:
-        """Authenticate, charge the limiter, route an action (POST)."""
-        self._admit(account_id)
-        params = dict(params or {})
-
-        if path == "/messages/send":
-            return self._send_message(account_id, params)
-        if path == "/friend-request":
-            return self._friend_request(account_id, params)
-        raise NotFoundError(f"no POST route for {path!r}")
 
     def _admit(self, account_id: int) -> None:
         """Session auth + rate-limit charge, shared by both verbs."""

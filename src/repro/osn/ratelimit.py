@@ -19,19 +19,21 @@ Concurrency shape: all sliding-window state lives on
 ``RateLimiter._limiter_for`` — so concurrent sessions on different
 accounts never touch each other's windows, and the only cross-account
 write is the registry insert (annotated for SHARE001).
+
+The limiter answers an over-budget request with an exception and
+records nothing else: the crawl client sees every throttle and ban as
+the outcome of its own attempt, and telemetry counts strikes from those
+outcomes.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, Optional
+from typing import Deque, Dict
 
 from .clock import SimClock
 from .errors import AccountDisabledError, RateLimitedError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.telemetry.runtime import Telemetry
 
 
 @dataclass(frozen=True)
@@ -110,31 +112,11 @@ class RateLimiter:
         self,
         clock: SimClock,
         config: RateLimitConfig | None = None,
-        telemetry: Optional["Telemetry"] = None,
     ) -> None:
         self.clock = clock
         self.config = config or RateLimitConfig()
         self.config.validate()
         self._accounts: Dict[int, AccountRateLimiter] = {}
-        self.telemetry = telemetry
-        if telemetry is not None:
-            self._init_metrics(telemetry)
-
-    def set_telemetry(self, telemetry: Optional["Telemetry"]) -> None:
-        self.telemetry = telemetry
-        if telemetry is not None:
-            self._init_metrics(telemetry)
-
-    def _init_metrics(self, telemetry: "Telemetry") -> None:
-        self._strikes_metric = telemetry.registry.counter(
-            "ratelimit_strikes_total",
-            "Rate-limit strikes earned, per crawl account",
-            labelnames=("account",),
-        )
-        self._disabled_metric = telemetry.registry.counter(
-            "ratelimit_accounts_disabled_total",
-            "Accounts permanently disabled for aggressive crawling",
-        )
 
     def _limiter_for(self, account_id: int) -> AccountRateLimiter:
         """The per-account limiter, created on first sight."""
@@ -153,24 +135,9 @@ class RateLimiter:
             raise AccountDisabledError(
                 f"account {account_id} disabled for aggressive crawling"
             )
-        telemetry = self.telemetry
         if outcome.status == "disabled":
-            if telemetry is not None:
-                self._strikes_metric.labels(account=str(account_id)).inc()
-                self._disabled_metric.labels().inc()
-                telemetry.emit(
-                    "account_disabled", account=account_id, strikes=outcome.strikes
-                )
             raise AccountDisabledError(
                 f"account {account_id} disabled after {outcome.strikes} strikes"
-            )
-        if telemetry is not None:
-            self._strikes_metric.labels(account=str(account_id)).inc()
-            telemetry.emit(
-                "strike",
-                account=account_id,
-                strikes=outcome.strikes,
-                retry_after=outcome.retry_after,
             )
         raise RateLimitedError(
             f"account {account_id} over rate limit", retry_after=outcome.retry_after

@@ -9,15 +9,19 @@ subsystem:
   Prometheus text exposition;
 * :mod:`.tracing` — sim-clock-aware spans (simulated crawl seconds
   alongside wall seconds);
-* :mod:`.events` — the event bus and its sinks (memory, JSONL,
-  Prometheus snapshot);
-* :mod:`.runtime` — the :class:`Telemetry` handle threaded through the
-  frontend, rate limiter, pacer, crawl client and profiler;
+* :mod:`.events` — the event bus and its sinks (memory, JSONL, and a
+  Prometheus snapshot folded from the events);
+* :mod:`.runtime` — the :class:`Telemetry` handle one crawl session
+  owns, held by its crawl client;
 * :mod:`.session` / :mod:`.replay` — per-phase / per-account /
   per-category crawl-session reports, buildable live or from a trace.
 
-Telemetry is strictly opt-in: every instrumented component accepts
-``telemetry=None`` and keeps its original fast path when it is absent.
+A session's event stream is its only ledger: the crawl client emits
+one ``request`` event per attempt at the site (plus ``throttle``,
+``retry_exhausted`` and ``account_lost``), the profiler one ``span``
+per methodology step, and every report and metric is a fold of that
+stream.  Telemetry is strictly opt-in: the client accepts
+``telemetry=None``, and nothing it calls ever holds a handle.
 """
 
 from .events import (

@@ -1,14 +1,16 @@
 """The telemetry event stream: one typed record per noteworthy moment.
 
-Counters answer "how much"; events answer "what happened, in order".
-Every instrumented component publishes :class:`TelemetryEvent` records
-to an :class:`EventBus`, which fans them out to pluggable sinks:
+Events answer "what happened, in order", and every count is a fold of
+them.  The crawl client publishes one :class:`TelemetryEvent` per
+request attempt (and the profiler one per finished span) to an
+:class:`EventBus`, which fans them out to pluggable sinks:
 
 * :class:`MemorySink` — keeps events in a list (tests, live reports);
-* :class:`JsonlSink` — buffers JSON lines and writes them on close, so
-  a crawl session can be replayed later (``python -m repro trace``);
-* :class:`PrometheusSink` — ignores the event stream but snapshots the
-  metrics registry to a text-exposition file on close.
+* :class:`JsonlSink` — keeps events and writes them as JSON lines on
+  close, so a crawl session can be replayed later
+  (``python -m repro trace``);
+* :class:`PrometheusSink` — folds the events into a metrics registry
+  and writes its text exposition on close.
 
 Events are stamped with *simulated* time (the paper's unit of crawl
 effort) plus a monotonic sequence number, so a JSONL trace replays into
@@ -22,6 +24,10 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List
 
 from .metrics import MetricsRegistry, render_prometheus
+
+#: One encoder for every event: ``json.dumps(..., sort_keys=True)``
+#: would build a new one per call, for the same bytes.
+_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -42,7 +48,7 @@ class TelemetryEvent:
             "phase": self.phase,
             **self.fields,
         }
-        return json.dumps(payload, sort_keys=True)
+        return _ENCODER.encode(payload)
 
     @classmethod
     def from_json(cls, line: str) -> "TelemetryEvent":
@@ -76,45 +82,94 @@ class MemorySink(Sink):
         self.events.append(event)
 
 
-class JsonlSink(Sink):
-    """Buffers events as JSON lines and writes the file on close.
+class JsonlSink(MemorySink):
+    """Keeps events and writes them as JSON lines on close.
 
-    Buffering keeps the per-event cost to one ``json.dumps`` and a list
-    append, so instrumentation overhead stays far below the 10% budget
-    the overhead benchmark enforces.
+    Serialising once, at close, leaves a list append as the per-event
+    cost while the crawl runs.
     """
 
     def __init__(self, path: str) -> None:
+        super().__init__()
         self.path = str(path)
-        self._lines: List[str] = []
         self._closed = False
-
-    def handle(self, event: TelemetryEvent) -> None:
-        self._lines.append(event.to_json())
 
     @property
     def event_count(self) -> int:
-        return len(self._lines)
+        return len(self.events)
 
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
         with open(self.path, "w", encoding="utf-8") as handle:
-            for line in self._lines:
-                handle.write(line)
+            for event in self.events:
+                handle.write(event.to_json())
                 handle.write("\n")
 
 
 class PrometheusSink(Sink):
-    """Writes a Prometheus text-exposition snapshot of the registry on close."""
+    """Folds the event stream into metrics; writes the exposition on close.
 
-    def __init__(self, path: str, registry: MetricsRegistry) -> None:
+    Every family is a count over the client's ``request`` events (one
+    per frontend attempt) and its ``throttle`` events.  Strikes and
+    disables are the ones this session's attempts ran into.
+    """
+
+    def __init__(self, path: str) -> None:
         self.path = str(path)
-        self.registry = registry
+        self.registry = registry = MetricsRegistry()
+        self._requests = registry.counter(
+            "crawl_requests_total",
+            "Successful crawl GETs by Table-3 category",
+            labelnames=("category",),
+        )
+        self._account_requests = registry.counter(
+            "crawl_account_requests_total",
+            "Successful crawl GETs per crawl account",
+            labelnames=("account",),
+        )
+        self._outcomes = registry.counter(
+            "frontend_requests_total",
+            "HTTP requests served by the OSN frontend, by outcome",
+            labelnames=("outcome",),
+        )
+        self._wall = registry.histogram(
+            "frontend_request_wall_seconds",
+            "Wall-clock time spent serving one request",
+        )
+        self._strikes = registry.counter(
+            "ratelimit_strikes_total",
+            "Rate-limit strikes earned, per crawl account",
+            labelnames=("account",),
+        )
+        self._disabled = registry.counter(
+            "ratelimit_accounts_disabled_total",
+            "Accounts permanently disabled for aggressive crawling",
+        )
+        self._sleeps = registry.histogram(
+            "pacer_sleep_seconds",
+            "Simulated seconds slept between requests, by reason",
+            labelnames=("reason",),
+        )
 
     def handle(self, event: TelemetryEvent) -> None:
-        pass
+        fields = event.fields
+        if event.kind == "request":
+            outcome = fields["outcome"]
+            self._outcomes.labels(outcome=outcome).inc()
+            self._wall.labels().observe(fields["wall_seconds"])
+            if fields["delay"] > 0:
+                self._sleeps.labels(reason="polite").observe(fields["delay"])
+            if outcome == "ok":
+                self._requests.labels(category=fields["category"]).inc()
+                self._account_requests.labels(account=fields["account"]).inc()
+            elif outcome in ("rate_limited", "account_disabled"):
+                self._strikes.labels(account=fields["account"]).inc()
+                if outcome == "account_disabled":
+                    self._disabled.labels().inc()
+        elif event.kind == "throttle" and fields["slept"] > 0:
+            self._sleeps.labels(reason="backoff").observe(fields["slept"])
 
     def close(self) -> None:
         with open(self.path, "w", encoding="utf-8") as handle:

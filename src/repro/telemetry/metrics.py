@@ -10,8 +10,9 @@ is built around a small Prometheus-flavoured metrics model:
   Prometheus text exposition format for scraping or offline diffing.
 
 Everything is plain in-process Python on the simulated pipeline — there
-is no background thread and no real network; the registry is just a
-structured, queryable replacement for ad-hoc ``self.count += 1`` fields.
+is no background thread and no real network.  Nothing on the crawl path
+writes a registry: :class:`~repro.telemetry.events.PrometheusSink` fills
+one by folding a session's event stream.
 """
 
 from __future__ import annotations

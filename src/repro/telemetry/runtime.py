@@ -1,41 +1,36 @@
-"""The per-session telemetry handle threaded through the pipeline.
+"""The per-session telemetry handle a crawl session owns.
 
-One :class:`Telemetry` object accompanies one crawl session.  It bundles
-the three observability primitives — a :class:`MetricsRegistry`, a
-:class:`Tracer` on the session's simulated clock, and an
-:class:`EventBus` with whatever sinks the caller attached — and stamps
+One :class:`Telemetry` object accompanies one crawl session, held by
+its :class:`~repro.crawler.client.CrawlClient`.  It bundles a
+:class:`Tracer` on the session's simulated clock and an
+:class:`EventBus` with whatever sinks the caller attached, and stamps
 every published event with simulated time, a sequence number, and the
 currently open pipeline phase.
 
-Instrumented components treat their telemetry reference as optional:
-``None`` means observability is off and the hot path must not allocate
-anything (the overhead benchmark holds instrumentation under 10% even
-with the JSONL sink on; with no telemetry the cost is one ``is None``
-check per call site).
+The event stream is the session's only ledger: the client emits one
+event per request attempt, the profiler one ``span`` per methodology
+step, and every report or metric is a fold of that stream.  Nothing
+below the client (frontend, rate limiter, pacer) holds a handle, so a
+closed session can gain no events.  ``telemetry=None`` on the client
+means observability is off; the cost is then one ``is None`` check per
+call site (the overhead benchmark holds the JSONL sink under 10%).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 from repro.osn.clock import SimClock
 
 from .events import EventBus, JsonlSink, MemorySink, PrometheusSink, Sink, TelemetryEvent
-from .metrics import MetricsRegistry
 from .tracing import NO_PHASE, Span, Tracer
 
 
 class Telemetry:
-    """Registry + tracer + event bus for one crawl session."""
+    """Tracer + event bus for one crawl session."""
 
-    def __init__(
-        self,
-        clock: SimClock,
-        sinks: Iterable[Sink] = (),
-        registry: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, clock: SimClock, sinks: Iterable[Sink] = ()) -> None:
         self.clock = clock
-        self.registry = registry if registry is not None else MetricsRegistry()
         self.bus = EventBus(sinks)
         self.tracer = Tracer(clock, emit=self.emit)
         self._seq = 0
@@ -50,18 +45,13 @@ class Telemetry:
         return cls(clock, sinks=[MemorySink()])
 
     @classmethod
-    def to_jsonl(
-        cls, clock: SimClock, path: str, keep_in_memory: bool = False
-    ) -> "Telemetry":
+    def to_jsonl(cls, clock: SimClock, path: str) -> "Telemetry":
         """A telemetry session that writes a JSONL trace on close."""
-        sinks: List[Sink] = [JsonlSink(path)]
-        if keep_in_memory:
-            sinks.insert(0, MemorySink())
-        return cls(clock, sinks=sinks)
+        return cls(clock, sinks=[JsonlSink(path)])
 
     def add_prometheus(self, path: str) -> None:
-        """Also snapshot the metrics registry to ``path`` on close."""
-        self.bus.add_sink(PrometheusSink(path, self.registry))
+        """Also fold the events into a metrics snapshot at ``path`` on close."""
+        self.bus.add_sink(PrometheusSink(path))
 
     # ------------------------------------------------------------------
     # Publishing
@@ -94,7 +84,7 @@ class Telemetry:
     # ------------------------------------------------------------------
     @property
     def events(self) -> List[TelemetryEvent]:
-        """Events captured by the first memory sink (empty if none)."""
+        """Events kept by the first memory or JSONL sink (empty if none)."""
         for sink in self.bus.sinks:
             if isinstance(sink, MemorySink):
                 return sink.events

@@ -6,11 +6,11 @@ replayed JSONL trace (``python -m repro trace``), and both constructions
 yield an identical report.  It breaks the session down three ways:
 
 * **per phase** (seeds → core → candidates → scoring → threshold):
-  page fetches, raw GET attempts, throttles, backoff sleep, and the
-  simulated seconds the phase consumed;
+  page fetches (``ok`` attempts), raw GET attempts, throttles, backoff
+  sleep, and the simulated seconds the phase consumed;
 * **per account**: requests carried, throttles absorbed, strikes
-  earned, and whether the site disabled the account (the paper's
-  "accounts lost" cost);
+  earned (``rate_limited`` attempts), and whether the site disabled
+  the account (the paper's "accounts lost" cost);
 * **per category**: the Table-3 request decomposition (seeds /
   profiles / friend_lists / other), cross-checkable against
   :class:`~repro.crawler.effort.EffortReport`.
@@ -78,15 +78,17 @@ class CrawlSessionReport:
             fields = event.fields
             if kind == "request":
                 phase = report._phase(event.phase)
-                phase.pages += 1
-                account = report._account(fields.get("account"))
-                account.requests += 1
-                category = str(fields.get("category", "other"))
-                report.categories[category] = report.categories.get(category, 0) + 1
-                report.total_requests += 1
-            elif kind == "http":
-                report._phase(event.phase).attempts += 1
+                phase.attempts += 1
                 report.total_attempts += 1
+                outcome = fields.get("outcome")
+                if outcome == "ok":
+                    phase.pages += 1
+                    report._account(fields.get("account")).requests += 1
+                    category = str(fields.get("category", "other"))
+                    report.categories[category] = report.categories.get(category, 0) + 1
+                    report.total_requests += 1
+                elif outcome == "rate_limited":
+                    report._account(fields.get("account")).strikes += 1
             elif kind == "throttle":
                 phase = report._phase(event.phase)
                 phase.throttles += 1
@@ -95,10 +97,7 @@ class CrawlSessionReport:
                 report._account(fields.get("account")).throttles += 1
                 report.total_throttles += 1
                 report.total_backoff_seconds += slept
-            elif kind == "strike":
-                account = report._account(fields.get("account"))
-                account.strikes = max(account.strikes, int(fields.get("strikes", 0)))
-            elif kind in ("account_disabled", "account_lost"):
+            elif kind == "account_lost":
                 report._account(fields.get("account")).disabled = True
             elif kind == "span":
                 phase = report._phase(str(fields.get("name", event.phase)))

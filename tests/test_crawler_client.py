@@ -11,6 +11,23 @@ from repro.osn.frontend import HtmlFrontend
 from repro.osn.privacy import PrivacySettings
 from repro.osn.profile import Birthday, Name, Profile
 from repro.osn.ratelimit import RateLimitConfig
+from repro.telemetry import CrawlSessionReport, PrometheusSink, Telemetry
+
+
+def _session(clock, tmp_path):
+    """An in-memory telemetry session that also folds a metrics snapshot."""
+    telemetry = Telemetry.in_memory(clock)
+    prometheus = PrometheusSink(str(tmp_path / "metrics.prom"))
+    telemetry.bus.add_sink(prometheus)
+    return telemetry, prometheus
+
+
+def _series(registry, name):
+    """``{label values: value}`` of one folded metric family."""
+    return {
+        tuple(value for _, value in key): series.value
+        for key, series in registry.get(name).series().items()
+    }
 
 
 @pytest.fixture()
@@ -155,6 +172,37 @@ class TestResilience:
         assert report.accounts_used == 2
 
 
+class TestRequestEvents:
+    def test_site_answers_are_attempts_and_faults_are_not(self, school_network, monkeypatch):
+        """A 404 is one ``not_found`` attempt; an exception that is not an
+        ``OsnError`` is a fault and propagates with no ``request`` event."""
+        net, _, accounts = school_network
+        frontend = HtmlFrontend(net)
+        telemetry = Telemetry.in_memory(net.clock)
+        crawl = CrawlClient(
+            frontend,
+            AccountPool.of([accounts["crawler"].user_id]),
+            PolitenessPolicy(base_delay_seconds=0.5, jitter_seconds=0),
+            telemetry=telemetry,
+        )
+        assert crawl.fetch_profile(999_999) is None
+        (event,) = telemetry.events
+        assert event.kind == "request"
+        assert event.fields["outcome"] == "not_found"
+        assert event.fields["path"] == "/profile/999999"
+        assert event.fields["category"] == CATEGORY_PROFILES
+        assert event.fields["delay"] == 0.5
+        assert event.fields["wall_seconds"] >= 0
+
+        def broken(*args):
+            raise RuntimeError("renderer bug")
+
+        monkeypatch.setattr(frontend, "get", broken)
+        with pytest.raises(RuntimeError):
+            crawl.fetch_profile(accounts["alumnus"].user_id)
+        assert len(telemetry.events) == 1
+
+
 class TestThrottleExhaustion:
     """Edge paths of ``_get``'s retry loop (paper: anti-crawling defences)."""
 
@@ -171,7 +219,6 @@ class TestThrottleExhaustion:
             RateLimitConfig(
                 max_requests=1, window_seconds=10**9, strikes_to_disable=10**6
             ),
-            telemetry=telemetry,
         )
         crawl = CrawlClient(
             frontend,
@@ -193,9 +240,7 @@ class TestThrottleExhaustion:
 
     def test_exhaustion_emits_throttles_then_gives_up(self, school_network):
         from repro.crawler.client import _MAX_THROTTLE_RETRIES
-        from repro.osn.clock import SimClock
         from repro.osn.errors import RateLimitedError
-        from repro.telemetry import Telemetry
 
         net, _, _ = school_network
         telemetry = Telemetry.in_memory(net.clock)
@@ -208,6 +253,37 @@ class TestThrottleExhaustion:
         assert len(throttles) == _MAX_THROTTLE_RETRIES
         assert len(exhausted) == 1
         assert exhausted[0].fields["throttles"] == _MAX_THROTTLE_RETRIES + 1
+
+    def test_session_report_pins_throttles_and_strikes(self, school_network, tmp_path):
+        """The client's attempts carry what the limiter used to report:
+        one success, then nine strikes and eight 300 s back-offs."""
+        from repro.osn.errors import RateLimitedError
+
+        net, _, _ = school_network
+        telemetry, prometheus = _session(net.clock, tmp_path)
+        crawl, accounts = self._stuck_client(school_network, telemetry=telemetry)
+        crawl.fetch_profile(accounts["alumnus"].user_id)
+        with pytest.raises(RateLimitedError):
+            crawl.fetch_profile(accounts["alumnus"].user_id)
+
+        report = CrawlSessionReport.from_events(telemetry.events)
+        account = report.accounts[str(accounts["crawler"].user_id)]
+        assert (account.requests, account.throttles, account.strikes) == (1, 8, 9)
+        assert not account.disabled
+        phase = report.phases["-"]
+        assert (phase.pages, phase.attempts, phase.throttles) == (1, 10, 8)
+        assert phase.backoff_seconds == pytest.approx(2400.0)
+
+        registry = prometheus.registry
+        crawler = str(accounts["crawler"].user_id)
+        assert _series(registry, "ratelimit_strikes_total") == {(crawler,): 9}
+        assert _series(registry, "ratelimit_accounts_disabled_total") == {}
+        assert _series(registry, "frontend_requests_total") == {
+            ("ok",): 1,
+            ("rate_limited",): 9,
+        }
+        (backoff,) = registry.get("pacer_sleep_seconds").series().values()
+        assert (backoff.count, backoff.sum) == (8, pytest.approx(2400.0))
 
 
 class TestPinnedAccountDisabled:
@@ -267,3 +343,47 @@ class TestPinnedAccountDisabled:
         assert not crawl.pool.is_disabled(extra.user_id)
         # The spare account absorbed the request after the rotation.
         assert crawl.effort_report().accounts_used == 1
+
+    def test_session_report_pins_the_lost_accounts(self, school_network, tmp_path):
+        """Both accounts serve one page, then each is disabled by its
+        first over-limit attempt: the report marks both lost, and the
+        metrics count each disabling attempt as a strike."""
+        net, school, accounts = school_network
+        extra = net.register_account(
+            profile=Profile(name=Name("Crawl", "Two")),
+            registered_birthday=Birthday(1985),
+            settings=PrivacySettings.everything_private(),
+            is_fake=True,
+        )
+        first, spare = accounts["crawler"].user_id, extra.user_id
+        telemetry, prometheus = _session(net.clock, tmp_path)
+        crawl = CrawlClient(
+            self._strict_frontend(net),
+            AccountPool.of([first, spare]),
+            PolitenessPolicy(base_delay_seconds=0, jitter_seconds=0),
+            telemetry=telemetry,
+        )
+        target = accounts["alumnus"].user_id
+        crawl.fetch_profile(target)
+        crawl.fetch_profile(target)
+        with pytest.raises(AccountDisabledError):
+            crawl.fetch_profile(target)
+
+        report = CrawlSessionReport.from_events(telemetry.events)
+        for uid in (first, spare):
+            account = report.accounts[str(uid)]
+            assert (account.requests, account.throttles, account.strikes) == (1, 0, 0)
+            assert account.disabled
+        phase = report.phases["-"]
+        assert (phase.pages, phase.attempts, phase.throttles) == (2, 4, 0)
+
+        registry = prometheus.registry
+        assert _series(registry, "ratelimit_strikes_total") == {
+            (str(first),): 1,
+            (str(spare),): 1,
+        }
+        assert _series(registry, "ratelimit_accounts_disabled_total") == {(): 2}
+        assert _series(registry, "frontend_requests_total") == {
+            ("ok",): 2,
+            ("account_disabled",): 2,
+        }

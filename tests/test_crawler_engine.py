@@ -28,7 +28,7 @@ from repro.osn.errors import AccountDisabledError
 from repro.osn.frontend import HtmlFrontend
 from repro.osn.ratelimit import RateLimitConfig
 from repro.osn.rendercache import RenderCache
-from repro.telemetry import Telemetry
+from repro.telemetry import PrometheusSink, Telemetry
 from repro.worldgen.presets import hs1, tiny
 from repro.worldgen.world import build_world
 
@@ -238,7 +238,8 @@ class TestClientParity:
 
     def test_single_account_engine_emits_the_clients_events(self):
         """One transport: the engine's request/throttle/loss events are
-        the client's, stamped at the same simulated instants."""
+        the client's, stamped at the same simulated instants with the
+        same fields (all but the measured ``wall_seconds``)."""
 
         def events(crawl_with):
             world = build_world(tiny(seed=_SEED))
@@ -248,7 +249,10 @@ class TestClientParity:
                 world.frontend, AccountPool.of(uids), seed=_SEED, telemetry=telemetry
             )
             crawl_with(client, world.school().school_id)
-            return [(e.kind, e.sim_ts, e.fields) for e in telemetry.events]
+            return [
+                (e.kind, e.sim_ts, {k: v for k, v in e.fields.items() if k != "wall_seconds"})
+                for e in telemetry.events
+            ]
 
         def engine(client, school_id):
             plan = CrawlPlan(school_id=school_id, max_profiles=_BUDGET)
@@ -262,7 +266,8 @@ class TestClientParity:
                 client.fetch_friend_list(uid)
 
         engine_events = events(engine)
-        assert len(engine_events) == engine_run(1).pages
+        ok = [f for kind, _, f in engine_events if kind == "request" and f["outcome"] == "ok"]
+        assert len(ok) == engine_run(1).pages
         assert engine_events == events(sequential)
 
 
@@ -403,13 +408,15 @@ class TestPlanValidation:
 
 
 class TestThrottleTelemetry:
-    def test_backoff_sleeps_carry_the_clients_label(self, school_network):
-        """A throttled engine fetch records its back-off sleep under
+    def test_backoff_sleeps_carry_the_clients_label(self, school_network, tmp_path):
+        """A throttled engine fetch emits the client's ``throttle`` event
+        for each back-off, which the metrics fold records under
         ``pacer_sleep_seconds{reason="backoff"}``, the label the
-        sequential client uses for the same sleep, and emits the
-        client's ``throttle`` event for each one."""
+        sequential client's sleeps get."""
         net, school, accounts = school_network
         telemetry = Telemetry.in_memory(net.clock)
+        prometheus = PrometheusSink(str(tmp_path / "metrics.prom"))
+        telemetry.bus.add_sink(prometheus)
         # One request per 30 s window: every immediate second GET is
         # throttled once, then passes after the back-off.
         frontend = HtmlFrontend(
@@ -428,7 +435,7 @@ class TestThrottleTelemetry:
             client, CrawlPlan(school_id=school.school_id, max_profiles=2)
         ).run()
         assert result.pages > 1
-        sleeps = telemetry.registry.get("pacer_sleep_seconds").series()
+        sleeps = prometheus.registry.get("pacer_sleep_seconds").series()
         assert set(sleeps) == {(("reason", "backoff"),)}
         assert sleeps[(("reason", "backoff"),)].count == result.pages - 1
         throttles = [e for e in telemetry.events if e.kind == "throttle"]

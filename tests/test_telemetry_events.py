@@ -1,5 +1,7 @@
 """Tests for the event bus and its sinks (memory, JSONL, Prometheus)."""
 
+import json
+
 import pytest
 
 from repro.osn.clock import SimClock
@@ -7,7 +9,6 @@ from repro.telemetry.events import (
     EventBus,
     JsonlSink,
     MemorySink,
-    PrometheusSink,
     TelemetryEvent,
     read_jsonl,
 )
@@ -64,6 +65,15 @@ class TestJsonlSink:
         sink.close()
         assert len(read_jsonl(str(path))) == 1
 
+    def test_lines_are_sorted_key_json(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        sink = JsonlSink(str(path))
+        event = _event(account=7, category="seeds", slept=1 / 3)
+        sink.handle(event)
+        sink.close()
+        payload = {"kind": "request", "seq": 0, "sim_ts": 1.5, "phase": "seeds", **event.fields}
+        assert path.read_text() == json.dumps(payload, sort_keys=True) + "\n"
+
     def test_float_fields_round_trip_exactly(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         sink = JsonlSink(str(path))
@@ -75,17 +85,50 @@ class TestJsonlSink:
         assert loaded.fields["retry_after"] == original.fields["retry_after"]
 
 
+def _attempt(telemetry, account, outcome, delay=2.0):
+    telemetry.emit(
+        "request",
+        account=account,
+        category="profiles",
+        path="/profile/9",
+        outcome=outcome,
+        wall_seconds=0.001,
+        delay=delay,
+    )
+
+
 class TestPrometheusSink:
     def test_snapshots_registry_on_close(self, tmp_path):
+        """The snapshot is a fold of the request and throttle events."""
         path = tmp_path / "metrics.prom"
         telemetry = Telemetry(SimClock())
-        telemetry.bus.add_sink(PrometheusSink(str(path), telemetry.registry))
-        telemetry.registry.counter("hits_total").labels().inc(2)
-        telemetry.emit("request")  # events are ignored by this sink
+        telemetry.add_prometheus(str(path))
+        _attempt(telemetry, 1, "ok")
+        _attempt(telemetry, 1, "rate_limited")
+        telemetry.emit("throttle", account=1, category="profiles", retry_after=3.0, slept=6.0)
+        _attempt(telemetry, 1, "account_disabled", delay=0.0)
+        _attempt(telemetry, 2, "not_found")
+        telemetry.emit("span", name="core", sim_seconds=1.0, wall_seconds=0.1)
+        assert not path.exists()
         telemetry.close()
         text = path.read_text()
-        assert "# TYPE hits_total counter" in text
-        assert "hits_total 2" in text
+        for line in (
+            'crawl_requests_total{category="profiles"} 1',
+            'crawl_account_requests_total{account="1"} 1',
+            'frontend_requests_total{outcome="ok"} 1',
+            'frontend_requests_total{outcome="rate_limited"} 1',
+            'frontend_requests_total{outcome="account_disabled"} 1',
+            'frontend_requests_total{outcome="not_found"} 1',
+            "frontend_request_wall_seconds_count 4",
+            'ratelimit_strikes_total{account="1"} 2',
+            "ratelimit_accounts_disabled_total 1",
+            'pacer_sleep_seconds_count{reason="polite"} 3',
+            'pacer_sleep_seconds_sum{reason="polite"} 6',
+            'pacer_sleep_seconds_count{reason="backoff"} 1',
+            'pacer_sleep_seconds_sum{reason="backoff"} 6',
+        ):
+            assert line in text.splitlines()
+        assert 'account="2"' not in text
 
 
 class TestTelemetryHandle:
@@ -96,7 +139,7 @@ class TestTelemetryHandle:
 
     def test_to_jsonl_constructor(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        telemetry = Telemetry.to_jsonl(SimClock(), str(path), keep_in_memory=True)
+        telemetry = Telemetry.to_jsonl(SimClock(), str(path))
         telemetry.emit("request", account=1)
         telemetry.close()
         assert read_jsonl(str(path)) == telemetry.events

@@ -1,29 +1,37 @@
-"""End-to-end telemetry: a full instrumented HS1 attack, CLI included.
+"""End-to-end telemetry: a full instrumented attack, CLI included.
 
 The acceptance bar from the telemetry subsystem: the event stream and
-the metrics registry must agree *exactly* with the pipeline's own
+the metrics folded from it must agree *exactly* with the pipeline's own
 effort accounting (:class:`~repro.crawler.effort.EffortReport`), both
 live and after a JSONL round-trip through ``python -m repro trace``.
 """
 
+import inspect
+
 import pytest
 
 from repro.cli import main
+from repro.colgen.serve import columnar_frontend, frontend_for_object_world
 from repro.crawler.effort import (
     CATEGORY_FRIEND_LISTS,
+    CATEGORY_OTHER,
     CATEGORY_PROFILES,
     CATEGORY_SEEDS,
 )
-from repro.core.api import run_attack
+from repro.crawler.politeness import Pacer
+from repro.core.api import make_client, run_attack
 from repro.core.profiler import ProfilerConfig
+from repro.osn.frontend import HtmlFrontend
+from repro.osn.ratelimit import RateLimiter
 from repro.telemetry import (
     CrawlSessionReport,
     JsonlSink,
     MemorySink,
+    PrometheusSink,
     Telemetry,
     replay_report,
 )
-from repro.worldgen.presets import smoke
+from repro.worldgen.presets import smoke, tiny
 from repro.worldgen.world import build_world
 
 
@@ -36,34 +44,77 @@ def instrumented_world(tmp_path_factory):
     fixture used to pay for.
     """
     world = build_world(smoke())
-    path = tmp_path_factory.mktemp("telemetry") / "smoke.jsonl"
+    out = tmp_path_factory.mktemp("telemetry")
+    path = out / "smoke.jsonl"
+    prometheus = PrometheusSink(str(out / "smoke.prom"))
     telemetry = Telemetry(
-        world.network.clock, sinks=[MemorySink(), JsonlSink(str(path))]
+        world.network.clock, sinks=[MemorySink(), JsonlSink(str(path)), prometheus]
     )
+    client = make_client(world, accounts=2, telemetry=telemetry)
     result = run_attack(
         world,
-        accounts=2,
         config=ProfilerConfig(threshold=500, enhanced=True, filtering=True),
-        telemetry=telemetry,
+        client=client,
     )
     telemetry.close()
-    return world, telemetry, result, str(path)
+    return world, telemetry, result, str(path), client, prometheus.registry
+
+
+def _attempts(telemetry, outcome=None):
+    return [
+        e
+        for e in telemetry.events
+        if e.kind == "request" and outcome in (None, e.fields["outcome"])
+    ]
+
+
+def _by_label(registry, name):
+    """``{label value: value}`` of a one-label folded counter family."""
+    return {key[0][1]: series.value for key, series in registry.get(name).series().items()}
 
 
 class TestEffortAgreement:
     def test_request_events_match_effort_total(self, instrumented_world):
-        _, telemetry, result, _ = instrumented_world
-        requests = [e for e in telemetry.events if e.kind == "request"]
-        assert len(requests) == result.effort.total
+        _, telemetry, result, *_ = instrumented_world
+        assert len(_attempts(telemetry, "ok")) == result.effort.total
 
     def test_registry_counter_matches_effort_total(self, instrumented_world):
-        _, telemetry, result, _ = instrumented_world
-        family = telemetry.registry.get("crawl_requests_total")
-        assert family is not None
-        assert family.total() == result.effort.total
+        """The folded Table-3 counters are the effort report's."""
+        _, _, result, _, _, registry = instrumented_world
+        assert _by_label(registry, "crawl_requests_total") == {
+            category: count
+            for category, count in (
+                (CATEGORY_SEEDS, result.effort.seed_requests),
+                (CATEGORY_PROFILES, result.effort.profile_requests),
+                (CATEGORY_FRIEND_LISTS, result.effort.friend_list_requests),
+                (CATEGORY_OTHER, result.effort.other_requests),
+            )
+            if count
+        }
+
+    def test_registry_account_counter_matches_effort_counter(self, instrumented_world):
+        *_, client, registry = instrumented_world
+        assert _by_label(registry, "crawl_account_requests_total") == {
+            str(account): count for account, count in client.counter.by_account().items()
+        }
+
+    def test_registry_outcomes_sum_to_get_attempts(self, instrumented_world):
+        _, telemetry, *_, registry = instrumented_world
+        report = CrawlSessionReport.from_events(telemetry.events)
+        assert registry.get("frontend_requests_total").total() == report.total_attempts
+        assert registry.get("frontend_request_wall_seconds").total() == report.total_attempts
+
+    def test_registry_polite_sleeps_match_attempts_and_pacers(self, instrumented_world):
+        _, telemetry, *_, client, registry = instrumented_world
+        report = CrawlSessionReport.from_events(telemetry.events)
+        sleeps = registry.get("pacer_sleep_seconds").series()
+        polite = sleeps[(("reason", "polite"),)]
+        assert polite.count == report.total_attempts
+        slept = sum(client.pacer_for(uid).total_slept for uid in client.pool.account_ids)
+        assert polite.sum == pytest.approx(slept - report.total_backoff_seconds)
 
     def test_per_category_counts_match(self, instrumented_world):
-        _, telemetry, result, _ = instrumented_world
+        _, telemetry, result, *_ = instrumented_world
         report = CrawlSessionReport.from_events(telemetry.events)
         assert report.category_count(CATEGORY_SEEDS) == result.effort.seed_requests
         assert report.category_count(CATEGORY_PROFILES) == result.effort.profile_requests
@@ -73,32 +124,31 @@ class TestEffortAgreement:
         )
 
     def test_accounts_used_match(self, instrumented_world):
-        _, telemetry, result, _ = instrumented_world
+        _, telemetry, result, *_ = instrumented_world
         report = CrawlSessionReport.from_events(telemetry.events)
         assert report.accounts_used == result.effort.accounts_used
 
     def test_frontend_attempts_cover_every_effort_request(self, instrumented_world):
-        world, telemetry, result, _ = instrumented_world
-        http = [e for e in telemetry.events if e.kind == "http"]
+        world, telemetry, *_ = instrumented_world
         # request_count omits attempts rejected by auth or the limiter
-        assert len(http) >= world.frontend.request_count
-        ok = [e for e in http if e.fields["outcome"] == "ok"]
-        assert len(ok) == result.effort.total
+        rejected = {"auth_failed", "rate_limited", "account_disabled"}
+        served = [e for e in _attempts(telemetry) if e.fields["outcome"] not in rejected]
+        assert len(served) == world.frontend.request_count
 
 
 class TestPhases:
     def test_every_methodology_step_has_a_span(self, instrumented_world):
-        _, telemetry, _, _ = instrumented_world
+        _, telemetry, *_ = instrumented_world
         span_names = {e.fields["name"] for e in telemetry.events if e.kind == "span"}
         assert {"setup", "seeds", "core", "scoring", "candidates", "threshold"} <= span_names
 
     def test_phase_request_totals_sum_to_effort(self, instrumented_world):
-        _, telemetry, result, _ = instrumented_world
+        _, telemetry, result, *_ = instrumented_world
         report = CrawlSessionReport.from_events(telemetry.events)
         assert sum(p.pages for p in report.phases.values()) == result.effort.total
 
     def test_sim_time_attributed_to_phases(self, instrumented_world):
-        _, telemetry, _, _ = instrumented_world
+        _, telemetry, *_ = instrumented_world
         report = CrawlSessionReport.from_events(telemetry.events)
         crawl_phases = ("seeds", "core")
         assert all(report.phases[p].sim_seconds > 0 for p in crawl_phases)
@@ -106,13 +156,13 @@ class TestPhases:
 
 class TestJsonlReplay:
     def test_replay_equals_live_report(self, instrumented_world):
-        _, telemetry, _, path = instrumented_world
+        _, telemetry, _, path, *_ = instrumented_world
         live = CrawlSessionReport.from_events(telemetry.events)
         replayed = replay_report(path)
         assert replayed == live
 
     def test_trace_cli_prints_matching_total(self, instrumented_world, capsys):
-        _, _, result, path = instrumented_world
+        _, _, result, path, *_ = instrumented_world
         assert main(["trace", path]) == 0
         out = capsys.readouterr().out
         assert f"total requests (effort): {result.effort.total}" in out
@@ -152,9 +202,29 @@ class TestCliAttackTelemetry:
 
 class TestOffByDefault:
     def test_uninstrumented_attack_allocates_no_telemetry(self, tiny_world):
-        from repro.core.api import make_client
-
+        """Only the client can hold a handle: nothing it calls takes one."""
         client = make_client(tiny_world, accounts=2)
         assert client.telemetry is None
-        assert client.pacer_for(client.pool.account_ids[0]).telemetry is None
-        assert tiny_world.frontend.telemetry is None
+        pacer = client.pacer_for(client.pool.account_ids[0])
+        for component in (tiny_world.frontend, tiny_world.frontend.limiter, pacer):
+            assert not any(isinstance(v, Telemetry) for v in vars(component).values())
+            assert not hasattr(component, "telemetry")
+        factories = (HtmlFrontend, RateLimiter, Pacer, columnar_frontend, frontend_for_object_world)
+        for factory in factories:
+            assert "telemetry" not in inspect.signature(factory).parameters
+
+
+class TestSessionOwnsItsTelemetry:
+    def test_closed_session_gains_no_events_from_a_later_attack(self):
+        """A second, uninstrumented attack on the same world writes
+        nothing into the first session's stream."""
+        world = build_world(tiny())
+        config = ProfilerConfig(threshold=120)
+        telemetry = Telemetry.in_memory(world.network.clock)
+        run_attack(world, config=config, telemetry=telemetry)
+        telemetry.close()
+        recorded = telemetry.event_count
+        assert len(telemetry.events) == recorded > 0
+
+        run_attack(world, config=config)
+        assert telemetry.event_count == len(telemetry.events) == recorded

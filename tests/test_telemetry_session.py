@@ -9,22 +9,31 @@ from repro.telemetry.runtime import Telemetry
 from repro.telemetry.session import CrawlSessionReport
 
 
+def _attempt(telemetry, account, category, path, outcome):
+    telemetry.emit(
+        "request",
+        account=account,
+        category=category,
+        path=path,
+        outcome=outcome,
+        wall_seconds=0.001,
+        delay=0.0,
+    )
+
+
 def _scripted_session(telemetry):
-    """Emit a tiny but representative crawl session."""
+    """Emit a tiny but representative crawl session, as the client does."""
     clock = telemetry.clock
     with telemetry.span("seeds"):
-        telemetry.emit("http", account=1, path="/find-friends/browser", outcome="ok")
-        telemetry.emit("request", account=1, category="seeds", path="/find-friends/browser")
+        _attempt(telemetry, 1, "seeds", "/find-friends/browser", "ok")
         clock.sleep(2.0)
-        telemetry.emit("http", account=1, path="/find-friends/browser", outcome="rate_limited")
-        telemetry.emit("throttle", account=1, category="seeds", retry_after=3.0, slept=6.0)
+        _attempt(telemetry, 1, "seeds", "/find-friends/browser", "rate_limited")
         clock.sleep(6.0)
-        telemetry.emit("strike", account=1, strikes=1, retry_after=3.0)
+        telemetry.emit("throttle", account=1, category="seeds", retry_after=3.0, slept=6.0)
     with telemetry.span("core"):
-        telemetry.emit("http", account=2, path="/profile/9", outcome="ok")
-        telemetry.emit("request", account=2, category="profiles", path="/profile/9")
-        telemetry.emit("account_disabled", account=1, strikes=3)
+        _attempt(telemetry, 1, "profiles", "/profile/9", "account_disabled")
         telemetry.emit("account_lost", account=1, pinned=False, rotated=True)
+        _attempt(telemetry, 2, "profiles", "/profile/9", "ok")
 
 
 class TestReportFromEvents:
@@ -43,6 +52,7 @@ class TestReportFromEvents:
         assert seeds.sim_seconds == pytest.approx(8.0)
         core = report.phases["core"]
         assert core.pages == 1
+        assert core.attempts == 2
         assert core.throttles == 0
 
     def test_per_account_breakdown(self, report):
@@ -60,7 +70,7 @@ class TestReportFromEvents:
 
     def test_totals(self, report):
         assert report.total_requests == 2
-        assert report.total_attempts == 3
+        assert report.total_attempts == 4
         assert report.total_throttles == 1
         assert report.total_backoff_seconds == pytest.approx(6.0)
         assert report.accounts_used == 2

@@ -349,9 +349,7 @@ def cmd_crawl(args: argparse.Namespace) -> int:
     from repro.crawler.accounts import AccountPool
     from repro.crawler.client import CrawlClient
     from repro.crawler.engine import CrawlPlan, CrawlScheduler
-    from repro.osn.rendercache import RenderCache
 
-    cache = RenderCache() if args.cache else None
     if args.tier:
         if args.serve != "columnar":
             print(
@@ -361,7 +359,7 @@ def cmd_crawl(args: argparse.Namespace) -> int:
             )
             return 2
         columnar = generate(args.tier, seed=args.seed or 1)
-        frontend = columnar_frontend(columnar, cache=cache)
+        frontend = columnar_frontend(columnar)
         uids = session_accounts(frontend, args.accounts)
         school_id = first_school_id(frontend)
         label = f"tier={args.tier}"
@@ -369,12 +367,10 @@ def cmd_crawl(args: argparse.Namespace) -> int:
     else:
         world = _build_world_from(args)
         if args.serve == "columnar":
-            frontend = frontend_for_object_world(world, cache=cache)
+            frontend = frontend_for_object_world(world)
             uids = session_accounts(frontend, args.accounts)
         else:
             frontend = world.frontend
-            if cache is not None:
-                frontend.set_cache(cache)
             uids = world.create_attacker_accounts(args.accounts)
         school_id = world.school().school_id
         label = f"preset={args.preset}"
@@ -399,11 +395,6 @@ def cmd_crawl(args: argparse.Namespace) -> int:
         ("friend_list_requests", str(effort.friend_list_requests)),
         ("failures", str(len(result.failures))),
     ]
-    if result.cache_stats is not None:
-        rows.append(
-            ("cache_hit_rate", f"{result.cache_stats['hit_rate'] * 100:.1f}%")
-        )
-        rows.append(("cache_entries", str(int(result.cache_stats["entries"]))))
     print(ascii_table(("metric", "value"), rows, title="Concurrent crawl"))
     return 0
 
@@ -525,12 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="cap the crawl at N profiles (and their friend lists)",
-    )
-    crawl.add_argument(
-        "--cache",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="LRU render cache on the serving side (--no-cache disables)",
     )
     crawl.set_defaults(func=cmd_crawl)
 

@@ -59,7 +59,6 @@ from repro.osn.policy import SitePolicy
 from repro.osn.privacy import PrivacySettings
 from repro.osn.profile import Birthday, Name, Profile, SchoolAffiliation
 from repro.osn.ratelimit import RateLimitConfig
-from repro.osn.rendercache import RenderCache
 from repro.osn.user import Account
 
 from .columns import (
@@ -413,7 +412,6 @@ def columnar_frontend(
     friends_page_size: int = 20,
     search_salt: Optional[int] = None,
     rate_limit: Optional[RateLimitConfig] = None,
-    cache: Optional[RenderCache] = None,
 ) -> HtmlFrontend:
     """Stand up an :class:`HtmlFrontend` over a columnar world.
 
@@ -431,14 +429,10 @@ def columnar_frontend(
         friends_page_size=friends_page_size,
         search_salt=search_salt,
     )
-    return HtmlFrontend(network, rate_limit, cache=cache)
+    return HtmlFrontend(network, rate_limit)
 
 
-def frontend_for_object_world(
-    world: "object",
-    *,
-    cache: Optional[RenderCache] = None,
-) -> HtmlFrontend:
+def frontend_for_object_world(world: "object") -> HtmlFrontend:
     """Encode a built object :class:`~repro.worldgen.world.World` and
     serve it with *identical* knobs.
 
@@ -465,7 +459,6 @@ def frontend_for_object_world(
             max_requests=config.osn.rate_limit_max_requests,
             window_seconds=config.osn.rate_limit_window_seconds,
         ),
-        cache=cache,
     )
 
 

@@ -57,16 +57,6 @@ class ProfilerConfig:
     horizon_years: int = 4
     #: "portal" (Find Friends, the paper's default), "graph_search", or "both"
     seed_source: str = "portal"
-    #: Enhancement iterations (paper does 1).  Extra rounds re-fetch the
-    #: candidates that newly rose into the top t(1+eps) after rescoring;
-    #: they rescue worlds whose initial core is thin in some class year.
-    enhancement_rounds: int = 1
-    #: Spread the t(1+eps) profile-fetch budget evenly over the four
-    #: assigned class years instead of taking the global top.  Targets
-    #: the thin-year failure mode: candidates of an under-represented
-    #: cohort get fetched (and promoted) even though they rank low
-    #: globally.  Off by default (the paper fetches the global top).
-    per_year_fetch: bool = False
 
     @classmethod
     def basic(cls, threshold: Optional[int] = None) -> "ProfilerConfig":
@@ -189,22 +179,17 @@ class HighSchoolProfiler:
         if config.enhanced or config.filtering:
             with self._span("candidates"):
                 budget = int(round((1.0 + config.epsilon) * threshold))
-                rounds = max(1, config.enhancement_rounds) if config.enhanced else 1
-                for _ in range(rounds):
-                    prelim = scores.ranked(exclude=set(core.claimed))
-                    targets = self._fetch_targets(prelim, scores, budget)
-                    top_views = self._fetch_profiles(
+                targets = scores.ranked(exclude=set(core.claimed))[:budget]
+                profiles.update(
+                    self._fetch_profiles(
                         {uid: "" for uid in targets if uid not in profiles}
                     )
-                    profiles.update(top_views)
-                    if not config.enhanced:
-                        break
-                    promoted = self._extend_core(core, targets, profiles, current_year)
+                )
+                if config.enhanced:
+                    self._extend_core(core, targets, profiles, current_year)
                     scores = score_candidates(
                         core, config.scoring_rule, config.denominator_floor
                     )
-                    if promoted == 0:
-                        break
 
                 if config.filtering:
                     candidate_profiles = {
@@ -265,27 +250,6 @@ class HighSchoolProfiler:
             )
         return seeds
 
-    def _fetch_targets(
-        self, prelim: List[int], scores: ScoreTable, budget: int
-    ) -> List[int]:
-        """Which candidate profiles to download this round."""
-        if not self.config.per_year_fetch:
-            return prelim[:budget]
-        by_year: Dict[Optional[int], List[int]] = {}
-        for uid in prelim:
-            by_year.setdefault(scores.year_of(uid), []).append(uid)
-        share = max(1, budget // max(len(by_year), 1))
-        targets: List[int] = []
-        for year_uids in by_year.values():
-            targets.extend(year_uids[:share])
-        # Backfill any leftover budget from the global ranking.
-        if len(targets) < budget:
-            chosen = set(targets)
-            targets.extend(
-                uid for uid in prelim if uid not in chosen
-            )
-        return targets[:budget]
-
     def _fetch_profiles(self, uids: Dict[int, str]) -> Dict[int, ProfileView]:
         views: Dict[int, ProfileView] = {}
         for uid in uids:
@@ -311,13 +275,8 @@ class HighSchoolProfiler:
         fetched_uids: List[int],
         profiles: Dict[int, ProfileView],
         current_year: int,
-    ) -> int:
-        """Section 4.3: promote self-identified T+ users into the core.
-
-        Returns how many users were newly claimed (iterative rounds stop
-        when a pass promotes nobody).
-        """
-        promoted = 0
+    ) -> None:
+        """Section 4.3: promote self-identified T+ users into the core."""
         for uid in fetched_uids:
             view = profiles.get(uid)
             if view is None or uid in core.claimed:
@@ -327,5 +286,3 @@ class HighSchoolProfiler:
             )
             if year is not None:
                 self._try_promote(core, uid, year)
-                promoted += 1
-        return promoted

@@ -181,7 +181,6 @@ class CrawlRunResult:
     effort: EffortReport
     sim_seconds: float
     pages_by_account: Dict[int, int]
-    cache_stats: Optional[Dict[str, float]] = None
 
     @property
     def pages(self) -> int:
@@ -258,7 +257,6 @@ class CrawlScheduler:
         )
         state.failures.extend(("unserved", None, item) for item in state.work)
 
-        cache = client.frontend.cache
         return CrawlRunResult(
             seeds=dict(state.seeds),
             profiles=dict(state.profiles),
@@ -268,7 +266,6 @@ class CrawlScheduler:
             effort=client.effort_report(),
             sim_seconds=clock.seconds() - start,
             pages_by_account=client.counter.by_account(),
-            cache_stats=cache.stats() if cache is not None else None,
         )
 
     def _run_phase(

@@ -61,11 +61,10 @@ class HtmlFrontend:
         self,
         network: BaseNetwork,
         rate_limit: Optional[RateLimitConfig] = None,
-        cache: Optional[RenderCache] = None,
     ) -> None:
         self.network = network
         self.limiter = RateLimiter(network.clock, rate_limit)
-        self.cache = cache
+        self.cache: Optional[RenderCache] = None
 
     @property
     def clock(self) -> "SimClock":
@@ -87,12 +86,14 @@ class HtmlFrontend:
         return self.limiter.total_served
 
     def set_cache(self, cache: Optional[RenderCache]) -> None:
-        """Attach (or detach) the page-render cache.
+        """Attach (or detach) the page-render cache; the one attach point.
 
-        Opt-in: worlds are built uncached so tests and experiments that
-        mutate accounts in place observe every change; crawl-heavy
-        paths attach a cache and accept the version-counter contract
-        (out-of-band mutators must call ``network.bump_version()``).
+        Opt-in: frontends start uncached, so tests and experiments that
+        mutate accounts in place observe every change, and a
+        single-pass crawl, which fetches each page once, pays nothing.
+        Runs that re-crawl the same pages, such as the Figure-1 sweep,
+        attach a cache and accept the version-counter contract:
+        out-of-band mutators must call ``network.bump_version()``.
         """
         self.cache = cache
 
@@ -116,7 +117,7 @@ class HtmlFrontend:
         if cache is not None:
             key = self._cache_key(account_id, path, params)
             if key is not None:
-                page = cache.get(key)
+                page = cache.get(key, self.network.version)
                 if page is None:
                     page = self._route_read(account_id, path, params)
                     cache.put(key, page)
@@ -162,9 +163,11 @@ class HtmlFrontend:
     ) -> Optional[CacheKey]:
         """The cache key for a GET, or ``None`` when it must not be cached.
 
-        Every key ends with the network's ``version`` counter, so any
-        page-visible mutation retires all earlier entries at once.
-        Viewer identity collapses to the viewer *visibility class*
+        Keys hold no world version and no simulated date: the cache
+        keeps the pages of one ``network.version`` and drops them all
+        when a lookup arrives at another, and a page is served as first
+        rendered for the whole version.  Viewer identity collapses to
+        the viewer *visibility class*
         (:class:`~repro.osn.privacy.Relationship`) on the routes whose
         render depends on the viewer only through it; school-search
         pages are per-account (the portal samples a per-account pool),
@@ -174,11 +177,10 @@ class HtmlFrontend:
         POSTs never reach this function: writes always execute.
         """
         network = self.network
-        version = network.version
         if path == "/find-friends/browser":
             school_id = self._int_param(params, "school")
             offset = self._int_param(params, "offset", 0)
-            return ("search", account_id, school_id, offset, version)
+            return ("search", account_id, school_id, offset)
         if path == "/graphsearch":
             return (
                 "graphsearch",
@@ -187,7 +189,6 @@ class HtmlFrontend:
                 params.get("year"),
                 params.get("city"),
                 params.get("current") == "1",
-                version,
             )
         match = _FRIENDS_RE.match(path)
         if match:
@@ -196,15 +197,15 @@ class HtmlFrontend:
             target_id = int(match.group(1))
             rel = network.relationship(account_id, target_id)
             offset = self._int_param(params, "offset", 0)
-            return ("friends", target_id, rel, offset, version)
+            return ("friends", target_id, rel, offset)
         match = _PROFILE_RE.match(path)
         if match:
             target_id = int(match.group(1))
             rel = network.relationship(account_id, target_id)
-            return ("profile", target_id, rel, version)
+            return ("profile", target_id, rel)
         match = _SCHOOL_RE.match(path)
         if match:
-            return ("school", int(match.group(1)), version)
+            return ("school", int(match.group(1)))
         return None
 
     def _admit(self, account_id: int) -> None:

@@ -202,9 +202,10 @@ class BaseNetwork:
     def version(self) -> int:
         """Monotone counter bumped on every page-visible world mutation.
 
-        The frontend's render cache keys every entry on this value, so a
-        bump invalidates all cached pages at once.  Mutating verbs bump
-        it automatically; code that mutates accounts *directly* (tests,
+        The frontend's render cache holds the pages of one version and
+        drops them all on the first lookup at another, so a bump
+        invalidates every cached page at once.  Mutating verbs bump it
+        automatically; code that mutates accounts *directly* (tests,
         countermeasure sweeps flipping privacy settings in place) must
         call :meth:`bump_version` itself — that is the whole contract.
         """

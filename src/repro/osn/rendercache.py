@@ -1,16 +1,20 @@
-"""An LRU cache for rendered HTML pages.
+"""A memo of one world version's rendered HTML pages.
 
-The paper's crawl hammers a small set of hot pages — school search
-pages scrolled by every account and high-degree profiles re-entered
-through many friend lists.  Since a rendered page is a pure function of
-``(route, target, viewer visibility class, world version)``, the
-frontend can memoise the HTML bytes and serve repeats without touching
-the policy engine or the templates.
+The paper's Figure 1 runs four methodology variants against the same
+school, so a sweep re-crawls the same seed, profile and friend-list
+pages.  While the world does not change, a rendered page is a function
+of ``(route, target, viewer visibility class)``, so the frontend can
+memoise the HTML strings and serve repeats without touching the policy
+engine or the templates.
 
-Keys carry the owning network's ``version`` counter, which every
-mutating verb bumps: after any page-visible world mutation, all live
-keys change and stale entries simply age out of the LRU.  Correctness
-therefore never depends on enumerating what a mutation invalidated.
+The cache holds every page rendered at one value of the owning
+network's ``version`` counter, which every page-visible mutation bumps.
+A lookup at any other version drops all held pages first, so
+correctness never depends on enumerating what a mutation invalidated,
+and the cache never holds more than one version's pages.  Keys omit the
+simulated date: a page is served as first rendered for the whole
+version.  A single-pass crawl fetches each page once, so it runs
+without a cache.
 
 The cache itself is deliberately dumb: it stores strings under opaque
 tuple keys.  What is cacheable (and what the key must include) is the
@@ -19,66 +23,51 @@ frontend's knowledge — see ``HtmlFrontend._cache_key``.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
-#: A cache key: route marker plus route-specific discriminators, always
-#: ending with the world version.
+#: A cache key: route marker plus route-specific discriminators.
 CacheKey = Tuple[object, ...]
-
-#: Default entry capacity — roughly one school crawl's working set
-#: (seed pages + every seed profile at stranger level) with headroom.
-DEFAULT_CAPACITY = 4096
 
 
 class RenderCache:
-    """A bounded LRU of rendered pages, shared by all crawl sessions."""
+    """Every page rendered at one world version, shared by all crawl sessions."""
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self._entries: "OrderedDict[CacheKey, str]" = OrderedDict()
+    def __init__(self) -> None:
+        self._pages: Dict[CacheKey, str] = {}
+        self._version: Optional[int] = None
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._pages)
 
-    def get(self, key: CacheKey) -> Optional[str]:
-        """The cached page for ``key``, refreshing its recency; or None."""
-        page = self._entries.get(key)
+    def get(self, key: CacheKey, version: int) -> Optional[str]:
+        """The page cached for ``key`` at world ``version``, or None.
+
+        A lookup at a version other than the held one first drops every
+        held page, counting each in :attr:`evictions`.
+        """
+        if version != self._version:
+            self.evictions += len(self._pages)  # repro-lint: shared(RenderCache) -- monotone counter; sessions may undercount under races, never corrupt
+            self._pages.clear()  # repro-lint: shared(RenderCache) -- the world changed for every session at once, so every session's pages are stale
+            self._version = version  # repro-lint: shared(RenderCache) -- one world version for all sessions; the GET path is synchronous, so a lookup and its put see the same one
+        page = self._pages.get(key)
         if page is None:
             self.misses += 1  # repro-lint: shared(RenderCache) -- monotone counter; sessions may undercount under races, never corrupt
             return None
-        self._entries.move_to_end(key)  # repro-lint: shared(RenderCache) -- LRU recency touch; any interleaving yields a valid LRU order
         self.hits += 1  # repro-lint: shared(RenderCache) -- monotone counter; sessions may undercount under races, never corrupt
         return page
 
     def put(self, key: CacheKey, page: str) -> None:
-        """Insert a rendered page, evicting the least-recent past capacity."""
-        entries = self._entries
-        if key in entries:
-            entries.move_to_end(key)  # repro-lint: shared(RenderCache) -- LRU recency touch; any interleaving yields a valid LRU order
-        entries[key] = page  # repro-lint: shared(RenderCache) -- idempotent insert: concurrent writers store byte-identical renders of the same key
-        while len(entries) > self.capacity:
-            entries.popitem(last=False)  # repro-lint: shared(RenderCache) -- eviction only ever shrinks toward capacity; worst case a page re-renders
-            self.evictions += 1  # repro-lint: shared(RenderCache) -- monotone counter; sessions may undercount under races, never corrupt
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from cache (0.0 when untouched)."""
-        looked = self.hits + self.misses
-        return self.hits / looked if looked else 0.0
+        """Hold the page rendered for ``key`` after a missed :meth:`get`."""
+        self._pages[key] = page  # repro-lint: shared(RenderCache) -- idempotent insert: concurrent writers store byte-identical renders of the same key
 
     def stats(self) -> Dict[str, float]:
-        """Counters for bench records and the crawl CLI summary."""
+        """Counters for bench records."""
         return {
-            "entries": float(len(self._entries)),
-            "capacity": float(self.capacity),
+            "entries": float(len(self._pages)),
             "hits": float(self.hits),
             "misses": float(self.misses),
             "evictions": float(self.evictions),
-            "hit_rate": self.hit_rate,
         }

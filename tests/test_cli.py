@@ -123,3 +123,36 @@ class TestExtendedCommands:
         out = capsys.readouterr().out
         assert "no_reverse_lookup" in out
         assert "age_verification" in out
+
+
+def crawl_table(capsys, serve):
+    """The metric -> value rows ``crawl`` prints for the tiny preset."""
+    argv = ["crawl", "--preset", "tiny", "--accounts", "4", "--budget", "10"]
+    assert main(argv + ["--serve", serve]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    return dict(
+        (cell.strip() for cell in line.split("|")) for line in lines if "|" in line
+    )
+
+
+class TestCrawlCommand:
+    def test_object_and_columnar_serving_crawl_the_same_pages(self, capsys):
+        tables = {serve: crawl_table(capsys, serve) for serve in ("object", "columnar")}
+        rows = (
+            "pages",
+            "sim_seconds",
+            "seeds",
+            "profiles",
+            "friend_lists",
+            "seed_requests",
+            "profile_requests",
+            "friend_list_requests",
+        )
+        for table in tables.values():
+            assert table["failures"] == "0"
+            assert not [name for name in table if name.startswith("cache_")]
+        assert int(tables["object"]["pages"]) > 0
+        assert int(tables["object"]["profiles"]) == 10
+        assert [tables["object"][row] for row in rows] == [
+            tables["columnar"][row] for row in rows
+        ]

@@ -119,63 +119,3 @@ class TestConfigPresets:
         assert ProfilerConfig.enhanced_only(300).enhanced
         combo = ProfilerConfig.enhanced_filtered(300)
         assert combo.enhanced and combo.filtering and combo.threshold == 300
-
-
-class TestEnhancementOptions:
-    def test_extra_rounds_never_lose_core(self, tiny_world):
-        one = run_attack(
-            tiny_world,
-            accounts=2,
-            config=ProfilerConfig(threshold=120, enhanced=True, enhancement_rounds=1),
-        )
-        three = run_attack(
-            tiny_world,
-            accounts=2,
-            config=ProfilerConfig(threshold=120, enhanced=True, enhancement_rounds=3),
-        )
-        assert three.extended_core_size >= one.extended_core_size
-
-    def test_rounds_stop_when_nothing_promotes(self, tiny_world):
-        """A huge round count must not explode the request bill: rounds
-        stop as soon as a pass promotes nobody."""
-        few = run_attack(
-            tiny_world,
-            accounts=2,
-            config=ProfilerConfig(threshold=120, enhanced=True, enhancement_rounds=3),
-        )
-        many = run_attack(
-            tiny_world,
-            accounts=2,
-            config=ProfilerConfig(threshold=120, enhanced=True, enhancement_rounds=50),
-        )
-        assert many.effort.total <= few.effort.total * 3
-
-    def test_per_year_fetch_runs_and_selects(self, tiny_world):
-        result = run_attack(
-            tiny_world,
-            accounts=2,
-            config=ProfilerConfig(
-                threshold=120, enhanced=True, per_year_fetch=True
-            ),
-        )
-        assert result.extended_core_size >= result.initial_core_size
-        assert len(result.select(120)) > 0
-
-    def test_per_year_fetch_covers_each_assigned_year(self, tiny_world):
-        result = run_attack(
-            tiny_world,
-            accounts=2,
-            config=ProfilerConfig(
-                threshold=40, enhanced=True, per_year_fetch=True
-            ),
-        )
-        fetched_years = {
-            result.scores.year_of(uid)
-            for uid in result.profiles
-            if uid in result.scores
-        }
-        # every populated class year got at least one profile fetch
-        populated = {
-            year for year, size in result.core.year_sizes().items() if size > 0
-        }
-        assert populated <= fetched_years | {None} | populated

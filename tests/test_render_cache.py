@@ -1,66 +1,78 @@
-"""The hot-page render cache: LRU mechanics and frontend correctness.
+"""The hot-page render cache: one version's pages and frontend correctness.
 
 The contract under test (see ``HtmlFrontend._cache_key``): cached pages
-are byte-identical to uncached renders; keys end with the network's
-``version`` so any page-visible mutation retires every entry at once;
-viewer identity collapses to the visibility *class* where the render
-depends only on it; friend lists under the reverse-lookup
-countermeasure and all POSTs bypass the cache entirely.
+are byte-identical to uncached renders; the cache holds the pages of one
+``network.version``, so any page-visible mutation retires every entry at
+once; viewer identity collapses to the visibility *class* where the
+render depends only on it; friend lists under the reverse-lookup
+countermeasure and all POSTs bypass the cache entirely; and the four
+Figure-1 variants run through a cache exactly as they run without one.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.api import make_client, run_attack
+from repro.core.profiler import ProfilerConfig
 from repro.osn.frontend import HtmlFrontend
 from repro.osn.privacy import PrivacySettings
 from repro.osn.profile import Birthday, Name, Profile
 from repro.osn.rendercache import RenderCache
+from repro.worldgen.presets import tiny
+from repro.worldgen.world import build_world
+
+
+def cached(network):
+    """An :class:`HtmlFrontend` over ``network`` with a fresh cache attached."""
+    frontend = HtmlFrontend(network)
+    cache = RenderCache()
+    frontend.set_cache(cache)
+    return frontend, cache
 
 
 @pytest.fixture()
 def cached_frontend(school_network):
     net, school, accounts = school_network
-    cache = RenderCache()
-    return HtmlFrontend(net, cache=cache), cache, school, accounts
+    fe, cache = cached(net)
+    return fe, cache, school, accounts
 
 
 class TestLru:
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            RenderCache(0)
-        with pytest.raises(ValueError):
-            RenderCache(-3)
-
     def test_miss_then_hit(self):
-        cache = RenderCache(capacity=4)
-        assert cache.get(("profile", 1, "x", 0)) is None
-        cache.put(("profile", 1, "x", 0), "<html/>")
-        assert cache.get(("profile", 1, "x", 0)) == "<html/>"
+        cache = RenderCache()
+        assert cache.get(("profile", 1, "x"), 0) is None
+        cache.put(("profile", 1, "x"), "<html/>")
+        assert cache.get(("profile", 1, "x"), 0) == "<html/>"
         assert (cache.hits, cache.misses) == (1, 1)
-        assert cache.hit_rate == 0.5
 
-    def test_eviction_drops_least_recent(self):
-        cache = RenderCache(capacity=2)
-        cache.put(("a",), "A")
-        cache.put(("b",), "B")
-        cache.get(("a",))  # refresh A; B is now least recent
-        cache.put(("c",), "C")
-        assert cache.get(("b",)) is None
-        assert cache.get(("a",)) == "A"
-        assert cache.get(("c",)) == "C"
-        assert cache.evictions == 1
-        assert len(cache) == 2
+    def test_version_change_drops_every_page(self):
+        cache = RenderCache()
+        for key, page in ((("a",), "A"), (("b",), "B")):
+            assert cache.get(key, 3) is None
+            cache.put(key, page)
+        assert cache.get(("a",), 3) == "A"
+        assert cache.evictions == 0
+        # The first lookup at another version finds nothing, because
+        # the held version's pages are all gone, and counts them.
+        assert cache.get(("a",), 4) is None
+        assert len(cache) == 0
+        assert cache.evictions == 2
+        cache.put(("a",), "A'")
+        assert cache.get(("a",), 4) == "A'"
+        assert cache.evictions == 2
 
     def test_stats_shape(self):
-        cache = RenderCache(capacity=8)
+        cache = RenderCache()
+        cache.get(("k",), 0)
         cache.put(("k",), "V")
-        cache.get(("k",))
-        stats = cache.stats()
-        assert stats["entries"] == 1.0
-        assert stats["capacity"] == 8.0
-        assert stats["hits"] == 1.0
-        assert stats["hit_rate"] == 1.0
+        cache.get(("k",), 0)
+        assert cache.stats() == {
+            "entries": 1.0,
+            "hits": 1.0,
+            "misses": 1.0,
+            "evictions": 0.0,
+        }
 
 
 class TestFrontendCaching:
@@ -87,11 +99,10 @@ class TestFrontendCaching:
         uncached = HtmlFrontend(net)
         plain = {v: uncached.get(v, f"/profile/{target}") for v in viewers}
 
-        cache = RenderCache()
-        cached = HtmlFrontend(net, cache=cache)
+        fe, cache = cached(net)
         for viewer in viewers:
-            assert cached.get(viewer, f"/profile/{target}") == plain[viewer]
-            assert cached.get(viewer, f"/profile/{target}") == plain[viewer]
+            assert fe.get(viewer, f"/profile/{target}") == plain[viewer]
+            assert fe.get(viewer, f"/profile/{target}") == plain[viewer]
         # One entry per visibility class, each replayed exactly once.
         assert len(cache) == 3
         assert cache.hits == 3 and cache.misses == 3
@@ -108,8 +119,7 @@ class TestFrontendCaching:
             settings=PrivacySettings.everything_private(),
             is_fake=True,
         ).user_id
-        cache = RenderCache()
-        fe = HtmlFrontend(net, cache=cache)
+        fe, cache = cached(net)
         stranger_a = accounts["crawler"].user_id
         target = accounts["minor"].user_id
         page_a = fe.get(stranger_a, f"/profile/{target}")
@@ -178,3 +188,61 @@ class TestFrontendCaching:
         assert cache.misses == 2 and cache.hits == 0
         fe.get(a, "/find-friends/browser", params)
         assert cache.hits == 1
+
+
+#: The four Figure-1 variants of the sweep, in the paper's order.
+FIGURE1 = (
+    ProfilerConfig.basic,
+    ProfilerConfig.basic_filtered,
+    ProfilerConfig.enhanced_only,
+    ProfilerConfig.enhanced_filtered,
+)
+
+
+def figure1_sweep(cache):
+    """The four variants through one client on a fresh tiny world.
+
+    Returns each variant's outputs and the cache's hit count after each
+    variant.
+    """
+    world = build_world(tiny(seed=7))
+    world.frontend.set_cache(cache)
+    client = make_client(world, accounts=2)
+    rows, hits = [], []
+    for config in FIGURE1:
+        result = run_attack(world, client=client, config=config())
+        effort = result.effort
+        rows.append(
+            {
+                "threshold": result.threshold,
+                "core_sizes": (
+                    result.initial_core_size,
+                    result.initial_claimed_size,
+                    result.extended_core_size,
+                    result.extended_claimed_size,
+                ),
+                "filtered_out": result.filtered_out,
+                "ranking": result.ranking,
+                "effort": (
+                    effort.seed_requests,
+                    effort.profile_requests,
+                    effort.friend_list_requests,
+                    effort.other_requests,
+                ),
+                "clock_seconds": world.clock.seconds(),
+            }
+        )
+        hits.append(cache.hits if cache is not None else 0)
+    return rows, hits
+
+
+class TestSweepParity:
+    def test_cached_sweep_replays_the_uncached_sweep(self):
+        cache = RenderCache()
+        cached_rows, hits = figure1_sweep(cache)
+        plain_rows, _ = figure1_sweep(None)
+        assert cached_rows == plain_rows
+        assert all(row["ranking"] for row in plain_rows)
+        assert any(row["filtered_out"] for row in plain_rows)
+        # Every variant after the first re-crawls pages the cache holds.
+        assert all(later > earlier for earlier, later in zip(hits, hits[1:]))

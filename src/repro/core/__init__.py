@@ -81,7 +81,6 @@ from .scoring import (
     CandidateScore,
     ScoreTable,
     ScoringRule,
-    reverse_lookup_index,
     score_candidates,
 )
 

@@ -24,10 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
+import numpy as np
+
 from repro.crawler.client import CrawlClient
 from repro.crawler.effort import EffortReport
 
-from .scoring import reverse_lookup_index
+from .scoring import reverse_lookup_pairs
 
 
 @dataclass
@@ -90,8 +92,10 @@ def run_natural_approach(
         core[uid] = affiliation.graduation_year
         friend_lists[uid] = [e.user_id for e in friends]
 
-    index = reverse_lookup_index(friend_lists)
-    candidates = set(index) - set(core)
+    listed, _ = reverse_lookup_pairs(friend_lists)
+    uids, counts = np.unique(listed, return_counts=True)
+    core_friend_counts = dict(zip(uids.tolist(), counts.tolist()))
+    candidates = set(core_friend_counts) - set(core)
 
     minimal: Set[int] = set()
     to_fetch = sorted(candidates)
@@ -107,7 +111,7 @@ def run_natural_approach(
         core=core,
         candidates=candidates,
         minimal_candidates=minimal,
-        core_friend_counts={uid: len(owners) for uid, owners in index.items()},
+        core_friend_counts=core_friend_counts,
         effort=client.effort_report(),
     )
 

@@ -21,13 +21,15 @@ profiles.  ``alpha = 0`` recovers the paper's ranking exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Set
+from dataclasses import dataclass, replace
+from typing import Dict, Mapping
+
+import numpy as np
 
 from repro.osn.view import ProfileView
 
 from .coreset import CoreSet
-from .scoring import CandidateScore, ScoreTable, ScoringRule, score_candidates
+from .scoring import ScoreTable, ScoringRule, score_candidates
 
 
 def interaction_counts(
@@ -67,18 +69,20 @@ def score_with_interactions(
     base = score_candidates(core, rule, denominator_floor)
     if alpha == 0:
         return base
+    # A candidate without interactions keeps its score (its boost is
+    # exactly 1.0), so only the posting candidates' rows are scaled.
+    # math.log1p, not np.log1p: the two differ in the last bit on some
+    # integers (n = 2 among them on x86-64), and the boost must not
+    # depend on how the platform's numpy rounds.
     interactions = interaction_counts(core, profiles)
-    boosted = ScoreTable(rule=rule)
-    for uid, entry in base.scores.items():
-        boost = 1.0 + alpha * math.log1p(interactions.get(uid, 0))
-        boosted.scores[uid] = CandidateScore(
-            uid=uid,
-            counts=entry.counts,
-            fractions=entry.fractions,
-            score=entry.score * boost,
-            year=entry.year,
-        )
-    return boosted
+    posters = np.fromiter(interactions, np.int64, len(interactions))
+    boost = np.array([1.0 + alpha * math.log1p(n) for n in interactions.values()])
+    _, rows, found = np.intersect1d(
+        base.uids, posters, assume_unique=True, return_indices=True
+    )
+    score = base.score.copy()
+    score[rows] *= boost[found]
+    return replace(base, score=score)
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,6 @@ class ProfilerConfig:
     filter_config: FilterConfig = field(default_factory=FilterConfig)
     scoring_rule: ScoringRule = ScoringRule.MAX_FRACTION
     denominator_floor: int = 3
-    horizon_years: int = 4
     #: "portal" (Find Friends, the paper's default), "graph_search", or "both"
     seed_source: str = "portal"
 
@@ -206,11 +205,7 @@ class HighSchoolProfiler:
                     )
 
         with self._span("threshold"):
-            ranking = [
-                uid
-                for uid in scores.ranked(exclude=set(core.claimed))
-                if uid not in filtered_out
-            ]
+            ranking = scores.ranked(exclude=set(core.claimed) | set(filtered_out))
 
         if self.store is not None:
             self.store.save_profiles(profiles.values(), self.school_id)
@@ -223,7 +218,7 @@ class HighSchoolProfiler:
             core=core,
             initial_core_size=initial_core_size,
             initial_claimed_size=initial_claimed_size,
-            candidates=core.candidate_set(),
+            candidates=set(scores.uids.tolist()),
             scores=scores,
             ranking=ranking,
             filtered_out=filtered_out,
@@ -281,8 +276,6 @@ class HighSchoolProfiler:
             view = profiles.get(uid)
             if view is None or uid in core.claimed:
                 continue
-            year = claimed_graduation_year(
-                view, self.school_id, current_year, self.config.horizon_years
-            )
+            year = claimed_graduation_year(view, self.school_id, current_year)
             if year is not None:
                 self._try_promote(core, uid, year)

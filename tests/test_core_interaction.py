@@ -1,6 +1,10 @@
 """Tests for interaction-graph scoring (the paper's future-work idea)."""
 
+import math
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.coreset import CoreSet
 from repro.core.interaction import (
@@ -8,8 +12,49 @@ from repro.core.interaction import (
     score_with_interactions,
     summarize_interactions,
 )
-from repro.core.scoring import score_candidates
+from repro.core.scoring import ScoringRule, score_candidates
 from repro.osn.view import ProfileView, WallPostView
+
+from tests.test_core_scoring import (
+    ReferenceScore,
+    ReferenceTable,
+    assert_same_table,
+    build_core,
+    cores_strategy,
+    reference_score_candidates,
+)
+
+
+def reference_score_with_interactions(core, profiles, alpha, rule, denominator_floor):
+    """One boosted entry per candidate, as the boost worked before the
+    table held arrays."""
+    base = reference_score_candidates(core, rule, denominator_floor)
+    if alpha == 0:
+        return base
+    interactions = interaction_counts(core, profiles)
+    boosted = ReferenceTable(rule=rule)
+    for uid, entry in base.scores.items():
+        boost = 1.0 + alpha * math.log1p(interactions.get(uid, 0))
+        boosted.scores[uid] = ReferenceScore(
+            uid=uid,
+            counts=entry.counts,
+            fractions=entry.fractions,
+            score=entry.score * boost,
+            year=entry.year,
+        )
+    return boosted
+
+
+def walls(authors_by_owner):
+    """Profile views whose walls carry one post per listed author."""
+    return {
+        owner: ProfileView(
+            user_id=owner,
+            name="Core",
+            wall_posts=tuple(WallPostView(author, "hi") for author in authors),
+        )
+        for owner, authors in authors_by_owner.items()
+    }
 
 
 def make_core_and_profiles():
@@ -88,6 +133,32 @@ class TestBoostedScoring:
         core, profiles = make_core_and_profiles()
         with pytest.raises(ValueError):
             score_with_interactions(core, profiles, alpha=-0.1)
+
+
+class TestMatchesReference:
+    @given(
+        cores_strategy,
+        st.dictionaries(st.integers(0, 30), st.lists(st.integers(0, 40), max_size=8)),
+        st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+        st.sampled_from(list(ScoringRule)),
+        st.integers(1, 5),
+        st.sets(st.integers(0, 40), max_size=10),
+    )
+    # Two posts by candidate 100: np.log1p(2) and math.log1p(2) differ
+    # in the last bit on x86-64, and so would the boosted score.
+    @example({10: (0, [100, 101])}, {10: [100, 100]}, 0.5,
+             ScoringRule.MAX_FRACTION, 2, set())
+    @settings(max_examples=200, deadline=None)
+    def test_boosted_table_matches_reference(
+        self, owners, authors, alpha, rule, floor, exclude
+    ):
+        core = build_core(owners)
+        profiles = walls(authors)
+        assert_same_table(
+            score_with_interactions(core, profiles, alpha, rule, floor),
+            reference_score_with_interactions(core, profiles, alpha, rule, floor),
+            exclude,
+        )
 
 
 class TestSummary:

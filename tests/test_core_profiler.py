@@ -15,6 +15,7 @@ class TestAttackResultStructure:
 
     def test_candidates_exclude_core(self, tiny_attack):
         assert not (tiny_attack.candidates & set(tiny_attack.core.core))
+        assert tiny_attack.candidates == tiny_attack.core.candidate_set()
 
     def test_ranking_excludes_claimed_and_filtered(self, tiny_attack):
         ranked = set(tiny_attack.ranking)

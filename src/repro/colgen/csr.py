@@ -141,6 +141,15 @@ class CSRGraph:
         lo, hi = self._span(user_id)
         return self.indices[lo:hi].tolist()
 
+    def neighbors_slice(self, user_id: int, start: int, stop: int) -> List[int]:
+        """``neighbors_list(user_id)[start:stop]``, listing only the slice.
+
+        A 1-D array slice follows a list slice's rules for any bounds
+        (negative, past the end, empty), so the two agree everywhere.
+        """
+        lo, hi = self._span(user_id)
+        return self.indices[lo:hi][start:stop].tolist()
+
     def neighbors(self, user_id: int) -> Set[int]:
         return set(self.neighbors_list(user_id))
 

@@ -291,7 +291,8 @@ class ColumnarNetwork(BaseNetwork):
         )
 
     def _display_names(self, user_ids: List[int]) -> List[str]:
-        """Display names read in one gather per name column.
+        """Display names read in one gather per name column, each
+        formatted as ``Name.full`` formats it, with no ``Name`` built.
 
         Listings only ever hold column rows: overlay accounts are
         friendless and list no school, so no listing can contain one.
@@ -304,7 +305,7 @@ class ColumnarNetwork(BaseNetwork):
             firsts = profiles.first_name_id[rows].tolist()
             lasts = profiles.last_name_id[rows].tolist()
             return [
-                Name(lookup(first) or "", lookup(last) or "").full
+                f"{lookup(first) or ''} {lookup(last) or ''}"
                 for first, last in zip(firsts, lasts)
             ]
         lookup = world.names.lookup
@@ -312,7 +313,7 @@ class ColumnarNetwork(BaseNetwork):
         pids = world.accounts.person_id[rows]
         # A -1 person id gathers a wrapped row; its name is blanked.
         return [
-            Name(lookup(first) or "", lookup(last) or "").full if pid >= 0 else ""
+            f"{lookup(first) or ''} {lookup(last) or ''}" if pid >= 0 else ""
             for pid, first, last in zip(
                 pids.tolist(),
                 people.first_name_id[pids].tolist(),

@@ -290,7 +290,7 @@ class EffectAnalysis:
                             op.col,
                         )
                     )
-            for call in op.expr.calls:
+            for call in _walk_calls(op.expr.calls):
                 self._call_effects(
                     summary, fn, call, classify, blocking
                 )
@@ -403,7 +403,7 @@ class EffectAnalysis:
     ) -> Tuple[str, ...]:
         edges: List[str] = []
         for op in fn.ops:
-            for call in op.expr.calls:
+            for call in _walk_calls(op.expr.calls):
                 edges.extend(self._call_edges(summary, fn, call))
         for nested in fn.nested:
             edges.append(f"{summary.module}:{nested}")
@@ -541,6 +541,21 @@ class EffectAnalysis:
 # ----------------------------------------------------------------------
 # Module-level helpers
 # ----------------------------------------------------------------------
+
+
+def _walk_calls(calls: Iterable[CallInfo]) -> Iterator[CallInfo]:
+    """Each call, then every call nested in its arguments, depth first.
+
+    The flow IR keeps an argument's calls inside that argument's
+    expression, so ``zip(ids, self._names(ids))`` lists only ``zip`` at
+    the top; the effects and the call graph must see ``self._names`` too.
+    """
+    for call in calls:
+        yield call
+        for arg in call.args:
+            yield from _walk_calls(arg.calls)
+        for _, arg in call.kwargs:
+            yield from _walk_calls(arg.calls)
 
 
 def _own_class(summary: ModuleSummary, fn: FunctionInfo) -> Optional[str]:

@@ -43,6 +43,7 @@ from typing import TYPE_CHECKING, Dict, Mapping, Optional
 from . import pages
 from .errors import AuthenticationError, BadRequestError, NotFoundError
 from .network import BaseNetwork, GraphSearchQuery
+from .privacy import Relationship
 from .ratelimit import RateLimitConfig, RateLimiter
 from .rendercache import CacheKey, RenderCache
 
@@ -52,6 +53,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 _PROFILE_RE = re.compile(r"^/profile/(\d+)$")
 _FRIENDS_RE = re.compile(r"^/profile/(\d+)/friends$")
 _SCHOOL_RE = re.compile(r"^/school/(\d+)$")
+#: Cache-key kinds whose third element is the viewer's relationship.
+_VIEWER_CLASS_KEYS = frozenset({"profile", "friends"})
 
 
 class HtmlFrontend:
@@ -119,7 +122,10 @@ class HtmlFrontend:
             if key is not None:
                 page = cache.get(key, self.network.version)
                 if page is None:
-                    page = self._route_read(account_id, path, params)
+                    # A profile or friends key holds the viewer's class:
+                    # render with it rather than classify them again.
+                    rel = key[2] if key[0] in _VIEWER_CLASS_KEYS else None
+                    page = self._route_read(account_id, path, params, rel)
                     cache.put(key, page)
                 return page
         return self._route_read(account_id, path, params)
@@ -140,19 +146,27 @@ class HtmlFrontend:
         raise NotFoundError(f"no POST route for {path!r}")
 
     def _route_read(
-        self, account_id: int, path: str, params: Dict[str, str]
+        self,
+        account_id: int,
+        path: str,
+        params: Dict[str, str],
+        rel: Optional[Relationship] = None,
     ) -> str:
-        """Dispatch an admitted read to its handler (cache-oblivious)."""
+        """Dispatch an admitted read to its handler (cache-oblivious).
+
+        ``rel``, when given, is the viewer's already-classified
+        relationship to the profile or friend-list owner.
+        """
         if path == "/find-friends/browser":
             return self._find_friends(account_id, params)
         if path == "/graphsearch":
             return self._graph_search(account_id, params)
         match = _FRIENDS_RE.match(path)
         if match:
-            return self._friends(account_id, int(match.group(1)), params)
+            return self._friends(account_id, int(match.group(1)), params, rel)
         match = _PROFILE_RE.match(path)
         if match:
-            return self._profile(account_id, int(match.group(1)))
+            return self._profile(account_id, int(match.group(1)), rel)
         match = _SCHOOL_RE.match(path)
         if match:
             return self._school(int(match.group(1)))
@@ -255,13 +269,21 @@ class HtmlFrontend:
         entries = self.network.graph_search(account_id, query)
         return pages.render_search_page(len(entries), 0, entries)
 
-    def _profile(self, account_id: int, target_id: int) -> str:
-        view = self.network.view_profile(account_id, target_id)
+    def _profile(
+        self, account_id: int, target_id: int, rel: Optional[Relationship]
+    ) -> str:
+        view = self.network.view_profile(account_id, target_id, rel)
         return pages.render_profile_page(view)
 
-    def _friends(self, account_id: int, target_id: int, params: Mapping[str, str]) -> str:
+    def _friends(
+        self,
+        account_id: int,
+        target_id: int,
+        params: Mapping[str, str],
+        rel: Optional[Relationship],
+    ) -> str:
         offset = self._int_param(params, "offset", 0)
-        total, entries = self.network.friend_page(account_id, target_id, offset)
+        total, entries = self.network.friend_page(account_id, target_id, offset, rel)
         return pages.render_friends_page(target_id, total, offset, entries)
 
     def _school(self, school_id: int) -> str:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -59,9 +59,13 @@ class School:
     enrollment_hint: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class DirectoryEntry:
-    """A search result or friend-list row: id plus display name."""
+class DirectoryEntry(NamedTuple):
+    """A search result or friend-list row: id plus display name.
+
+    A named tuple: immutable, and cheaper to build than a frozen
+    dataclass, with the same ``repr`` and hash (the hash of
+    ``(user_id, name)``).  Every listing page serves or parses 20.
+    """
 
     user_id: int
     name: str
@@ -92,14 +96,18 @@ def render_profile_view(
     Pure function of (policy, account, relationship, instant).  Both
     stores render through this exact field logic, then through the same
     HTML templates, which is what makes their pages byte-identical.
+    The owner's registered-minor status is decided once per view and
+    handed to every policy question the view asks.
     """
+    minor = policy.is_registered_minor(account, now)
 
     def sees(field_: ProfileField) -> bool:
-        return policy.field_visible_to(account, field_, rel, now)
+        return policy.field_visible_to(account, field_, rel, now, minor=minor)
 
     profile = account.profile
     contact = profile.contact_info
     contact_visible = sees(ProfileField.CONTACT_INFO) and contact is not None
+    wall_visible = sees(ProfileField.WALL)
     return ProfileView(
         user_id=account.user_id,
         name=profile.name.full,
@@ -123,22 +131,20 @@ def render_profile_view(
             profile.graduate_school if sees(ProfileField.GRADUATE_SCHOOL) else None
         ),
         photo_count=profile.photo_count if sees(ProfileField.PHOTOS) else None,
-        wall_post_count=len(profile.wall_posts) if sees(ProfileField.WALL) else None,
+        wall_post_count=len(profile.wall_posts) if wall_visible else None,
         wall_posts=(
             tuple(
                 WallPostView(post.author_id, post.text)
                 for post in profile.wall_posts
             )
-            if sees(ProfileField.WALL)
+            if wall_visible
             else ()
         ),
         contact_email=contact.email if contact_visible else None,
         contact_phone=contact.phone if contact_visible else None,
-        friend_list_visible=policy.field_visible_to(
-            account, ProfileField.FRIEND_LIST, rel, now
-        ),
-        message_button=policy.message_button_visible(account, rel, now),
-        public_search_listed=policy.public_search_eligible(account, now),
+        friend_list_visible=sees(ProfileField.FRIEND_LIST),
+        message_button=policy.message_button_visible(account, rel, now, minor=minor),
+        public_search_listed=policy.public_search_eligible(account, now, minor=minor),
     )
 
 
@@ -276,12 +282,23 @@ class BaseNetwork:
     # ------------------------------------------------------------------
     # Profile views
     # ------------------------------------------------------------------
-    def view_profile(self, viewer_id: Optional[int], target_id: int) -> ProfileView:
-        """Render ``target_id``'s profile as ``viewer_id`` sees it."""
+    def view_profile(
+        self,
+        viewer_id: Optional[int],
+        target_id: int,
+        rel: Optional[Relationship] = None,
+    ) -> ProfileView:
+        """Render ``target_id``'s profile as ``viewer_id`` sees it.
+
+        ``rel`` is the viewer's :meth:`relationship` to the target when
+        the caller has already classified it (the frontend does, for its
+        render-cache key); left out, it is classified here.
+        """
         account = self.get_account(target_id)
         if account.disabled:
             raise NotFoundError(f"account {target_id} is deactivated")
-        rel = self.relationship(viewer_id, target_id)
+        if rel is None:
+            rel = self.relationship(viewer_id, target_id)
         return render_profile_view(self.policy, account, rel, self.clock.now_year)
 
     # ------------------------------------------------------------------
@@ -306,12 +323,19 @@ class BaseNetwork:
     # Friend lists (paginated; reverse-lookup countermeasure lives here)
     # ------------------------------------------------------------------
     def friend_page(
-        self, viewer_id: Optional[int], target_id: int, offset: int = 0
+        self,
+        viewer_id: Optional[int],
+        target_id: int,
+        offset: int = 0,
+        rel: Optional[Relationship] = None,
     ) -> Tuple[int, List[DirectoryEntry]]:
         """One page of ``target_id``'s friend list as seen by the viewer.
 
         Returns ``(total_visible, entries)``.  Raises
         :class:`ForbiddenError` when the list is not visible at all.
+        ``rel`` is as for :meth:`view_profile`.  The page is the list's
+        ``[offset : offset + friends_page_size]`` slice, with Python's
+        slice rules for any offset.
 
         When ``reverse_lookup_enabled`` is ``False`` (the Section-8
         countermeasure), a member is omitted from *other people's* friend
@@ -321,16 +345,23 @@ class BaseNetwork:
         """
         self._check_uid(target_id)
         account = self._light_account(target_id)
-        rel = self.relationship(viewer_id, target_id)
+        if rel is None:
+            rel = self.relationship(viewer_id, target_id)
         if not self._friend_list_visible(account, rel):
             raise ForbiddenError(f"friend list of {target_id} not visible")
-        friend_ids = self._friend_ids(target_id)
-        if not self.reverse_lookup_enabled:
+        stop = offset + self.friends_page_size
+        if self.reverse_lookup_enabled:
+            # Every friend is listed: read only the page's ids off the row.
+            total = self.graph.degree(target_id)
+            page = self.graph.neighbors_slice(target_id, offset, stop)
+        else:
             friend_ids = [
-                fid for fid in friend_ids if self._visible_in_friend_lists(viewer_id, fid)
+                fid
+                for fid in self._friend_ids(target_id)
+                if self._visible_in_friend_lists(viewer_id, fid)
             ]
-        total = len(friend_ids)
-        page = friend_ids[offset : offset + self.friends_page_size]
+            total = len(friend_ids)
+            page = friend_ids[offset:stop]
         return total, self._entries(page)
 
     def _visible_in_friend_lists(self, viewer_id: Optional[int], member_id: int) -> bool:
@@ -342,10 +373,9 @@ class BaseNetwork:
         return self._friend_list_visible(member, rel)
 
     def _entries(self, user_ids: List[int]) -> List[DirectoryEntry]:
-        return [
-            DirectoryEntry(uid, name)
-            for uid, name in zip(user_ids, self._display_names(user_ids))
-        ]
+        return list(
+            map(DirectoryEntry._make, zip(user_ids, self._display_names(user_ids)))
+        )
 
     # ------------------------------------------------------------------
     # Search
@@ -632,7 +662,11 @@ class SocialNetwork(BaseNetwork):
         return bool(set(mine) & set(theirs))
 
     def _display_names(self, user_ids: List[int]) -> List[str]:
-        return [self.users[uid].profile.name.full for uid in user_ids]
+        """``Name.full`` of each uid, formatted inline: one f-string per
+        row rather than a property call."""
+        users = self.users
+        names = [users[uid].profile.name for uid in user_ids]
+        return [f"{name.first} {name.last}" for name in names]
 
     def _eligible_member_ids(self, school_id: int) -> List[int]:
         """Search-eligible members, in the registration-time index order.

@@ -18,7 +18,7 @@ from __future__ import annotations
 import html
 import re
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import ParseError
 from .network import DirectoryEntry, School
@@ -36,8 +36,7 @@ def _esc(value: object) -> str:
     return html.escape(str(value), quote=True)
 
 
-def _unesc(value: str) -> str:
-    return html.unescape(value)
+_unesc = html.unescape
 
 
 def _shell(title: str, body: str) -> str:
@@ -47,12 +46,8 @@ def _shell(title: str, body: str) -> str:
     )
 
 
-def _find(pattern: str, text: str) -> Optional[re.Match]:
-    return re.search(pattern, text, re.DOTALL)
-
-
-def _require(pattern: str, text: str, what: str) -> re.Match:
-    match = _find(pattern, text)
+def _require(pattern: "re.Pattern[str]", text: str, what: str) -> "re.Match[str]":
+    match = pattern.search(text)
     if match is None:
         raise ParseError(f"could not locate {what} in page")
     return match
@@ -129,76 +124,88 @@ def render_profile_page(view: ProfileView) -> str:
     return _shell(view.name, "".join(parts))
 
 
+#: The profile div; everything the parser reads follows it.
+_PROFILE_DIV_RE = re.compile(r'<div id="profile" data-uid="(\d+)">')
+
+#: Every element a profile page can carry, as one alternation, so one
+#: left-to-right scan finds them all.  Escaping keeps ``<`` and ``"``
+#: out of rendered text, so no text can end or fake an element.  Groups:
+#: a text element's class and text; a school's id, year and name; a
+#: wall post's author and text; a marker element's class.
+_PROFILE_ELEMENT_RE = re.compile(
+    r'<(?:span|h1) class="([a-z-]+)">([^<]*)</'
+    r'|<li class="school" data-school-id="(\d+)" data-year="(\d*)">([^<]*)</li>'
+    r'|<li class="wall-post" data-author="(\d+)">([^<]*)</li>'
+    r'|class="(profile-photo|friends-link|message-link|public-search)"'
+)
+
+
 def parse_profile_page(page: str) -> ProfileView:
     """Parse a profile page back into a :class:`ProfileView`.
 
     The crawler sees only this reconstruction; fields absent from the
     HTML come back as ``None``/empty, exactly like the original view.
+    One scan after the profile div reads every element; where a text
+    element repeats, its first occurrence counts.  A page without the
+    profile div or the name raises :class:`ParseError`.
     """
-    uid_match = _require(r'<div id="profile" data-uid="(\d+)">', page, "profile div")
-    user_id = int(uid_match.group(1))
-    name = _unesc(_require(r'<h1 class="name">(.*?)</h1>', page, "name").group(1))
-
-    gender_match = _find(r'<span class="gender">(.*?)</span>', page)
-    gender = Gender(_unesc(gender_match.group(1))) if gender_match else None
-
-    networks = tuple(
-        _unesc(m)
-        for m in re.findall(r'<span class="network">(.*?)</span>', page, re.DOTALL)
-    )
-
+    div = _require(_PROFILE_DIV_RE, page, "profile div")
+    texts: Dict[str, str] = {}
+    networks: List[str] = []
     schools: List[SchoolAffiliation] = []
-    for sid, year, sname in re.findall(
-        r'<li class="school" data-school-id="(\d+)" data-year="(\d*)">(.*?)</li>',
-        page,
-        re.DOTALL,
+    wall_posts: List[WallPostView] = []
+    markers: Set[str] = set()
+    for cls, text, sid, year, sname, author, post, marker in _PROFILE_ELEMENT_RE.findall(
+        page, div.end()
     ):
-        schools.append(
-            SchoolAffiliation(
-                school_id=int(sid),
-                school_name=_unesc(sname),
-                graduation_year=int(year) if year else None,
+        if cls == "network":
+            networks.append(_unesc(text))
+        elif cls:
+            if cls not in texts:
+                texts[cls] = _unesc(text)
+        elif sid:
+            schools.append(
+                SchoolAffiliation(
+                    school_id=int(sid),
+                    school_name=_unesc(sname),
+                    graduation_year=int(year) if year else None,
+                )
             )
-        )
-
-    def span(cls: str) -> Optional[str]:
-        match = _find(rf'<span class="{cls}">(.*?)</span>', page)
-        return _unesc(match.group(1)) if match else None
-
-    def int_span(cls: str) -> Optional[int]:
-        value = span(cls)
-        return int(value) if value is not None else None
-
-    wall_posts = tuple(
-        WallPostView(int(author), _unesc(text))
-        for author, text in re.findall(
-            r'<li class="wall-post" data-author="(\d+)">(.*?)</li>', page, re.DOTALL
-        )
-    )
-
+        elif author:
+            wall_posts.append(WallPostView(int(author), _unesc(post)))
+        else:
+            markers.add(marker)
+    if "name" not in texts:
+        raise ParseError("could not locate name in page")
+    span = texts.get
+    gender = span("gender")
     return ProfileView(
-        user_id=user_id,
-        name=name,
-        gender=gender,
-        networks=networks,
-        has_profile_photo='class="profile-photo"' in page,
+        user_id=int(div.group(1)),
+        name=texts["name"],
+        gender=Gender(gender) if gender is not None else None,
+        networks=tuple(networks),
+        has_profile_photo="profile-photo" in markers,
         high_schools=tuple(schools),
         relationship_status=span("relationship"),
         interested_in=span("interested-in"),
-        birthday_year=int_span("birthday-year"),
+        birthday_year=_int_or_none(span("birthday-year")),
         hometown=span("hometown"),
         current_city=span("current-city"),
         employer=span("employer"),
         graduate_school=span("graduate-school"),
-        photo_count=int_span("photo-count"),
-        wall_post_count=int_span("wall-count"),
-        wall_posts=wall_posts,
+        photo_count=_int_or_none(span("photo-count")),
+        wall_post_count=_int_or_none(span("wall-count")),
+        wall_posts=tuple(wall_posts),
         contact_email=span("contact-email"),
         contact_phone=span("contact-phone"),
-        friend_list_visible='class="friends-link"' in page,
-        message_button='class="message-link"' in page,
-        public_search_listed='class="public-search"' in page,
+        friend_list_visible="friends-link" in markers,
+        message_button="message-link" in markers,
+        public_search_listed="public-search" in markers,
     )
+
+
+def _int_or_none(value: Optional[str]) -> Optional[int]:
+    return int(value) if value is not None else None
 
 
 # ----------------------------------------------------------------------
@@ -228,14 +235,20 @@ def _render_rows(entries: Sequence[DirectoryEntry]) -> str:
     return "".join(rows)
 
 
+_ROW_RE = re.compile(
+    r'<li class="user-row" data-uid="(\d+)"><a href="/profile/\d+">([^<]*)</a></li>'
+)
+
+#: The header of each listing kind: its total and offset.
+_LISTING_RES = {
+    kind: re.compile(rf'<div class="{kind}" data-total="(\d+)" data-offset="(\d+)">')
+    for kind in ("friend-list", "search-results")
+}
+
+
 def _parse_rows(page: str) -> Tuple[DirectoryEntry, ...]:
     return tuple(
-        DirectoryEntry(int(uid), _unesc(name))
-        for uid, name in re.findall(
-            r'<li class="user-row" data-uid="(\d+)"><a href="/profile/\d+">(.*?)</a></li>',
-            page,
-            re.DOTALL,
-        )
+        [DirectoryEntry(int(uid), _unesc(name)) for uid, name in _ROW_RE.findall(page)]
     )
 
 
@@ -250,11 +263,7 @@ def _render_listing(
 
 
 def _parse_listing(kind: str, page: str) -> ListingPage:
-    match = _require(
-        rf'<div class="{kind}" data-total="(\d+)" data-offset="(\d+)">',
-        page,
-        f"{kind} listing",
-    )
+    match = _require(_LISTING_RES[kind], page, f"{kind} listing")
     return ListingPage(
         total=int(match.group(1)),
         offset=int(match.group(2)),
@@ -297,14 +306,17 @@ def render_school_page(school: School) -> str:
     return _shell(school.name, body)
 
 
+_SCHOOL_INFO_RE = re.compile(
+    r'<div class="school-info" data-school-id="(\d+)" data-enrollment="(\d*)">'
+)
+_SCHOOL_NAME_RE = re.compile(r'<h1 class="school-name">(.*?)</h1>', re.DOTALL)
+_SCHOOL_CITY_RE = re.compile(r'<span class="school-city">(.*?)</span>', re.DOTALL)
+
+
 def parse_school_page(page: str) -> School:
-    match = _require(
-        r'<div class="school-info" data-school-id="(\d+)" data-enrollment="(\d*)">',
-        page,
-        "school info",
-    )
-    name = _unesc(_require(r'<h1 class="school-name">(.*?)</h1>', page, "school name").group(1))
-    city = _unesc(_require(r'<span class="school-city">(.*?)</span>', page, "school city").group(1))
+    match = _require(_SCHOOL_INFO_RE, page, "school info")
+    name = _unesc(_require(_SCHOOL_NAME_RE, page, "school name").group(1))
+    city = _unesc(_require(_SCHOOL_CITY_RE, page, "school city").group(1))
     enrollment = match.group(2)
     return School(
         school_id=int(match.group(1)),
@@ -323,9 +335,10 @@ def render_action_page(kind: str, target_id: int) -> str:
     return _shell(kind, body)
 
 
+_ACTION_RE = re.compile(r'<div class="action" data-kind="([^"]+)" data-target="(\d+)">')
+
+
 def parse_action_page(page: str) -> Tuple[str, int]:
     """Parse a confirmation page into (kind, target user id)."""
-    match = _require(
-        r'<div class="action" data-kind="([^"]+)" data-target="(\d+)">', page, "action"
-    )
+    match = _require(_ACTION_RE, page, "action")
     return _unesc(match.group(1)), int(match.group(2))

@@ -89,13 +89,26 @@ class SitePolicy:
         return registered_age >= self.minimum_registration_age
 
     def is_registered_minor(self, account: Account, now_year: float) -> bool:
+        """Whether the site treats ``account`` as a minor at ``now_year``.
+
+        Every minor rule below keys on this one decision.  The
+        visibility, Message-button and public-search methods take it as
+        an optional keyword-only ``minor``: a caller that asks several
+        questions about one owner (a profile view asks about 18) decides
+        it once and passes it on; left out, the method decides it itself.
+        """
         return account.is_registered_minor(now_year, adult_age=self.adult_age)
 
     # ------------------------------------------------------------------
     # Field visibility
     # ------------------------------------------------------------------
     def effective_audience(
-        self, account: Account, field_: ProfileField, now_year: float
+        self,
+        account: Account,
+        field_: ProfileField,
+        now_year: float,
+        *,
+        minor: Optional[bool] = None,
     ) -> Audience:
         """The audience a field is actually shared with, after policy caps.
 
@@ -105,9 +118,9 @@ class SitePolicy:
         effective audience is at most ``minor_nonstranger_cap_audience``.
         """
         chosen = account.settings.audience_for(field_)
-        if not self.is_registered_minor(account, now_year):
-            return chosen
-        if field_ in self.minor_stranger_cap:
+        if minor is None:
+            minor = self.is_registered_minor(account, now_year)
+        if not minor or field_ in self.minor_stranger_cap:
             return chosen
         return min(chosen, self.minor_nonstranger_cap_audience)
 
@@ -117,13 +130,20 @@ class SitePolicy:
         field_: ProfileField,
         relationship: Relationship,
         now_year: float,
+        *,
+        minor: Optional[bool] = None,
     ) -> bool:
         """Whether a viewer with ``relationship`` sees ``field_``."""
-        audience = self.effective_audience(account, field_, now_year)
+        audience = self.effective_audience(account, field_, now_year, minor=minor)
         return relationship.satisfies(audience)
 
     def message_button_visible(
-        self, account: Account, relationship: Relationship, now_year: float
+        self,
+        account: Account,
+        relationship: Relationship,
+        now_year: float,
+        *,
+        minor: Optional[bool] = None,
     ) -> bool:
         """Whether the viewer sees the "Message" button.
 
@@ -133,9 +153,10 @@ class SitePolicy:
         """
         if relationship is Relationship.SELF:
             return False
-        is_minor = self.is_registered_minor(account, now_year)
+        if minor is None:
+            minor = self.is_registered_minor(account, now_year)
         if (
-            is_minor
+            minor
             and not self.minors_messageable_by_strangers
             and relationship in (Relationship.STRANGER, Relationship.NETWORK_MEMBER)
         ):
@@ -179,11 +200,15 @@ class SitePolicy:
             return minor | public_search
         return ~minor & public_search
 
-    def public_search_eligible(self, account: Account, now_year: float) -> bool:
+    def public_search_eligible(
+        self, account: Account, now_year: float, *, minor: Optional[bool] = None
+    ) -> bool:
         """Whether external search engines may index this profile."""
         if account.disabled or not account.settings.public_search:
             return False
-        if self.is_registered_minor(account, now_year):
+        if minor is None:
+            minor = self.is_registered_minor(account, now_year)
+        if minor:
             return self.minors_in_public_search
         return True
 

@@ -20,25 +20,52 @@ exactly the report the live run produced.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple
 
 from .metrics import MetricsRegistry, render_prometheus
 
-#: One encoder for every event: ``json.dumps(..., sort_keys=True)``
-#: would build a new one per call, for the same bytes.
-_ENCODER = json.JSONEncoder(sort_keys=True)
+
+def _line_encoder() -> Callable[[Dict[str, Any]], str]:
+    """``json.dumps(payload, sort_keys=True)``, with its encoder built once.
+
+    ``JSONEncoder.encode`` builds a fresh C encoder on every call, a
+    fixed cost per line; this builds the same encoder once, with the
+    same separators, escaping and float ``repr``.  The
+    circular-reference check is off: a payload is one flat dict.
+    """
+    encoder = json.JSONEncoder(sort_keys=True)
+    make = json.encoder.c_make_encoder
+    if make is None:  # no C accelerator: the pure-Python encoder
+        return encoder.encode
+    encode = make(
+        None,  # no circular-reference markers
+        encoder.default,
+        json.encoder.encode_basestring_ascii,
+        None,  # no indent
+        encoder.key_separator,
+        encoder.item_separator,
+        True,  # sort_keys
+        False,  # skipkeys
+        True,  # allow_nan
+    )
+    return lambda payload: "".join(encode(payload, 0))
 
 
-@dataclass(frozen=True)
-class TelemetryEvent:
-    """One timestamped happening in the crawl pipeline."""
+_encode_line = _line_encoder()
+
+
+class TelemetryEvent(NamedTuple):
+    """One timestamped happening in the crawl pipeline.
+
+    A named tuple: a session emits one per request attempt, and a tuple
+    is the cheapest immutable record to build.
+    """
 
     kind: str
     seq: int
     sim_ts: float
     phase: str
-    fields: Dict[str, Any] = field(default_factory=dict)
+    fields: Dict[str, Any]
 
     def to_json(self) -> str:
         payload = {
@@ -48,7 +75,7 @@ class TelemetryEvent:
             "phase": self.phase,
             **self.fields,
         }
-        return _ENCODER.encode(payload)
+        return _encode_line(payload)
 
     @classmethod
     def from_json(cls, line: str) -> "TelemetryEvent":
@@ -103,9 +130,7 @@ class JsonlSink(MemorySink):
             return
         self._closed = True
         with open(self.path, "w", encoding="utf-8") as handle:
-            for event in self.events:
-                handle.write(event.to_json())
-                handle.write("\n")
+            handle.writelines(f"{event.to_json()}\n" for event in self.events)
 
 
 class PrometheusSink(Sink):

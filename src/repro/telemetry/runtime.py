@@ -65,11 +65,11 @@ class Telemetry:
         """Stamp and publish one event to every sink."""
         phase = fields.pop("phase", None)
         event = TelemetryEvent(
-            kind=kind,
-            seq=self._seq,
-            sim_ts=self.clock.seconds(),
-            phase=phase if phase is not None else self.phase,
-            fields=fields,
+            kind,
+            self._seq,
+            self.clock.seconds(),
+            phase if phase is not None else self.phase,
+            fields,
         )
         self._seq += 1
         self.bus.publish(event)

@@ -11,6 +11,7 @@ crawl's parsed result set must equal the object crawl's exactly.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -31,6 +32,7 @@ from repro.osn.pages import (
     parse_search_page,
 )
 from repro.osn.policy import policy_by_name
+from repro.osn.privacy import ProfileField, Relationship
 from repro.osn.ratelimit import RateLimitConfig
 from repro.worldgen.presets import tiny
 from repro.worldgen.world import build_world
@@ -214,6 +216,84 @@ class TestCountermeasureParity:
                     offset = listing.next_offset
         # The countermeasure really dropped members from some lists.
         assert filtered > 0
+
+
+def friend_page_outcomes(pair):
+    """``friend_page`` at offsets -5, 0, 20, ``total`` and ``total + 1``
+    for a stranger and a friend viewer over a spread of targets, as
+    ``(store, viewer, target, offset, answer)`` rows with plain tuples
+    for entries and an exception's type name for a refused page."""
+    world, object_fe, columnar_fe, viewers = pair
+    users = world.network.users
+    graph = world.network.graph
+    by_degree = sorted(users, key=lambda uid: (-graph.degree(uid), uid))
+    targets = sorted(set(by_degree[:3]) | set(sorted(users)[::9]))
+    friend = next(uid for uid in sorted(users) if graph.neighbors(uid))
+    rows = []
+    for store, frontend in (("object", object_fe), ("columnar", columnar_fe)):
+        network = frontend.network
+        for viewer in (viewers[0], friend):
+            for target in targets:
+                try:
+                    total, _ = network.friend_page(viewer, target, 0)
+                except OsnError as exc:
+                    rows.append((store, viewer, target, None, type(exc).__name__))
+                    continue
+                for offset in (-5, 0, 20, total, total + 1):
+                    total_, entries = network.friend_page(viewer, target, offset)
+                    answer = (total_, [(e.user_id, e.name) for e in entries])
+                    rows.append((store, viewer, target, offset, answer))
+    return rows
+
+
+def _digest(rows):
+    return hashlib.sha256(repr(rows).encode("utf-8")).hexdigest()
+
+
+class TestFriendPagePins:
+    """Friend pages on both stores, with reverse lookup on and off, pinned
+    to the output of the implementation that listed every friend before
+    slicing (digests of :func:`friend_page_outcomes`)."""
+
+    @pytest.mark.parametrize(
+        "pair_name, digest",
+        [
+            ("serve_pair", "fb46cf2c6c3a172c63edaacf6e4d7f6543a7eed177e11bc76d8897ecfc69ae30"),
+            ("countermeasure_pair", "1c56bde601a9acabc0239a62fba663f25fb4f04230d02a0ff4741b18c2652e17"),
+        ],
+    )
+    def test_pages_match_the_pinned_output(self, request, pair_name, digest):
+        rows = friend_page_outcomes(request.getfixturevalue(pair_name))
+        half = len(rows) // 2
+        # The two stores agree row for row ...
+        assert [row[1:] for row in rows[:half]] == [row[1:] for row in rows[half:]]
+        # ... and some page is a real, partial, or empty slice.
+        answers = [row[4] for row in rows if row[3] is not None]
+        assert any(len(entries) == 20 for _, entries in answers)
+        assert any(0 < len(entries) < 20 for _, entries in answers)
+        assert any(not entries for _, entries in answers)
+        assert _digest(rows) == digest
+
+    def test_negative_offset_follows_list_slicing(self, serve_pair):
+        world, object_fe, columnar_fe, viewers = serve_pair
+        network = world.network
+        graph = network.graph
+        target = next(
+            uid
+            for uid in sorted(network.users, key=lambda uid: -graph.degree(uid))
+            if network.policy.field_visible_to(
+                network.users[uid],
+                ProfileField.FRIEND_LIST,
+                Relationship.STRANGER,
+                network.clock.now_year,
+            )
+        )
+        friends = graph.neighbors_list(target)
+        assert len(friends) > 20
+        for frontend in (object_fe, columnar_fe):
+            total, entries = frontend.network.friend_page(viewers[0], target, -5)
+            assert total == len(friends)
+            assert [e.user_id for e in entries] == friends[-5:15]
 
 
 class TestPostParity:

@@ -95,7 +95,65 @@ EAGER_REBUILD = {
 }
 
 
+#: The mutation is reached only through a call passed as an argument
+#: (``zip(ids, self._names(ids))``), the shape of the listing rows'
+#: name lookup.
+NESTED_ARGUMENT_MEMO = {
+    "repro/__init__.py": "",
+    "repro/osn/__init__.py": "",
+    "repro/osn/network.py": """
+        class Network:
+            def __init__(self) -> None:
+                self.names = {}
+
+            def rows(self, ids):
+                return list(zip(ids, self._names(ids)))
+
+            def _names(self, ids):
+                for uid in ids:
+                    self.names.setdefault(uid, str(uid))
+                return [self.names[uid] for uid in ids]
+        """,
+    "repro/osn/frontend.py": """
+        from repro.osn.network import Network
+
+
+        class HtmlFrontend:
+            def __init__(self, network: Network) -> None:
+                self.network = network
+
+            def get(self, ids):
+                return self.network.rows(ids)
+        """,
+}
+
+
 class TestPure001:
+    def test_mutation_behind_a_nested_call_argument_is_caught(self, tmp_path):
+        root = _project(tmp_path, NESTED_ARGUMENT_MEMO)
+        report = lint_paths([root], rules=_rules("PURE001"))
+        assert {f.rule for f in report.findings} == {"PURE001"}
+        finding = report.findings[0]
+        assert finding.path.endswith("network.py")
+        assert "_names" in finding.message
+
+    def test_nested_call_argument_without_a_mutation_is_clean(self, tmp_path):
+        files = dict(NESTED_ARGUMENT_MEMO)
+        files["repro/osn/network.py"] = """
+            class Network:
+                def __init__(self) -> None:
+                    self.names = {}
+
+                def rows(self, ids):
+                    return list(zip(ids, self._names(ids)))
+
+                def _names(self, ids):
+                    return [self.names.get(uid, str(uid)) for uid in ids]
+            """
+        root = _project(tmp_path, files)
+        report = lint_paths([root], rules=_rules("PURE001"))
+        assert report.findings == []
+
     def test_two_hop_lazy_rebuild_is_caught(self, tmp_path):
         root = _project(tmp_path, LAZY_REBUILD)
         report = lint_paths([root], rules=_rules("PURE001"))

@@ -1,5 +1,9 @@
 """Round-trip tests for HTML render/parse pairs, including hypothesis."""
 
+import html
+import re
+from typing import List, Optional
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +22,7 @@ from repro.osn.pages import (
     render_search_page,
 )
 from repro.osn.profile import Gender, SchoolAffiliation
-from repro.osn.view import ProfileView
+from repro.osn.view import ProfileView, WallPostView
 
 # Text that stresses HTML escaping but stays printable.
 tricky_text = st.text(
@@ -122,6 +126,187 @@ class TestProfileRoundTrip:
         assert parsed.friend_list_visible == friends
         assert parsed.message_button == message
         assert parsed.public_search_listed == search
+
+
+# ----------------------------------------------------------------------
+# The one-pass profile parser against the multi-regex parser it replaced
+# ----------------------------------------------------------------------
+
+
+def reference_parse_profile_page(page: str) -> ProfileView:
+    """The profile parser before the one-pass scan: one regex search per
+    element, each from the top of the page.  Kept as the exact reference."""
+
+    def find(pattern: str) -> Optional[re.Match]:
+        return re.search(pattern, page, re.DOTALL)
+
+    def require(pattern: str, what: str) -> re.Match:
+        match = find(pattern)
+        if match is None:
+            raise ParseError(f"could not locate {what} in page")
+        return match
+
+    uid_match = require(r'<div id="profile" data-uid="(\d+)">', "profile div")
+    user_id = int(uid_match.group(1))
+    name = html.unescape(require(r'<h1 class="name">(.*?)</h1>', "name").group(1))
+
+    gender_match = find(r'<span class="gender">(.*?)</span>')
+    gender = Gender(html.unescape(gender_match.group(1))) if gender_match else None
+
+    networks = tuple(
+        html.unescape(m)
+        for m in re.findall(r'<span class="network">(.*?)</span>', page, re.DOTALL)
+    )
+
+    schools: List[SchoolAffiliation] = []
+    for sid, year, sname in re.findall(
+        r'<li class="school" data-school-id="(\d+)" data-year="(\d*)">(.*?)</li>',
+        page,
+        re.DOTALL,
+    ):
+        schools.append(
+            SchoolAffiliation(
+                school_id=int(sid),
+                school_name=html.unescape(sname),
+                graduation_year=int(year) if year else None,
+            )
+        )
+
+    def span(cls: str) -> Optional[str]:
+        match = find(rf'<span class="{cls}">(.*?)</span>')
+        return html.unescape(match.group(1)) if match else None
+
+    def int_span(cls: str) -> Optional[int]:
+        value = span(cls)
+        return int(value) if value is not None else None
+
+    wall_posts = tuple(
+        WallPostView(int(author), html.unescape(text))
+        for author, text in re.findall(
+            r'<li class="wall-post" data-author="(\d+)">(.*?)</li>', page, re.DOTALL
+        )
+    )
+
+    return ProfileView(
+        user_id=user_id,
+        name=name,
+        gender=gender,
+        networks=networks,
+        has_profile_photo='class="profile-photo"' in page,
+        high_schools=tuple(schools),
+        relationship_status=span("relationship"),
+        interested_in=span("interested-in"),
+        birthday_year=int_span("birthday-year"),
+        hometown=span("hometown"),
+        current_city=span("current-city"),
+        employer=span("employer"),
+        graduate_school=span("graduate-school"),
+        photo_count=int_span("photo-count"),
+        wall_post_count=int_span("wall-count"),
+        wall_posts=wall_posts,
+        contact_email=span("contact-email"),
+        contact_phone=span("contact-phone"),
+        friend_list_visible='class="friends-link"' in page,
+        message_button='class="message-link"' in page,
+        public_search_listed='class="public-search"' in page,
+    )
+
+
+#: Like ``tricky_text``, but may be empty and may hold line breaks.
+any_text = st.text(
+    alphabet=st.characters(whitelist_categories=("L", "N", "P", "S", "Zs", "Cc")),
+    max_size=25,
+)
+maybe_text = st.none() | any_text
+maybe_count = st.none() | st.integers(0, 5_000)
+
+views_strategy = st.builds(
+    ProfileView,
+    user_id=st.integers(0, 10**9),
+    name=any_text,
+    gender=st.none() | st.sampled_from(Gender),
+    networks=st.lists(any_text, max_size=3).map(tuple),
+    has_profile_photo=st.booleans(),
+    high_schools=st.lists(
+        st.builds(
+            SchoolAffiliation,
+            school_id=st.integers(0, 10**6),
+            school_name=any_text,
+            graduation_year=st.none() | st.integers(1900, 2100),
+        ),
+        max_size=4,
+    ).map(tuple),
+    relationship_status=maybe_text,
+    interested_in=maybe_text,
+    birthday_year=maybe_count,
+    hometown=maybe_text,
+    current_city=maybe_text,
+    employer=maybe_text,
+    graduate_school=maybe_text,
+    photo_count=maybe_count,
+    wall_post_count=maybe_count,
+    wall_posts=st.lists(
+        st.builds(WallPostView, author_id=st.integers(0, 10**9), text=any_text),
+        max_size=4,
+    ).map(tuple),
+    contact_email=maybe_text,
+    contact_phone=maybe_text,
+    friend_list_visible=st.booleans(),
+    message_button=st.booleans(),
+    public_search_listed=st.booleans(),
+)
+
+
+class TestOnePassProfileParser:
+    @given(view=views_strategy)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_reference_on_random_views(self, view):
+        page = render_profile_page(view)
+        parsed = parse_profile_page(page)
+        assert parsed == reference_parse_profile_page(page)
+        assert parsed == view
+
+    def test_page_without_profile_div_raises(self):
+        page = render_profile_page(make_view()).replace('id="profile"', 'id="other"')
+        for parse in (parse_profile_page, reference_parse_profile_page):
+            with pytest.raises(ParseError, match="profile div"):
+                parse(page)
+
+    def test_page_without_name_raises(self):
+        page = render_profile_page(make_view()).replace('class="name"', 'class="title"')
+        for parse in (parse_profile_page, reference_parse_profile_page):
+            with pytest.raises(ParseError, match="name"):
+                parse(page)
+
+    def test_listing_page_is_not_a_profile(self):
+        page = render_friends_page(1, 1, 0, [DirectoryEntry(2, "Pat")])
+        with pytest.raises(ParseError):
+            parse_profile_page(page)
+
+
+class TestDirectoryEntry:
+    """The row type's contract: the frozen dataclass's repr and hash."""
+
+    def test_repr(self):
+        assert repr(DirectoryEntry(5, "Emma")) == "DirectoryEntry(user_id=5, name='Emma')"
+        assert repr(DirectoryEntry(7, "O'Neil")) == 'DirectoryEntry(user_id=7, name="O\'Neil")'
+
+    def test_hash_is_the_hash_of_its_fields(self):
+        assert hash(DirectoryEntry(5, "Emma")) == hash((5, "Emma"))
+        assert len({DirectoryEntry(5, "Emma"), DirectoryEntry(5, "Emma")}) == 1
+
+    def test_equality_is_by_fields(self):
+        assert DirectoryEntry(5, "Emma") == DirectoryEntry(user_id=5, name="Emma")
+        assert DirectoryEntry(5, "Emma") != DirectoryEntry(6, "Emma")
+        assert DirectoryEntry(5, "Emma") != DirectoryEntry(5, "Emmy")
+
+    def test_is_immutable(self):
+        entry = DirectoryEntry(5, "Emma")
+        with pytest.raises(AttributeError):
+            entry.name = "Eve"  # type: ignore[misc]
+        with pytest.raises(AttributeError):
+            entry.user_id = 6  # type: ignore[misc]
+        assert entry == DirectoryEntry(5, "Emma")
 
 
 entries_strategy = st.lists(

@@ -1,10 +1,13 @@
 """Tests for the Facebook/Google+ minor-policy engines (Tables 1 and 6)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.osn.clock import SimClock
 from repro.osn.errors import PolicyError
-from repro.osn.policy import facebook_policy, googleplus_policy, policy_by_name
+from repro.osn.network import render_profile_view
+from repro.osn.policy import SitePolicy, facebook_policy, googleplus_policy, policy_by_name
 from repro.osn.privacy import (
     MINIMAL_FIELDS,
     Audience,
@@ -12,8 +15,17 @@ from repro.osn.privacy import (
     ProfileField,
     Relationship,
 )
-from repro.osn.profile import Birthday, Name, Profile
+from repro.osn.profile import (
+    Birthday,
+    ContactInfo,
+    Gender,
+    Name,
+    Profile,
+    SchoolAffiliation,
+    WallPost,
+)
 from repro.osn.user import Account
+from repro.osn.view import ProfileView, WallPostView
 
 NOW = 2012.25
 
@@ -186,3 +198,155 @@ class TestLookupAndValidation:
     def test_builtin_policies_validate(self):
         facebook_policy().validate()
         googleplus_policy().validate()
+
+
+# ----------------------------------------------------------------------
+# One minor decision per profile view
+# ----------------------------------------------------------------------
+
+
+def reference_render_profile_view(policy, account, rel, now):
+    """``render_profile_view`` as it was before it decided the owner's
+    minor status once: every field asks the per-field policy methods,
+    which decide it again.  Kept as the exact reference."""
+
+    def sees(field_):
+        return policy.field_visible_to(account, field_, rel, now)
+
+    profile = account.profile
+    contact = profile.contact_info
+    contact_visible = sees(ProfileField.CONTACT_INFO) and contact is not None
+    return ProfileView(
+        user_id=account.user_id,
+        name=profile.name.full,
+        gender=profile.gender if sees(ProfileField.GENDER) else None,
+        networks=profile.networks if sees(ProfileField.NETWORKS) else (),
+        has_profile_photo=profile.has_profile_photo and sees(ProfileField.PROFILE_PHOTO),
+        high_schools=profile.high_schools if sees(ProfileField.HIGH_SCHOOL) else (),
+        relationship_status=(
+            profile.relationship_status if sees(ProfileField.RELATIONSHIP) else None
+        ),
+        interested_in=profile.interested_in if sees(ProfileField.INTERESTED_IN) else None,
+        birthday_year=(
+            account.registered_birthday.year
+            if sees(ProfileField.BIRTHDAY) and profile.birthday is not None
+            else None
+        ),
+        hometown=profile.hometown if sees(ProfileField.HOMETOWN) else None,
+        current_city=profile.current_city if sees(ProfileField.CURRENT_CITY) else None,
+        employer=profile.employer if sees(ProfileField.EMPLOYER) else None,
+        graduate_school=(
+            profile.graduate_school if sees(ProfileField.GRADUATE_SCHOOL) else None
+        ),
+        photo_count=profile.photo_count if sees(ProfileField.PHOTOS) else None,
+        wall_post_count=len(profile.wall_posts) if sees(ProfileField.WALL) else None,
+        wall_posts=(
+            tuple(WallPostView(p.author_id, p.text) for p in profile.wall_posts)
+            if sees(ProfileField.WALL)
+            else ()
+        ),
+        contact_email=contact.email if contact_visible else None,
+        contact_phone=contact.phone if contact_visible else None,
+        friend_list_visible=policy.field_visible_to(
+            account, ProfileField.FRIEND_LIST, rel, now
+        ),
+        message_button=policy.message_button_visible(account, rel, now),
+        public_search_listed=policy.public_search_eligible(account, now),
+    )
+
+
+_FULL_PROFILE = Profile(
+    name=Name("Pat", "O'Neil"),
+    gender=Gender.FEMALE,
+    networks=("Springfield",),
+    high_schools=(SchoolAffiliation(7, "Springfield High", 2014),),
+    relationship_status="Single",
+    interested_in="Men",
+    birthday=Birthday(1994),
+    hometown="Springfield",
+    current_city="Shelbyville",
+    employer="Kwik-E-Mart",
+    graduate_school="State U",
+    photo_count=12,
+    wall_posts=[WallPost(3, "hi"), WallPost(4, "yo")],
+    contact_info=ContactInfo(email="pat@example.com", phone="555-0100"),
+)
+
+#: Registered birth instants around the 18th birthday at NOW (2012.25):
+#: 1994.25 turns 18 exactly at NOW, so it is an adult.
+_birthdays = st.builds(
+    Birthday,
+    year=st.sampled_from([1993, 1994, 1995]),
+    fraction=st.sampled_from([0.0, 0.2499999, 0.25, 0.2500001, 0.5, 0.99])
+    | st.floats(0.0, 0.999, allow_nan=False),
+)
+_audiences = st.sampled_from(Audience)
+_settings = st.builds(
+    PrivacySettings,
+    audiences=st.dictionaries(st.sampled_from(ProfileField), _audiences),
+    default=_audiences,
+    public_search=st.booleans(),
+    message_audience=_audiences,
+)
+_policies = st.sampled_from([facebook_policy(), googleplus_policy()])
+
+
+class TestDecideOncePerView:
+    @given(
+        policy=_policies,
+        birthday=_birthdays,
+        settings_=_settings,
+        rel=st.sampled_from(Relationship),
+        disabled=st.booleans(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_per_field_answers(self, policy, birthday, settings_, rel, disabled):
+        account = Account(
+            user_id=9,
+            profile=_FULL_PROFILE,
+            registered_birthday=birthday,
+            real_birthday=birthday,
+            settings=settings_,
+            disabled=disabled,
+        )
+        minor_ = policy.is_registered_minor(account, NOW)
+        for field_ in ProfileField:
+            assert policy.effective_audience(
+                account, field_, NOW, minor=minor_
+            ) == policy.effective_audience(account, field_, NOW)
+            assert policy.field_visible_to(
+                account, field_, rel, NOW, minor=minor_
+            ) == policy.field_visible_to(account, field_, rel, NOW)
+        assert policy.message_button_visible(
+            account, rel, NOW, minor=minor_
+        ) == policy.message_button_visible(account, rel, NOW)
+        assert policy.public_search_eligible(
+            account, NOW, minor=minor_
+        ) == policy.public_search_eligible(account, NOW)
+        assert render_profile_view(policy, account, rel, NOW) == (
+            reference_render_profile_view(policy, account, rel, NOW)
+        )
+
+    def test_the_boundary_instant_is_adult(self):
+        account = _account(1994, PrivacySettings.everything_public())
+        assert Birthday(1994, 0.25).age_at(NOW) == 18.0
+        account.registered_birthday = Birthday(1994, 0.25)
+        assert not facebook_policy().is_registered_minor(account, NOW)
+        account.registered_birthday = Birthday(1994, 0.2500001)
+        assert facebook_policy().is_registered_minor(account, NOW)
+
+    @pytest.mark.parametrize("registered_year", [1985, 1997])
+    def test_a_view_decides_minor_status_once(self, monkeypatch, registered_year):
+        calls = []
+        decide = SitePolicy.is_registered_minor
+
+        def counted(self, account, now_year):
+            calls.append(account.user_id)
+            return decide(self, account, now_year)
+
+        monkeypatch.setattr(SitePolicy, "is_registered_minor", counted)
+        account = _account(registered_year, PrivacySettings.everything_public())
+        account.profile = _FULL_PROFILE
+        view = render_profile_view(facebook_policy(), account, Relationship.STRANGER, NOW)
+        assert calls == [1]
+        assert (view.hometown is not None) == (registered_year == 1985)

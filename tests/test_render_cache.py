@@ -127,6 +127,30 @@ class TestFrontendCaching:
         assert page_a == page_b
         assert cache.misses == 1 and cache.hits == 1
 
+    def test_one_relationship_per_profile_and_friends_get(
+        self, cached_frontend, monkeypatch
+    ):
+        """The key's viewer class renders a miss: a miss classifies the
+        viewer once, as a hit does, and the page is the uncached one."""
+        fe, cache, _, accounts = cached_frontend
+        net = fe.network
+        viewer = accounts["minor"].user_id
+        target = accounts["lying_minor"].user_id
+        paths = [f"/profile/{target}", f"/profile/{target}/friends"]
+        plain = [HtmlFrontend(net).get(viewer, path) for path in paths]
+        calls = []
+        classify = net.relationship
+
+        def counted(viewer_id, target_id):
+            calls.append((viewer_id, target_id))
+            return classify(viewer_id, target_id)
+
+        monkeypatch.setattr(net, "relationship", counted)
+        for _ in range(2):  # a miss, then a hit
+            assert [fe.get(viewer, path) for path in paths] == plain
+        assert calls == [(viewer, target)] * 4
+        assert cache.misses == 2 and cache.hits == 2
+
     def test_mutation_invalidates_via_version(self, cached_frontend):
         fe, cache, school, accounts = cached_frontend
         viewer = accounts["crawler"].user_id

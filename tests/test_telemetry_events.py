@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.osn.clock import SimClock
 from repro.telemetry.events import (
@@ -83,6 +85,40 @@ class TestJsonlSink:
         (loaded,) = read_jsonl(str(path))
         assert loaded.fields["slept"] == original.fields["slept"]
         assert loaded.fields["retry_after"] == original.fields["retry_after"]
+
+
+#: Field values of every JSON scalar kind, including floats whose
+#: ``repr`` is long or non-finite and text that needs escaping.
+_values = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**63), 2**63)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=20)
+)
+
+
+class TestLineEncoding:
+    @given(
+        fields=st.dictionaries(
+            st.text(min_size=1, max_size=12).filter(
+                lambda key: key not in ("kind", "seq", "sim_ts", "phase")
+            ),
+            _values,
+            max_size=8,
+        ),
+        sim_ts=st.floats(0, 1e9),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_a_line_is_json_dumps_with_sorted_keys(self, fields, sim_ts):
+        event = TelemetryEvent("request", 3, sim_ts, "core", fields)
+        payload = {"kind": "request", "seq": 3, "sim_ts": sim_ts, "phase": "core", **fields}
+        assert event.to_json() == json.dumps(payload, sort_keys=True)
+
+    def test_event_is_immutable(self):
+        event = _event(account=7)
+        with pytest.raises(AttributeError):
+            event.kind = "throttle"  # type: ignore[misc]
 
 
 def _attempt(telemetry, account, outcome, delay=2.0):

@@ -121,8 +121,11 @@ def link_home_addresses(
     Returns uid -> candidates ordered best first.
     """
     linked: Dict[int, List[AddressCandidate]] = {}
+    # Friend display name -> its lowered surname, within this call.
+    lowered_surnames: Dict[str, str] = {}
     for uid, profile in extended.items():
         surname = _surname(profile.name)
+        lowered = surname.lower()
         city = profile.inferred_city
         candidates: List[AddressCandidate] = []
 
@@ -137,7 +140,11 @@ def link_home_addresses(
                 friend_name = friend_name_of(friend_uid)
                 if friend_name is None:
                     continue
-                if _surname(friend_name).lower() != surname.lower():
+                friend_surname = lowered_surnames.get(friend_name)
+                if friend_surname is None:
+                    friend_surname = _surname(friend_name).lower()
+                    lowered_surnames[friend_name] = friend_surname
+                if friend_surname != lowered:
                     continue
                 record = registry.lookup_person(
                     friend_name.split(" ", 1)[0], surname, city

@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from itertools import repeat
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .policy import SitePolicy, facebook_policy
 from .privacy import PrivacySettings, ProfileField, Relationship
 from .profile import Birthday, Profile, SchoolAffiliation
 from .user import Account
-from .view import ProfileView, WallPostView
+from .view import ProfileView, WallPostView, build_profile_view
 
 
 @dataclass(frozen=True)
@@ -71,6 +72,18 @@ class DirectoryEntry(NamedTuple):
     name: str
 
 
+def directory_entries(
+    user_ids: Iterable[int], names: Iterable[str]
+) -> List[DirectoryEntry]:
+    """One row per (uid, name) pair, built at C level.
+
+    ``tuple.__new__`` makes each row from its pair directly: the rows
+    ``DirectoryEntry._make`` would build, without its Python-level call
+    and length check (a pair always has two items).
+    """
+    return list(map(tuple.__new__, repeat(DirectoryEntry), zip(user_ids, names)))
+
+
 @dataclass(frozen=True)
 class GraphSearchQuery:
     """A structured Graph-Search-style query.
@@ -96,19 +109,16 @@ def render_profile_view(
     Pure function of (policy, account, relationship, instant).  Both
     stores render through this exact field logic, then through the same
     HTML templates, which is what makes their pages byte-identical.
-    The owner's registered-minor status is decided once per view and
-    handed to every policy question the view asks.
+    The owner's registered-minor status is decided once per view, and
+    the policy answers once for every field the relationship sees.
     """
     minor = policy.is_registered_minor(account, now)
-
-    def sees(field_: ProfileField) -> bool:
-        return policy.field_visible_to(account, field_, rel, now, minor=minor)
-
+    sees = policy.visible_fields(account, rel, now, minor=minor).__contains__
     profile = account.profile
     contact = profile.contact_info
     contact_visible = sees(ProfileField.CONTACT_INFO) and contact is not None
     wall_visible = sees(ProfileField.WALL)
-    return ProfileView(
+    return build_profile_view(
         user_id=account.user_id,
         name=profile.name.full,
         gender=profile.gender if sees(ProfileField.GENDER) else None,
@@ -373,9 +383,7 @@ class BaseNetwork:
         return self._friend_list_visible(member, rel)
 
     def _entries(self, user_ids: List[int]) -> List[DirectoryEntry]:
-        return list(
-            map(DirectoryEntry._make, zip(user_ids, self._display_names(user_ids)))
-        )
+        return directory_entries(user_ids, self._display_names(user_ids))
 
     # ------------------------------------------------------------------
     # Search

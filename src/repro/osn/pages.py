@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import ParseError
-from .network import DirectoryEntry, School
+from .network import DirectoryEntry, School, directory_entries
 from .profile import Gender, SchoolAffiliation
-from .view import ProfileView, WallPostView
+from .view import ProfileView, WallPostView, build_profile_view
 
 _SITE_NAME = "FaceSpace"
 
@@ -179,7 +179,7 @@ def parse_profile_page(page: str) -> ProfileView:
         raise ParseError("could not locate name in page")
     span = texts.get
     gender = span("gender")
-    return ProfileView(
+    return build_profile_view(
         user_id=int(div.group(1)),
         name=texts["name"],
         gender=Gender(gender) if gender is not None else None,
@@ -247,8 +247,11 @@ _LISTING_RES = {
 
 
 def _parse_rows(page: str) -> Tuple[DirectoryEntry, ...]:
+    rows = _ROW_RE.findall(page)
     return tuple(
-        [DirectoryEntry(int(uid), _unesc(name)) for uid, name in _ROW_RE.findall(page)]
+        directory_entries(
+            [int(uid) for uid, _ in rows], [_unesc(name) for _, name in rows]
+        )
     )
 
 

@@ -18,8 +18,8 @@ describe actual behaviour, not documentation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, FrozenSet, Optional
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, AbstractSet, Dict, FrozenSet, Optional, Tuple
 
 from .errors import PolicyError
 from .privacy import (
@@ -33,6 +33,12 @@ from .user import Account
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
+
+#: The audiences each relationship sees, read off
+#: :meth:`Relationship.satisfies` once.
+_SEEN_BY: Dict[Relationship, FrozenSet[Audience]] = {
+    rel: frozenset(a for a in Audience if rel.satisfies(a)) for rel in Relationship
+}
 
 
 @dataclass(frozen=True)
@@ -80,6 +86,26 @@ class SitePolicy:
     minors_in_public_search: bool
     default_minor_settings: PrivacySettings
     default_adult_settings: PrivacySettings
+    #: Derived from the fields above; see ``__post_init__``.
+    _caps: Tuple[Dict[ProfileField, Audience], ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        # The minor cap, and its one copy: the widest audience each field
+        # of an owner's profile can reach, indexed by the owner's minor
+        # status.  A registered minor's fields outside
+        # ``minor_stranger_cap`` reach at most
+        # ``minor_nonstranger_cap_audience``; every other field, and every
+        # field of an adult, may reach the public.
+        adult = dict.fromkeys(ProfileField, Audience.PUBLIC)
+        minor = {
+            f: Audience.PUBLIC
+            if f in self.minor_stranger_cap
+            else self.minor_nonstranger_cap_audience
+            for f in ProfileField
+        }
+        object.__setattr__(self, "_caps", (adult, minor))
 
     # ------------------------------------------------------------------
     # Registration / classification
@@ -94,8 +120,8 @@ class SitePolicy:
         Every minor rule below keys on this one decision.  The
         visibility, Message-button and public-search methods take it as
         an optional keyword-only ``minor``: a caller that asks several
-        questions about one owner (a profile view asks about 18) decides
-        it once and passes it on; left out, the method decides it itself.
+        questions about one owner (a profile view asks three) decides it
+        once and passes it on; left out, the method decides it itself.
         """
         return account.is_registered_minor(now_year, adult_age=self.adult_age)
 
@@ -120,9 +146,7 @@ class SitePolicy:
         chosen = account.settings.audience_for(field_)
         if minor is None:
             minor = self.is_registered_minor(account, now_year)
-        if not minor or field_ in self.minor_stranger_cap:
-            return chosen
-        return min(chosen, self.minor_nonstranger_cap_audience)
+        return min(chosen, self._caps[minor][field_])
 
     def field_visible_to(
         self,
@@ -136,6 +160,27 @@ class SitePolicy:
         """Whether a viewer with ``relationship`` sees ``field_``."""
         audience = self.effective_audience(account, field_, now_year, minor=minor)
         return relationship.satisfies(audience)
+
+    def visible_fields(
+        self,
+        account: Account,
+        relationship: Relationship,
+        now_year: float,
+        *,
+        minor: Optional[bool] = None,
+    ) -> AbstractSet[ProfileField]:
+        """Every field a viewer with ``relationship`` sees, in one pass.
+
+        Exactly the fields for which :meth:`field_visible_to` answers
+        ``True``: a viewer who sees an audience sees every wider one, so
+        they see ``min(chosen, cap)`` exactly when they see both the
+        field's cap and the owner's chosen audience.
+        """
+        if minor is None:
+            minor = self.is_registered_minor(account, now_year)
+        seen = _SEEN_BY[relationship]
+        chosen = account.settings.audience_for
+        return {f for f, cap in self._caps[minor].items() if cap in seen and chosen(f) in seen}
 
     def message_button_visible(
         self,

@@ -108,7 +108,7 @@ MINIMAL_FIELDS = frozenset(
 EXTENDED_FIELDS = tuple(f for f in ProfileField if f not in MINIMAL_FIELDS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrivacySettings:
     """A user's chosen (not necessarily effective) privacy configuration.
 

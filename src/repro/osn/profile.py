@@ -21,7 +21,7 @@ class Gender(str, enum.Enum):
     UNSPECIFIED = "unspecified"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Name:
     """A user's display name."""
 
@@ -36,7 +36,7 @@ class Name:
         return self.full
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SchoolAffiliation:
     """A school listed on a profile, with its class (graduation) year.
 
@@ -60,7 +60,7 @@ class SchoolAffiliation:
         return self.graduation_year is not None and self.graduation_year >= current_year
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Birthday:
     """A (registered) birth date at day granularity.
 
@@ -79,7 +79,7 @@ class Birthday:
         return now_year_fraction - self.as_year_fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContactInfo:
     """Contact details some adults expose (Table 5 'contact information')."""
 
@@ -92,7 +92,7 @@ class ContactInfo:
         return not any((self.email, self.phone, self.im_screen_name, self.street_address))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WallPost:
     """A single wall posting (author and a short text)."""
 
@@ -100,7 +100,7 @@ class WallPost:
     text: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Profile:
     """Everything a user entered on their profile.
 

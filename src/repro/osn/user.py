@@ -23,7 +23,7 @@ from .privacy import PrivacySettings
 from .profile import Birthday, Profile
 
 
-@dataclass
+@dataclass(slots=True)
 class Account:
     """A registered OSN user.
 

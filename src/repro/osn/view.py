@@ -8,8 +8,8 @@ the attack honestly black-box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass, fields
+from typing import Any, Optional, Tuple
 
 from .privacy import MINIMAL_FIELDS, ProfileField
 from .profile import Gender, SchoolAffiliation
@@ -104,6 +104,29 @@ class ProfileView:
             (a for a in self.high_schools if a.school_id == school_id), None
         )
         return affiliation is not None and affiliation.is_current_student(current_year)
+
+
+_VIEW_FIELD_NAMES = frozenset(f.name for f in fields(ProfileView))
+
+
+def build_profile_view(**values: Any) -> ProfileView:
+    """A :class:`ProfileView` from all of its fields, without ``__init__``.
+
+    The frozen ``__init__`` stores each of the 21 fields with its own
+    ``object.__setattr__`` call; this fills the new instance's
+    ``__dict__`` in one ``dict.update``.  The result is the same view:
+    equality, hash, ``repr`` and ``dataclasses.asdict`` read the same
+    attributes, and assignment still raises ``FrozenInstanceError``.
+    Every field must be given, by its own name (defaults are not filled
+    in); anything else raises ``TypeError``.
+    """
+    if values.keys() != _VIEW_FIELD_NAMES:
+        missing = sorted(_VIEW_FIELD_NAMES - values.keys())
+        unknown = sorted(values.keys() - _VIEW_FIELD_NAMES)
+        raise TypeError(f"ProfileView fields missing: {missing}; unknown: {unknown}")
+    view = object.__new__(ProfileView)
+    view.__dict__.update(values)
+    return view
 
 
 #: Field names that belong to the minimal-information set, as strings.

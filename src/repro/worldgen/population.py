@@ -51,7 +51,7 @@ class Role(enum.Enum):
     EXTERNAL = "external"
 
 
-@dataclass
+@dataclass(slots=True)
 class Person:
     """One ground-truth individual.
 

@@ -185,3 +185,108 @@ class TestLinkageEndToEnd:
             assert evaluation.high_confidence_precision > 0.8
         # Best-candidate precision comfortably beats random streets.
         assert evaluation.precision_of_best > 0.1
+
+
+def reference_link_home_addresses(extended, registry, friend_name_of=None):
+    """``link_home_addresses`` as it was before it lowered each surname
+    once: both surnames are split and lowered again for every (student,
+    friend) pair.  Kept as the exact reference."""
+
+    def _surname(full_name):
+        return full_name.rsplit(" ", 1)[-1]
+
+    linked = {}
+    for uid, profile in extended.items():
+        surname = _surname(profile.name)
+        city = profile.inferred_city
+        candidates = []
+        if friend_name_of is not None:
+            friend_ids = (
+                profile.direct_friends
+                if profile.direct_friends is not None
+                else sorted(profile.reverse_friends)
+            )
+            for friend_uid in friend_ids:
+                friend_name = friend_name_of(friend_uid)
+                if friend_name is None:
+                    continue
+                if _surname(friend_name).lower() != surname.lower():
+                    continue
+                record = registry.lookup_person(friend_name.split(" ", 1)[0], surname, city)
+                if record is not None:
+                    candidates.append(
+                        AddressCandidate(
+                            street_address=record.street_address,
+                            city=record.city,
+                            confidence=Confidence.HIGH,
+                            matched_voters=1,
+                            via_friend=friend_name,
+                        )
+                    )
+        if not candidates:
+            records = registry.lookup(surname, city)
+            addresses = sorted({r.street_address for r in records})
+            confidence = Confidence.MEDIUM if len(addresses) == 1 else Confidence.LOW
+            candidates.extend(
+                AddressCandidate(
+                    street_address=address,
+                    city=city,
+                    confidence=confidence,
+                    matched_voters=len(records),
+                )
+                for address in addresses
+            )
+        if candidates:
+            linked[uid] = candidates
+    return linked
+
+
+class TestSurnamesLoweredOnce:
+    def recording(self, names):
+        calls = []
+
+        def friend_name_of(uid):
+            calls.append(uid)
+            return names.get(uid)
+
+        return friend_name_of, calls
+
+    def test_same_calls_and_result_as_the_reference(self, tiny_attack, extended, registry):
+        names = {uid: view.name for uid, view in tiny_attack.profiles.items()}
+        names.update(tiny_attack.seeds)
+        # Case-only surname variants must still match their student.
+        for uid, profile in list(extended.items())[::3]:
+            names[uid] = profile.name.upper()
+        ours, our_calls = self.recording(names)
+        theirs, their_calls = self.recording(names)
+        linked = link_home_addresses(extended, registry, ours)
+        assert linked == reference_link_home_addresses(extended, registry, theirs)
+        assert our_calls == their_calls
+        assert len(our_calls) > len(set(our_calls))  # friends repeat across students
+        assert any(c.confidence is Confidence.HIGH for cs in linked.values() for c in cs)
+
+    def test_a_shared_name_is_lowered_for_each_student(self):
+        from repro.core.extension import ExtendedProfile
+
+        registry = VoterRegistry(
+            [
+                VoterRecord("Pat", "Miller", "12 Oak St", "Smallville", 1970),
+                VoterRecord("Pat", "Lee", "9 Elm Ave", "Smallville", 1971),
+            ]
+        )
+        students = {
+            uid: ExtendedProfile(
+                user_id=uid, name=name, gender=None, school_name="HS",
+                inferred_year=2014, inferred_city="Smallville",
+                inferred_birth_year=1996, appears_registered_adult=False,
+                view=None, reverse_friends={42, 43},
+            )
+            for uid, name in ((1, "Kim Miller"), (2, "Jo Lee"), (3, "Al MILLER"))
+        }
+        names = {42: "Pat Miller", 43: "Pat Lee"}
+        ours, our_calls = self.recording(names)
+        theirs, their_calls = self.recording(names)
+        linked = link_home_addresses(students, registry, ours)
+        assert linked == reference_link_home_addresses(students, registry, theirs)
+        assert our_calls == their_calls == [42, 43] * 3
+        assert [linked[uid][0].via_friend for uid in (1, 2)] == ["Pat Miller", "Pat Lee"]

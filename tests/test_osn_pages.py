@@ -350,6 +350,86 @@ class TestListingRoundTrips:
         assert parsed.total == total
 
 
+def reference_render_listing(kind, title, total, offset, entries):
+    """A listing page as written out by hand: ``html.escape`` on each
+    row's name.  The exact reference for the page's bytes."""
+    rows = "".join(
+        f'<li class="user-row" data-uid="{e.user_id}">'
+        f'<a href="/profile/{e.user_id}">{html.escape(str(e.name), quote=True)}</a></li>'
+        for e in entries
+    )
+    return (
+        f"<html><head><title>{html.escape(title, quote=True)} | FaceSpace</title></head>"
+        f'<body><div class="{kind}" data-total="{total}" data-offset="{offset}">'
+        f"<ul>{rows}</ul></div></body></html>"
+    )
+
+
+def reference_parse_rows(page):
+    """Listing rows as they were parsed before rows were built at C
+    level: ``html.unescape`` on each row's name, one ``DirectoryEntry``
+    call per row.  Kept as the exact reference."""
+    return tuple(
+        DirectoryEntry(int(uid), html.unescape(name))
+        for uid, name in re.findall(
+            r'<li class="user-row" data-uid="(\d+)"><a href="/profile/\d+">([^<]*)</a></li>',
+            page,
+        )
+    )
+
+
+#: Names for the listing rows, line breaks and every escaped character
+#: included.
+row_names = st.text(
+    alphabet=st.characters(whitelist_categories=("L", "N", "P", "S", "Zs"))
+    | st.sampled_from("&<>\"'\n;#"),
+    max_size=20,
+)
+
+
+class TestListingRows:
+    """Listing pages build their rows at C level; every page and every
+    parsed row is what the per-row references make, byte for byte."""
+
+    def check(self, names):
+        entries = [DirectoryEntry(100 + i, name) for i, name in enumerate(names)]
+        friends = render_friends_page(7, len(entries) + 3, 20, entries)
+        assert friends == reference_render_listing(
+            "friend-list", "Friends of user 7", len(entries) + 3, 20, entries
+        )
+        search = render_search_page(len(entries), 0, entries)
+        assert search == reference_render_listing(
+            "search-results", "People search", len(entries), 0, entries
+        )
+        for page, parse in ((friends, parse_friends_page), (search, parse_search_page)):
+            parsed = parse(page).entries
+            assert parsed == reference_parse_rows(page) == tuple(entries)
+            assert all(type(entry) is DirectoryEntry for entry in parsed)
+            assert [type(entry.user_id) for entry in parsed] == [int] * len(parsed)
+        return friends
+
+    def test_every_escaped_character(self):
+        page = self.check(["A & B", "<C>", 'Dee "D" Dee', "O'Neil", "&amp; &lt;", "plain"])
+        assert "&amp;amp;" in page and "&#x27;" in page
+
+    def test_a_name_holding_a_line_break(self):
+        page = self.check(["Line\nBreak & Co", "Two\n\nLines", "Ann Lee"])
+        assert "Line\nBreak &amp; Co" in page
+
+    def test_an_empty_page(self):
+        page = self.check([])
+        assert "<ul></ul>" in page
+
+    def test_a_page_without_an_ampersand(self):
+        page = self.check(["Emma Stone", "Noah Park", ""])
+        assert "&" not in page
+
+    @given(names=st.lists(row_names, max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_random_names(self, names):
+        self.check(names)
+
+
 class TestSchoolPage:
     def test_round_trips(self):
         school = School(3, 'Jo & "Flo" High', "East <Side>", 1500)

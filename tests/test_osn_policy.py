@@ -205,13 +205,23 @@ class TestLookupAndValidation:
 # ----------------------------------------------------------------------
 
 
+def reference_effective_audience(policy, account, field_, now):
+    """``SitePolicy.effective_audience`` as it was before the cap became
+    a per-policy table: the minor cap written out field by field.  Kept
+    as the exact reference."""
+    chosen = account.settings.audience_for(field_)
+    if not policy.is_registered_minor(account, now) or field_ in policy.minor_stranger_cap:
+        return chosen
+    return min(chosen, policy.minor_nonstranger_cap_audience)
+
+
 def reference_render_profile_view(policy, account, rel, now):
     """``render_profile_view`` as it was before it decided the owner's
-    minor status once: every field asks the per-field policy methods,
-    which decide it again.  Kept as the exact reference."""
+    minor status once: every field asks the per-field cap, which decides
+    it again.  Kept as the exact reference."""
 
     def sees(field_):
-        return policy.field_visible_to(account, field_, rel, now)
+        return rel.satisfies(reference_effective_audience(policy, account, field_, now))
 
     profile = account.profile
     contact = profile.contact_info
@@ -247,9 +257,7 @@ def reference_render_profile_view(policy, account, rel, now):
         ),
         contact_email=contact.email if contact_visible else None,
         contact_phone=contact.phone if contact_visible else None,
-        friend_list_visible=policy.field_visible_to(
-            account, ProfileField.FRIEND_LIST, rel, now
-        ),
+        friend_list_visible=sees(ProfileField.FRIEND_LIST),
         message_button=policy.message_button_visible(account, rel, now),
         public_search_listed=policy.public_search_eligible(account, now),
     )
@@ -311,12 +319,22 @@ class TestDecideOncePerView:
         )
         minor_ = policy.is_registered_minor(account, NOW)
         for field_ in ProfileField:
-            assert policy.effective_audience(
-                account, field_, NOW, minor=minor_
-            ) == policy.effective_audience(account, field_, NOW)
+            reference = reference_effective_audience(policy, account, field_, NOW)
+            assert policy.effective_audience(account, field_, NOW, minor=minor_) is reference
+            assert policy.effective_audience(account, field_, NOW) is reference
             assert policy.field_visible_to(
                 account, field_, rel, NOW, minor=minor_
             ) == policy.field_visible_to(account, field_, rel, NOW)
+        one_pass = policy.visible_fields(account, rel, NOW, minor=minor_)
+        assert one_pass == {
+            f
+            for f in ProfileField
+            if rel.satisfies(reference_effective_audience(policy, account, f, NOW))
+        }
+        assert one_pass == {
+            f for f in ProfileField if policy.field_visible_to(account, f, rel, NOW)
+        }
+        assert policy.visible_fields(account, rel, NOW) == one_pass
         assert policy.message_button_visible(
             account, rel, NOW, minor=minor_
         ) == policy.message_button_visible(account, rel, NOW)
@@ -350,3 +368,27 @@ class TestDecideOncePerView:
         view = render_profile_view(facebook_policy(), account, Relationship.STRANGER, NOW)
         assert calls == [1]
         assert (view.hometown is not None) == (registered_year == 1985)
+
+    @pytest.mark.parametrize("registered_year", [1985, 1997])
+    def test_a_view_asks_for_its_visible_fields_once(self, monkeypatch, registered_year):
+        asked = []
+        visible_fields = SitePolicy.visible_fields
+
+        def counted(self, account, rel, now_year, *, minor=None):
+            asked.append(minor)
+            return visible_fields(self, account, rel, now_year, minor=minor)
+
+        monkeypatch.setattr(SitePolicy, "visible_fields", counted)
+        account = _account(registered_year, PrivacySettings.everything_public())
+        render_profile_view(facebook_policy(), account, Relationship.STRANGER, NOW)
+        assert asked == [registered_year == 1997]
+
+    @pytest.mark.parametrize("rel", list(Relationship))
+    def test_each_relationship_sees_every_wider_audience(self, rel):
+        """The one-pass set's exactness argument: ``satisfies`` is
+        monotone in the audience, so a viewer sees ``min(chosen, cap)``
+        exactly when they see both."""
+        for narrow in Audience:
+            for wide in Audience:
+                if wide >= narrow and rel.satisfies(narrow):
+                    assert rel.satisfies(wide)

@@ -1,7 +1,14 @@
-"""Unit tests for ProfileView semantics (minimality, claims)."""
+"""Unit tests for ProfileView semantics (minimality, claims, fast build)."""
+
+import dataclasses
+import pickle
+
+import pytest
+from hypothesis import given, settings
 
 from repro.osn.profile import Gender, SchoolAffiliation
-from repro.osn.view import ProfileView
+from repro.osn.view import ProfileView, build_profile_view
+from tests.test_osn_pages import views_strategy
 
 
 def minimal_view(**overrides):
@@ -72,3 +79,44 @@ class TestClaims:
     def test_no_year_claim_rejected(self):
         view = minimal_view(high_schools=(SchoolAffiliation(5, "HS", None),))
         assert not view.claims_current_student(5, 2012)
+
+
+def _fields_of(view):
+    return {f.name: getattr(view, f.name) for f in dataclasses.fields(view)}
+
+
+class TestBuildProfileView:
+    """A view built without the frozen ``__init__`` is the same view."""
+
+    @given(view=views_strategy)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_init_built_view(self, view):
+        fast = build_profile_view(**_fields_of(view))
+        assert type(fast) is ProfileView
+        assert fast == view and view == fast
+        assert hash(fast) == hash(view)
+        assert repr(fast) == repr(view)
+        assert dataclasses.asdict(fast) == dataclasses.asdict(view)
+        assert pickle.loads(pickle.dumps(fast)) == view
+        assert dataclasses.replace(fast) == view
+
+    def test_refuses_assignment(self):
+        fast = build_profile_view(**_fields_of(minimal_view()))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fast.name = "Someone Else"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del fast.name
+        assert fast == minimal_view()
+
+    def test_every_field_is_required(self):
+        values = _fields_of(minimal_view())
+        del values["public_search_listed"]
+        with pytest.raises(TypeError, match=r"missing: \['public_search_listed'\]"):
+            build_profile_view(**values)
+        # As many keywords as fields, one of them misspelled.
+        values = _fields_of(minimal_view())
+        values["birthday"] = values.pop("birthday_year")
+        assert len(values) == len(dataclasses.fields(ProfileView))
+        refused = r"missing: \['birthday_year'\]; unknown: \['birthday'\]"
+        with pytest.raises(TypeError, match=refused):
+            build_profile_view(**values)

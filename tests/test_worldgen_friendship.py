@@ -1,5 +1,8 @@
 """Tests for the friendship builder's structural guarantees."""
 
+import dataclasses
+import enum
+import functools
 import hashlib
 import random
 
@@ -122,6 +125,46 @@ def world_digest(world) -> str:
     return digest.hexdigest()
 
 
+_SCALARS = frozenset({bool, int, float, str, type(None)})
+
+
+@functools.lru_cache(maxsize=None)
+def _field_names(cls) -> tuple:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+def _plain(value):
+    """``value`` spelled out in plain values: a record as the tuple of its
+    fields in declaration order, a mapping as its items in insertion
+    order, an enum member as its value."""
+    if type(value) in _SCALARS:
+        return value
+    if isinstance(value, enum.Enum):
+        return value.value
+    if dataclasses.is_dataclass(value):
+        return tuple(_plain(getattr(value, name)) for name in _field_names(type(value)))
+    if isinstance(value, dict):
+        return tuple((_plain(key), _plain(item)) for key, item in value.items())
+    if isinstance(value, (list, tuple)):
+        return tuple(_plain(item) for item in value)
+    return value
+
+
+def record_digest(world) -> str:
+    """SHA-256 over every account's full record and the person→user index.
+
+    An account's record is every ``Account`` field: every ``Profile``
+    field, the settings (audiences in insertion order, ``default``,
+    ``public_search``, ``message_audience``), both birthdays,
+    ``person_id``, ``created_at_year``, ``is_fake`` and ``disabled``."""
+    digest = hashlib.sha256()
+    users = world.network.users
+    for uid in sorted(users):
+        digest.update(repr(_plain(users[uid])).encode())
+    digest.update(repr(_plain(world.account_index.person_to_user)).encode())
+    return digest.hexdigest()
+
+
 class TestWorldIdentity:
     """One seed yields one world: a digest moves only when a change
     means to draw a different world."""
@@ -138,3 +181,16 @@ class TestWorldIdentity:
     )
     def test_pinned_digest(self, factory, seed, expected):
         assert world_digest(build_world(factory(seed=seed))) == expected
+
+    @pytest.mark.parametrize(
+        "factory, seed, expected",
+        [
+            (tiny, 7, "e9e28cda6ca73cf2430e3e750c1789cacbe26b0f8f9852d0dd442aebc0dad4ba"),
+            (smoke, 11, "ffbcc14e2ba1af355b3ce76900cfb45fa02f6c1f3d50741d798cbbc8cc45acfa"),
+            (hs1, 101, "9fdfe69cef325fca816aa04f57ab4f9a813e9eb84168356d6e0be4b59802c4ee"),
+        ],
+        ids=["tiny-7", "smoke-11", "hs1-101"],
+    )
+    def test_pinned_record_digest(self, factory, seed, expected):
+        """Every profile field, setting and birthday, not just the edges."""
+        assert record_digest(build_world(factory(seed=seed))) == expected

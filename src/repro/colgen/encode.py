@@ -189,6 +189,10 @@ def encode_world(world: World, tier: str = "paper") -> ColumnarWorld:
     if uids != list(range(uid_base, uid_base + n_users)):
         raise ValueError("expected contiguous user ids from worldgen")
     accounts = [world.network.users[uid] for uid in uids]
+    # Worldgen shares one frozen settings object among the accounts that
+    # drew the same choices, so each distinct object is packed once.
+    distinct = {id(a.settings): a.settings for a in accounts}
+    words = {key: pack_privacy(settings) for key, settings in distinct.items()}
     account_cols = AccountColumns(
         person_id=int_column(
             (-1 if a.person_id is None else a.person_id for a in accounts),
@@ -208,7 +212,7 @@ def encode_world(world: World, tier: str = "paper") -> ColumnarWorld:
         ),
         created_at_year=float_column(a.created_at_year for a in accounts),
         is_fake=int_column((int(a.is_fake) for a in accounts), dtype="i1"),
-        privacy=int_column((pack_privacy(a.settings) for a in accounts), dtype="u8"),
+        privacy=int_column((words[id(a.settings)] for a in accounts), dtype="u8"),
     )
 
     profile_strings = StringTable()

@@ -222,8 +222,12 @@ class BaseNetwork:
         drops them all on the first lookup at another, so a bump
         invalidates every cached page at once.  Mutating verbs bump it
         automatically; code that mutates accounts *directly* (tests,
-        countermeasure sweeps flipping privacy settings in place) must
-        call :meth:`bump_version` itself — that is the whole contract.
+        countermeasure sweeps changing privacy settings) must call
+        :meth:`bump_version` itself — that is the whole contract.
+        Many accounts share one frozen settings object, so change an
+        account's settings by replacing ``account.settings`` (for example
+        with :meth:`PrivacySettings.with_field`), never by mutating its
+        ``audiences``, which would change every account sharing it.
         """
         return self._version
 

@@ -14,9 +14,12 @@ worlds are module-scoped so the O(n) sweeps run against one build.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
-from repro.colgen import PopulationView, encode_world, generate, person_view
+from repro.colgen import PopulationView, encode_world, generate, pack_privacy, person_view
+from repro.osn.privacy import Audience, ProfileField
 from repro.worldgen.population import Role
 from repro.worldgen.presets import hs1
 from repro.worldgen.world import build_world
@@ -82,6 +85,26 @@ class TestAccountEquivalence:
         for pid, uid in index.person_to_user.items():
             assert columnar.user_for(pid) == uid
             assert columnar.person_for(uid) == pid
+
+    def test_privacy_column_packs_each_accounts_settings(self, legacy_world):
+        """Shared settings are packed once, and an account whose settings
+        were replaced still gets its own word."""
+        users = legacy_world.network.users
+        widest = Counter(id(a.settings) for a in users.values()).most_common(1)[0][0]
+        target = next(a for a in users.values() if id(a.settings) == widest)
+        original = target.settings
+        try:
+            target.settings = original.with_field(
+                ProfileField.FRIEND_LIST, Audience.ONLY_ME
+            )
+            encoded = encode_world(legacy_world, tier="paper")
+            uids = sorted(users)
+            assert encoded.accounts.privacy.tolist() == [
+                pack_privacy(users[uid].settings) for uid in uids
+            ]
+            assert pack_privacy(target.settings) != pack_privacy(original)
+        finally:
+            target.settings = original
 
 
 class TestFriendshipEquivalence:

@@ -1,16 +1,24 @@
 """Tests for account creation from persons (profiles, settings, lying)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.osn.privacy import Audience, ProfileField
+from repro.osn.profile import Birthday
 from repro.worldgen.population import Role
-from repro.worldgen.presets import tiny
+from repro.worldgen.presets import hs1, tiny
 from repro.worldgen.world import build_world
 
 
 @pytest.fixture(scope="module")
 def world():
     return build_world(tiny(seed=17))
+
+
+@pytest.fixture(scope="module")
+def hs1_world():
+    return build_world(hs1(seed=101))
 
 
 def accounts_with_role(world, role):
@@ -135,3 +143,57 @@ class TestExternalAccounts:
         assert 0 < minors < len(externals)
         # minimal-profile externals include both minors and locked adults
         assert minimal > minors
+
+
+def _settings_state(settings):
+    return (
+        tuple(settings.audiences.items()),
+        settings.default,
+        settings.public_search,
+        settings.message_audience,
+    )
+
+
+class TestSharedRecords:
+    """Accounts share their frozen settings and birthdays."""
+
+    def test_few_distinct_settings_objects(self, hs1_world):
+        users = hs1_world.network.users.values()
+        assert len({id(a.settings) for a in users}) <= 64
+
+    def test_truthful_registrations_share_one_birthday(self, hs1_world):
+        truthful = liars = 0
+        for account in hs1_world.network.users.values():
+            fraction = hs1_world.population.person(account.person_id).birth_year_fraction
+            real = Birthday(int(fraction), fraction - int(fraction))
+            assert account.real_birthday == real
+            if account.registered_birthday == real:
+                truthful += 1
+                assert account.real_birthday is account.registered_birthday
+            else:
+                liars += 1
+        assert truthful and liars
+
+    def test_one_profile_birthday_per_year(self, hs1_world):
+        listed = [
+            a.profile.birthday
+            for a in hs1_world.network.users.values()
+            if a.profile.birthday is not None
+        ]
+        assert listed
+        assert len({id(b) for b in listed}) == len({b.year for b in listed})
+
+    def test_replacing_one_accounts_settings_leaves_the_others(self, hs1_world):
+        users = hs1_world.network.users
+        before = {uid: _settings_state(a.settings) for uid, a in users.items()}
+        widest = Counter(id(a.settings) for a in users.values()).most_common(1)[0][0]
+        target = next(a for a in users.values() if id(a.settings) == widest)
+        original = target.settings
+        try:
+            target.settings = original.with_field(ProfileField.FRIEND_LIST, Audience.ONLY_ME)
+            for uid, account in users.items():
+                if uid != target.user_id:
+                    assert _settings_state(account.settings) == before[uid]
+            assert target.settings.audience_for(ProfileField.FRIEND_LIST) is Audience.ONLY_ME
+        finally:
+            target.settings = original

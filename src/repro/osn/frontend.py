@@ -18,13 +18,17 @@ GET routes
 ``/find-friends/browser?school=<id>&offset=<n>``
     The Find Friends Portal, paginated (AJAX-style offsets).
 ``/graphsearch?school=<id>[&year_op=..&year=..][&city=..][&current=1]``
-    Graph Search with structured filters.
+    Graph Search with structured filters; ``year_op`` (``in``,
+    ``after`` or ``before``) needs a ``year``.
 ``/profile/<uid>``
     A public profile, rendered for the session's viewer.
 ``/profile/<uid>/friends?offset=<n>``
     One page (20 rows) of a friend list.
 ``/school/<id>``
     School directory entry (name, city, enrollment hint).
+
+A listing's ``offset`` is a non-negative integer: a negative one, like
+a malformed parameter, is a 400 (:class:`BadRequestError`).
 
 POST routes
 -----------
@@ -42,7 +46,7 @@ from typing import TYPE_CHECKING, Dict, Mapping, Optional
 
 from . import pages
 from .errors import AuthenticationError, BadRequestError, NotFoundError
-from .network import BaseNetwork, GraphSearchQuery
+from .network import YEAR_OPS, BaseNetwork, GraphSearchQuery
 from .privacy import Relationship
 from .ratelimit import RateLimitConfig, RateLimiter
 from .rendercache import CacheKey, RenderCache
@@ -193,8 +197,7 @@ class HtmlFrontend:
         network = self.network
         if path == "/find-friends/browser":
             school_id = self._int_param(params, "school")
-            offset = self._int_param(params, "offset", 0)
-            return ("search", account_id, school_id, offset)
+            return ("search", account_id, school_id, self._offset_param(params))
         if path == "/graphsearch":
             return (
                 "graphsearch",
@@ -208,9 +211,9 @@ class HtmlFrontend:
         if match:
             if not network.reverse_lookup_enabled:
                 return None
+            offset = self._offset_param(params)
             target_id = int(match.group(1))
             rel = network.relationship(account_id, target_id)
-            offset = self._int_param(params, "offset", 0)
             return ("friends", target_id, rel, offset)
         match = _PROFILE_RE.match(path)
         if match:
@@ -249,9 +252,18 @@ class HtmlFrontend:
         except ValueError:
             raise BadRequestError(f"parameter {key!r} is not an integer: {raw!r}") from None
 
+    @classmethod
+    def _offset_param(cls, params: Mapping[str, str]) -> int:
+        """A listing's ``offset``: 0 when absent, 400 when negative (the
+        page header could not carry it, and no parser would read it)."""
+        offset = cls._int_param(params, "offset", 0)
+        if offset < 0:
+            raise BadRequestError(f"parameter 'offset' is negative: {offset}")
+        return offset
+
     def _find_friends(self, account_id: int, params: Mapping[str, str]) -> str:
         school_id = self._int_param(params, "school")
-        offset = self._int_param(params, "offset", 0)
+        offset = self._offset_param(params)
         total, entries = self.network.school_search(account_id, school_id, offset)
         return pages.render_search_page(total, offset, entries)
 
@@ -259,6 +271,11 @@ class HtmlFrontend:
         school_id = self._int_param(params, "school")
         year_op = params.get("year_op")
         year = self._int_param(params, "year", -1) if "year" in params else None
+        if year_op is not None:
+            if year_op not in YEAR_OPS:
+                raise BadRequestError(f"unknown year_op: {year_op!r}")
+            if year is None:
+                raise BadRequestError(f"year_op {year_op!r} needs a year")
         query = GraphSearchQuery(
             school_id=school_id,
             year_op=year_op,
@@ -282,7 +299,7 @@ class HtmlFrontend:
         params: Mapping[str, str],
         rel: Optional[Relationship],
     ) -> str:
-        offset = self._int_param(params, "offset", 0)
+        offset = self._offset_param(params)
         total, entries = self.network.friend_page(account_id, target_id, offset, rel)
         return pages.render_friends_page(target_id, total, offset, entries)
 

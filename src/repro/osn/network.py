@@ -28,10 +28,11 @@ attack code can never accidentally peek at ground truth.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -84,12 +85,21 @@ def directory_entries(
     return list(map(tuple.__new__, repeat(DirectoryEntry), zip(user_ids, names)))
 
 
+#: Graph Search's class-year operators: ``year_op`` names how a
+#: member's graduation year must compare with the query's ``year``.
+YEAR_OPS: Dict[str, Callable[[int, int], bool]] = {
+    "in": operator.eq,
+    "after": operator.gt,
+    "before": operator.lt,
+}
+
+
 @dataclass(frozen=True)
 class GraphSearchQuery:
     """A structured Graph-Search-style query.
 
-    ``year_op`` is one of ``"in"``, ``"after"``, ``"before"`` or ``None``
-    (no year constraint); ``current_city`` optionally restricts to users
+    ``year_op`` is a key of :data:`YEAR_OPS` or ``None`` (no year
+    constraint); ``current_city`` optionally restricts to users
     whose profile lists that city.  ``current_students_only`` mirrors
     "current students at HS1" queries.
     """
@@ -228,6 +238,9 @@ class BaseNetwork:
         account's settings by replacing ``account.settings`` (for example
         with :meth:`PrivacySettings.with_field`), never by mutating its
         ``audiences``, which would change every account sharing it.
+        Display names, like school affiliations, are indexed at
+        registration, so a registered account's name is fixed: listings
+        read it off that index, and no verb renames an account.
         """
         return self._version
 
@@ -426,8 +439,19 @@ class BaseNetwork:
     def graph_search(
         self, viewer_account_id: int, query: GraphSearchQuery
     ) -> List[DirectoryEntry]:
-        """Structured search; same eligibility rules as the portal."""
+        """Structured search; same eligibility rules as the portal.
+
+        An unknown school raises :class:`NotFoundError`, as the portal
+        does, and a ``year_op`` outside :data:`YEAR_OPS`
+        :class:`ValueError`, whatever the school holds.
+        """
+        self.get_school(query.school_id)
         self._check_uid(viewer_account_id)
+        year_test = None
+        if query.year_op is not None:
+            year_test = YEAR_OPS.get(query.year_op)
+            if year_test is None:
+                raise ValueError(f"bad year_op: {query.year_op!r}")
         if self.search_result_cap <= 0:
             return []
         current_year = self.clock.current_year
@@ -440,18 +464,9 @@ class BaseNetwork:
                 current_year
             ):
                 continue
-            if query.year_op is not None:
-                if affiliation.graduation_year is None or query.year is None:
-                    continue
+            if year_test is not None:
                 grad = affiliation.graduation_year
-                matches = {
-                    "in": grad == query.year,
-                    "after": grad > query.year,
-                    "before": grad < query.year,
-                }.get(query.year_op)
-                if matches is None:
-                    raise ValueError(f"bad year_op: {query.year_op!r}")
-                if not matches:
+                if grad is None or query.year is None or not year_test(grad, query.year):
                     continue
             if (
                 query.current_city is not None
@@ -538,6 +553,8 @@ class SocialNetwork(BaseNetwork):
         self._next_user_id = 1
         self._next_school_id = 1
         self._school_members: Dict[int, List[int]] = {}
+        # Display names by uid, written at registration; row 0 is unused.
+        self._names: List[str] = [""]
 
     # ------------------------------------------------------------------
     # Directory management
@@ -571,7 +588,8 @@ class SocialNetwork(BaseNetwork):
         ``real_birthday`` defaults to the registered one (truthful user).
         The age check applies to the *registered* birthday at the account
         creation instant — lying about the birth year is exactly how
-        under-13 children bypass it (paper, Section 1).
+        under-13 children bypass it (paper, Section 1).  A refused
+        registration indexes nothing.
         """
         created = created_at_year if created_at_year is not None else self.clock.now_year
         registered_age = created - registered_birthday.as_year_fraction
@@ -593,6 +611,7 @@ class SocialNetwork(BaseNetwork):
         self._next_user_id += 1
         self.users[account.user_id] = account
         self._index_member(account)
+        self._names.append(profile.name.full)
         self.bump_version()
         return account
 
@@ -671,14 +690,18 @@ class SocialNetwork(BaseNetwork):
     def _share_network(self, a: int, b: int) -> bool:
         mine = self.users[a].profile.networks
         theirs = self.users[b].profile.networks
+        # Almost every account, every crawl account among them, lists no
+        # network: answer those without building sets.
+        if not mine or not theirs:
+            return False
         return bool(set(mine) & set(theirs))
 
     def _display_names(self, user_ids: List[int]) -> List[str]:
-        """``Name.full`` of each uid, formatted inline: one f-string per
-        row rather than a property call."""
-        users = self.users
-        names = [users[uid].profile.name for uid in user_ids]
-        return [f"{name.first} {name.last}" for name in names]
+        """Each uid's ``Name.full``, read off the column that
+        :meth:`register_account` writes: no account is visited and no
+        string formatted per row."""
+        names = self._names
+        return [names[uid] for uid in user_ids]
 
     def _eligible_member_ids(self, school_id: int) -> List[int]:
         """Search-eligible members, in the registration-time index order.

@@ -4,11 +4,11 @@ import pytest
 
 from repro.osn.clock import SimClock
 from repro.osn.errors import ForbiddenError, NotFoundError, RegistrationError
-from repro.osn.network import GraphSearchQuery, SocialNetwork
+from repro.osn.network import DirectoryEntry, GraphSearchQuery, SocialNetwork
 from repro.osn.privacy import Audience, PrivacySettings, ProfileField, Relationship
 from repro.osn.profile import Birthday, Name, Profile, SchoolAffiliation
 from repro.worldgen.export import world_summary
-from repro.worldgen.presets import tiny
+from repro.worldgen.presets import smoke, tiny
 from repro.worldgen.world import build_world
 
 
@@ -317,6 +317,26 @@ class TestGraphSearch:
                 GraphSearchQuery(school_id=school.school_id, year_op="near", year=2012),
             )
 
+    def test_bad_year_op_raises_on_a_school_without_members(self, school_network):
+        net, _, accounts = school_network
+        empty = net.register_school("Empty High", "Nowhere")
+        with pytest.raises(ValueError, match="bad year_op"):
+            net.graph_search(
+                accounts["crawler"].user_id,
+                GraphSearchQuery(school_id=empty.school_id, year_op="near", year=2012),
+            )
+        assert net.graph_search(
+            accounts["crawler"].user_id, GraphSearchQuery(school_id=empty.school_id)
+        ) == []
+
+    def test_unknown_school_raises_as_the_portal_does(self, school_network):
+        net, _, accounts = school_network
+        viewer = accounts["crawler"].user_id
+        with pytest.raises(NotFoundError, match="no such school"):
+            net.graph_search(viewer, GraphSearchQuery(school_id=999))
+        with pytest.raises(NotFoundError, match="no such school"):
+            net.school_search(viewer, 999)
+
     def test_never_returns_registered_minors(self, school_network):
         net, school, accounts = school_network
         results = net.graph_search(
@@ -324,6 +344,43 @@ class TestGraphSearch:
             GraphSearchQuery(school_id=school.school_id),
         )
         assert accounts["minor"].user_id not in {e.user_id for e in results}
+
+
+class TestDisplayNameColumn:
+    """Listings read display names off the column ``register_account``
+    writes: each account's own ``Name.full``, for accounts registered
+    before the friendships and after them."""
+
+    @pytest.mark.parametrize("factory, seed", [(tiny, 7), (smoke, 11)], ids=["tiny-7", "smoke-11"])
+    def test_every_uid_lists_its_profile_name(self, factory, seed):
+        world = build_world(factory(seed=seed))
+        world.create_attacker_accounts(2)
+        network = world.network
+        uids = sorted(network.users)
+        assert uids == list(range(1, len(uids) + 1))
+        names = network._display_names(uids)
+        assert names == [network.users[uid].profile.name.full for uid in uids]
+        # The column's own strings: nothing is formatted per row.
+        again = network._display_names(uids[::-1])
+        assert all(a is b for a, b in zip(names, reversed(again)))
+
+    def test_a_refused_registration_leaves_the_column_unchanged(self, empty_network):
+        net = empty_network
+        first = net.register_account(
+            profile=Profile(name=Name("Ann", "Lee")), registered_birthday=Birthday(1980)
+        )
+        with pytest.raises(RegistrationError):
+            net.register_account(
+                profile=Profile(name=Name("Too", "Young")),
+                registered_birthday=Birthday(2002),
+            )
+        second = net.register_account(
+            profile=Profile(name=Name("Bo", "Chen")), registered_birthday=Birthday(1981)
+        )
+        net.add_friendship(first.user_id, second.user_id)
+        assert net._display_names([first.user_id, second.user_id]) == ["Ann Lee", "Bo Chen"]
+        _, entries = net.friend_page(first.user_id, first.user_id)
+        assert entries == [DirectoryEntry(second.user_id, "Bo Chen")]
 
 
 class TestStats:

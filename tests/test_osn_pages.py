@@ -309,6 +309,43 @@ class TestDirectoryEntry:
         assert entry == DirectoryEntry(5, "Emma")
 
 
+class TestListingPage:
+    """The parsed listing's contract: the frozen dataclass's repr, field
+    equality, hash and immutability, and ``next_offset`` a property."""
+
+    ENTRIES = (DirectoryEntry(5, "Emma"), DirectoryEntry(7, "O'Neil"))
+
+    def test_repr(self):
+        assert repr(ListingPage(42, 20, self.ENTRIES)) == (
+            "ListingPage(total=42, offset=20, entries=(DirectoryEntry(user_id=5, "
+            "name='Emma'), DirectoryEntry(user_id=7, name=\"O'Neil\")))"
+        )
+
+    def test_equality_is_by_fields(self):
+        page = ListingPage(42, 20, self.ENTRIES)
+        assert page == ListingPage(total=42, offset=20, entries=self.ENTRIES)
+        assert page != ListingPage(43, 20, self.ENTRIES)
+        assert page != ListingPage(42, 0, self.ENTRIES)
+        assert page != ListingPage(42, 20, self.ENTRIES[:1])
+
+    def test_hash_is_the_hash_of_its_fields(self):
+        assert hash(ListingPage(42, 20, self.ENTRIES)) == hash((42, 20, self.ENTRIES))
+        assert len({ListingPage(1, 0, ()), ListingPage(1, 0, ())}) == 1
+
+    def test_is_immutable(self):
+        page = ListingPage(42, 20, self.ENTRIES)
+        with pytest.raises(AttributeError):
+            page.total = 0  # type: ignore[misc]
+        with pytest.raises(AttributeError):
+            page.next_offset = 0  # type: ignore[misc]
+        assert page == ListingPage(42, 20, self.ENTRIES)
+
+    def test_next_offset_is_a_property(self):
+        assert isinstance(ListingPage.next_offset, property)
+        assert ListingPage(42, 20, self.ENTRIES).next_offset == 22
+        assert ListingPage(22, 20, self.ENTRIES).next_offset is None
+
+
 entries_strategy = st.lists(
     st.tuples(st.integers(1, 10_000), tricky_text), max_size=20, unique_by=lambda t: t[0]
 ).map(lambda pairs: [DirectoryEntry(uid, name) for uid, name in pairs])
@@ -419,6 +456,20 @@ class TestListingRows:
     def test_an_empty_page(self):
         page = self.check([])
         assert "<ul></ul>" in page
+
+    def test_clean_names_between_escaped_ones(self):
+        """Each escaped character alone, at either end of a name, between
+        clean names: the guard must send every such name to the escape
+        and every other name through untouched."""
+        names = ["Ann Lee"]
+        for char in "&<>\"'":
+            names += [f"Bo{char}Chen", "Cy Dunn", f"{char}Eve", f"Flo{char}", "Gus Hale"]
+        page = self.check(names)
+        for char, escaped in zip("&<>\"'", ("&amp;", "&lt;", "&gt;", "&quot;", "&#x27;")):
+            assert f"Bo{escaped}Chen</a>" in page
+            assert f">{escaped}Eve</a>" in page
+            assert f">Flo{escaped}</a>" in page
+        assert page.count(">Cy Dunn</a>") == 5
 
     def test_a_page_without_an_ampersand(self):
         page = self.check(["Emma Stone", "Noah Park", ""])

@@ -4,7 +4,7 @@ import pytest
 
 from repro.osn.clock import SimClock
 from repro.osn.errors import AccountDisabledError, RateLimitedError
-from repro.osn.ratelimit import RateLimitConfig, RateLimiter
+from repro.osn.ratelimit import AccountRateLimiter, ChargeOutcome, RateLimitConfig, RateLimiter
 
 
 @pytest.fixture()
@@ -95,3 +95,47 @@ class TestConfigValidation:
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             RateLimitConfig(**kwargs).validate()
+
+
+class TestChargeOutcome:
+    """The per-charge record's contract: the frozen dataclass's repr,
+    field equality, hash and immutability."""
+
+    def test_repr(self):
+        assert repr(ChargeOutcome("ok")) == (
+            "ChargeOutcome(status='ok', retry_after=0.0, strikes=0)"
+        )
+        assert repr(ChargeOutcome("throttled", 2.5, 1)) == (
+            "ChargeOutcome(status='throttled', retry_after=2.5, strikes=1)"
+        )
+
+    def test_defaults_and_keywords(self):
+        assert ChargeOutcome("ok") == ChargeOutcome(status="ok", retry_after=0.0, strikes=0)
+        assert ChargeOutcome("disabled", strikes=3).strikes == 3
+
+    def test_equality_is_by_fields(self):
+        assert ChargeOutcome("ok", 0.0, 1) == ChargeOutcome("ok", 0.0, 1)
+        assert ChargeOutcome("ok", 0.0, 1) != ChargeOutcome("ok", 0.0, 2)
+        assert ChargeOutcome("ok") != ChargeOutcome("throttled")
+        assert ChargeOutcome("throttled", 1.0) != ChargeOutcome("throttled", 2.0)
+
+    def test_hash_is_the_hash_of_its_fields(self):
+        assert hash(ChargeOutcome("throttled", 2.5, 1)) == hash(("throttled", 2.5, 1))
+        assert len({ChargeOutcome("ok"), ChargeOutcome("ok")}) == 1
+
+    def test_is_immutable(self):
+        outcome = ChargeOutcome("ok")
+        with pytest.raises(AttributeError):
+            outcome.status = "disabled"  # type: ignore[misc]
+        assert outcome == ChargeOutcome("ok")
+
+    def test_charge_reports_each_status(self):
+        clock = SimClock()
+        account = AccountRateLimiter(
+            clock, RateLimitConfig(max_requests=1, window_seconds=10, strikes_to_disable=2)
+        )
+        assert account.charge() == ChargeOutcome("ok", 0.0, 0)
+        clock.sleep(4.0)
+        assert account.charge() == ChargeOutcome("throttled", 6.0, 1)
+        assert account.charge() == ChargeOutcome("disabled", 0.0, 2)
+        assert account.charge() == ChargeOutcome("already_disabled", 0.0, 2)

@@ -3,9 +3,6 @@
 from __future__ import annotations
 
 import pathlib
-from typing import Any, Dict
-
-from repro.perf.record import write_record
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 
@@ -25,16 +22,3 @@ def emit_figure(name: str, figure) -> None:
     emit(name, render_figure(figure))
     OUTPUT_DIR.mkdir(exist_ok=True)
     save_figure_svg(figure, str(OUTPUT_DIR / f"{name}.svg"))
-
-
-def emit_json(name: str, record: Dict[str, Any]) -> None:
-    """Save a machine-readable bench record as BENCH_<name>.json.
-
-    The text/SVG exhibits are for humans; these records are the CI
-    artifact surface, validated against the :mod:`repro.perf.record`
-    schema (a malformed record fails the bench here, not the downstream
-    ``bench compare``) and written atomically so a crashed bench never
-    leaves a torn file for CI to upload.
-    """
-    OUTPUT_DIR.mkdir(exist_ok=True)
-    write_record(record, OUTPUT_DIR / f"BENCH_{name}.json")

@@ -2,9 +2,10 @@
 
 Every bench regenerates one of the paper's tables or figures.  Worlds
 and attack results are built once per session and shared; each bench
-times the piece of the pipeline it is about (pytest-benchmark) and then
-renders the paper-style rows/series, both to stdout and to
-``benchmarks/output/<name>.txt``.
+runs the piece of the pipeline it is about once and renders the
+paper-style rows/series, both to stdout and to
+``benchmarks/output/<name>.txt``.  The pipeline's speed is timed by
+``bench/``, not here.
 """
 
 from __future__ import annotations

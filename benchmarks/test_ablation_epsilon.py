@@ -19,7 +19,7 @@ from _bench_utils import emit
 EPSILONS = (0.0, 0.5, 1.0, 2.0)
 
 
-def test_ablation_epsilon(benchmark, hs1_world):
+def test_ablation_epsilon(hs1_world):
     truth = hs1_world.ground_truth()
     # One fixed pair of crawl accounts: the per-account search samples
     # are deterministic, so every epsilon sees identical seed sets and
@@ -35,9 +35,7 @@ def test_ablation_epsilon(benchmark, hs1_world):
         )
         return result, evaluate_full(result, truth, 400)
 
-    runs = benchmark.pedantic(
-        lambda: [run_eps(eps) for eps in EPSILONS], rounds=1, iterations=1
-    )
+    runs = [run_eps(eps) for eps in EPSILONS]
 
     rows = []
     for eps, (result, e) in zip(EPSILONS, runs):

@@ -15,7 +15,7 @@ from repro.core.profiler import ProfilerConfig
 from _bench_utils import emit
 
 
-def test_ablation_filter_rules(benchmark, hs1_world):
+def test_ablation_filter_rules(hs1_world):
     truth = hs1_world.ground_truth()
     variants = {"all rules": FilterConfig(), "no rules": FilterConfig.none()}
     for rule in ALL_RULES:
@@ -31,11 +31,7 @@ def test_ablation_filter_rules(benchmark, hs1_world):
         )
         return result, evaluate_full(result, truth, 200)
 
-    runs = benchmark.pedantic(
-        lambda: {name: run_variant(cfg) for name, cfg in variants.items()},
-        rounds=1,
-        iterations=1,
-    )
+    runs = {name: run_variant(cfg) for name, cfg in variants.items()}
 
     rows = [
         (name, len(result.filtered_out), e.found, e.false_positives)

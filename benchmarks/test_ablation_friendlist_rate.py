@@ -21,7 +21,7 @@ from _bench_utils import emit
 RATES = (0.10, 0.30, 0.50, 0.80)
 
 
-def test_ablation_friendlist_rate(benchmark):
+def test_ablation_friendlist_rate():
     def run_rate(rate):
         config = hs1(seed=909)
         config = replace(
@@ -39,9 +39,7 @@ def test_ablation_friendlist_rate(benchmark):
             result, world.ground_truth(), 400
         )
 
-    runs = benchmark.pedantic(
-        lambda: [run_rate(r) for r in RATES], rounds=1, iterations=1
-    )
+    runs = [run_rate(r) for r in RATES]
 
     rows = [
         (f"{rate:.0%}", core, f"{100 * e.found_fraction:.0f}%", e.false_positives)

@@ -44,21 +44,17 @@ def _with_table(result: AttackResult, table) -> AttackResult:
     )
 
 
-def test_ablation_interaction_boost(benchmark, hs1_world, hs1_enhanced):
+def test_ablation_interaction_boost(hs1_world, hs1_enhanced):
     truth = hs1_world.ground_truth()
     stats = summarize_interactions(hs1_enhanced.core, hs1_enhanced.profiles)
     assert stats.has_signal, "crawl captured no interaction evidence"
 
-    def sweep():
-        out = {}
-        for alpha in ALPHAS:
-            table = score_with_interactions(
-                hs1_enhanced.core, hs1_enhanced.profiles, alpha=alpha
-            )
-            out[alpha] = evaluate_full(_with_table(hs1_enhanced, table), truth, 200)
-        return out
-
-    evals = benchmark(sweep)
+    evals = {}
+    for alpha in ALPHAS:
+        table = score_with_interactions(
+            hs1_enhanced.core, hs1_enhanced.profiles, alpha=alpha
+        )
+        evals[alpha] = evaluate_full(_with_table(hs1_enhanced, table), truth, 200)
 
     rows = [
         (alpha, e.found, e.false_positives, f"{100 * e.year_accuracy:.0f}%")

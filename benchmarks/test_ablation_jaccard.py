@@ -16,7 +16,7 @@ from _bench_utils import emit
 THRESHOLDS = (0.1, 0.2, 0.3, 0.4)
 
 
-def test_ablation_jaccard_threshold(benchmark, hs1_world, hs1_enhanced):
+def test_ablation_jaccard_threshold(hs1_world, hs1_enhanced):
     client = make_client(hs1_world, 2)
     extended = build_extended_profiles(hs1_enhanced, client, t=400)
     truth_students = hs1_world.ground_truth().all_student_uids
@@ -28,13 +28,10 @@ def test_ablation_jaccard_threshold(benchmark, hs1_world, hs1_enhanced):
         if not p.appears_registered_adult and uid in truth_students
     }
 
-    def sweep():
-        return {
-            th: infer_hidden_links(reverse, threshold=th, min_common=3)
-            for th in THRESHOLDS
-        }
-
-    by_threshold = benchmark(sweep)
+    by_threshold = {
+        th: infer_hidden_links(reverse, threshold=th, min_common=3)
+        for th in THRESHOLDS
+    }
 
     # Base rate of friendship among the candidate minor pairs.
     uids = sorted(reverse)

@@ -23,7 +23,7 @@ from _bench_utils import emit
 OBSERVATION_DATES = (2011.70, 2012.00, 2012.25, 2012.45)
 
 
-def test_ablation_observation_date(benchmark):
+def test_ablation_observation_date():
     def run_date(obs):
         config = replace(hs1(seed=808), observation_year=obs)
         world = build_world(config)
@@ -46,9 +46,7 @@ def test_ablation_observation_date(benchmark):
             evaluate_full(result, truth, 400),
         )
 
-    runs = benchmark.pedantic(
-        lambda: [run_date(obs) for obs in OBSERVATION_DATES], rounds=1, iterations=1
-    )
+    runs = [run_date(obs) for obs in OBSERVATION_DATES]
 
     rows = [
         (

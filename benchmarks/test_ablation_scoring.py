@@ -41,16 +41,13 @@ def rescore(result: AttackResult, rule: ScoringRule) -> AttackResult:
     )
 
 
-def test_ablation_scoring_rules(benchmark, hs1_world, hs1_enhanced):
+def test_ablation_scoring_rules(hs1_world, hs1_enhanced):
     truth = hs1_world.ground_truth()
 
-    def run_all():
-        return {
-            rule: evaluate_full(rescore(hs1_enhanced, rule), truth, 400)
-            for rule in ScoringRule
-        }
-
-    evals = benchmark(run_all)
+    evals = {
+        rule: evaluate_full(rescore(hs1_enhanced, rule), truth, 400)
+        for rule in ScoringRule
+    }
 
     rows = [
         (

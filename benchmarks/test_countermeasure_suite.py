@@ -14,17 +14,13 @@ from repro.worldgen.presets import hs1
 from _bench_utils import emit
 
 
-def test_countermeasure_suite(benchmark):
-    outcomes = benchmark.pedantic(
-        lambda: run_countermeasure_suite(
-            hs1(seed=606),
-            accounts=2,
-            config=ProfilerConfig(threshold=400, enhanced=True, filtering=True),
-            t=400,
-            throttled_search_cap=60,
-        ),
-        rounds=1,
-        iterations=1,
+def test_countermeasure_suite():
+    outcomes = run_countermeasure_suite(
+        hs1(seed=606),
+        accounts=2,
+        config=ProfilerConfig(threshold=400, enhanced=True, filtering=True),
+        t=400,
+        throttled_search_cap=60,
     )
     by_name = {o.name: o for o in outcomes}
 

@@ -13,10 +13,10 @@ from _bench_utils import emit, emit_figure
 THRESHOLDS = (200, 250, 300, 350, 400, 450, 500)
 
 
-def test_fig1_hs1_sweep(benchmark, hs1_world, hs1_enhanced):
+def test_fig1_hs1_sweep(hs1_world, hs1_enhanced):
     truth = hs1_world.ground_truth()
 
-    evals = benchmark(lambda: sweep_full(hs1_enhanced, truth, THRESHOLDS))
+    evals = sweep_full(hs1_enhanced, truth, THRESHOLDS)
     fig = figure1(evals)
 
     found = fig.series_by_name("% of students found for HS1").ys()

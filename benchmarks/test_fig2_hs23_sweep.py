@@ -23,16 +23,14 @@ from _bench_utils import emit, emit_figure
 THRESHOLDS = (500, 750, 1000, 1250, 1500, 1750, 2000)
 
 
-def test_fig2_hs23_sweep(benchmark, hs2_world, hs3_world, hs2_enhanced, hs3_enhanced):
+def test_fig2_hs23_sweep(hs2_world, hs3_world, hs2_enhanced, hs3_enhanced):
     def collect(world, result):
         client = make_client(world, 4)
         return collect_test_users(
             client, world.school().school_id, exclude=result.seeds
         )
 
-    test_users_hs2 = benchmark.pedantic(
-        lambda: collect(hs2_world, hs2_enhanced), rounds=1, iterations=1
-    )
+    test_users_hs2 = collect(hs2_world, hs2_enhanced)
     test_users_hs3 = collect(hs3_world, hs3_enhanced)
     assert len(test_users_hs2) >= 5, "second crawl found too few test users"
     assert len(test_users_hs3) >= 5

@@ -25,18 +25,14 @@ from repro.worldgen.world import build_world
 from _bench_utils import emit, emit_figure
 
 
-def test_fig3_coppaless(benchmark, hs1_world, hs1_enhanced):
+def test_fig3_coppaless(hs1_world, hs1_enhanced):
     minimal_truth = hs1_world.minimal_profile_students()
     current = hs1_world.network.clock.current_year
 
-    natural = benchmark.pedantic(
-        lambda: run_natural_approach(
-            make_client(hs1_world, 2),
-            hs1_world.school().school_id,
-            [current - 1, current - 2],
-        ),
-        rounds=1,
-        iterations=1,
+    natural = run_natural_approach(
+        make_client(hs1_world, 2),
+        hs1_world.school().school_id,
+        [current - 1, current - 2],
     )
 
     with_points = with_coppa_minimal_points(hs1_enhanced, minimal_truth, (300, 400, 500))
@@ -61,18 +57,14 @@ def test_fig3_coppaless(benchmark, hs1_world, hs1_enhanced):
     emit_figure("fig3_coppaless_plot", fig)
 
 
-def test_fig3_direct_counterfactual(benchmark):
+def test_fig3_direct_counterfactual():
     """A world with no age ban: the main attack collapses (Section 7.3)."""
     counter_world = build_world(hs1().without_coppa())
 
-    result = benchmark.pedantic(
-        lambda: run_attack(
-            counter_world,
-            accounts=2,
-            config=ProfilerConfig(threshold=500, enhanced=True, filtering=True),
-        ),
-        rounds=1,
-        iterations=1,
+    result = run_attack(
+        counter_world,
+        accounts=2,
+        config=ProfilerConfig(threshold=500, enhanced=True, filtering=True),
     )
     truth = counter_world.ground_truth()
     current = counter_world.network.clock.current_year

@@ -17,18 +17,14 @@ from _bench_utils import emit, emit_figure
 THRESHOLDS = (200, 250, 300, 350, 400, 450, 500)
 
 
-def test_fig4_countermeasure(benchmark):
+def test_fig4_countermeasure():
     world = build_world(hs1())
 
-    report = benchmark.pedantic(
-        lambda: run_countermeasure_comparison(
-            world,
-            accounts=2,
-            config=ProfilerConfig(threshold=500, enhanced=True, filtering=True),
-            thresholds=THRESHOLDS,
-        ),
-        rounds=1,
-        iterations=1,
+    report = run_countermeasure_comparison(
+        world,
+        accounts=2,
+        config=ProfilerConfig(threshold=500, enhanced=True, filtering=True),
+        thresholds=THRESHOLDS,
     )
 
     last = report.points[-1]

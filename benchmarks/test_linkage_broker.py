@@ -21,7 +21,7 @@ from repro.worldgen.records import build_voter_registry
 from _bench_utils import emit
 
 
-def test_linkage_broker(benchmark, hs1_world, hs1_enhanced):
+def test_linkage_broker(hs1_world, hs1_enhanced):
     client = make_client(hs1_world, 2)
     extended = build_extended_profiles(hs1_enhanced, client, t=400)
     registry = build_voter_registry(
@@ -30,11 +30,7 @@ def test_linkage_broker(benchmark, hs1_world, hs1_enhanced):
     )
 
     friend_name_of = friend_name_resolver(hs1_enhanced.profiles, client)
-    linked = benchmark.pedantic(
-        lambda: link_home_addresses(extended, registry, friend_name_of),
-        rounds=1,
-        iterations=1,
-    )
+    linked = link_home_addresses(extended, registry, friend_name_of)
     evaluation = evaluate_linkage(linked, hs1_world)
 
     assert evaluation.linked > 30

@@ -16,17 +16,13 @@ from _bench_utils import emit
 SEEDS = (11, 22, 33, 44, 55)
 
 
-def test_robustness_across_seeds(benchmark):
-    summary = benchmark.pedantic(
-        lambda: run_across_seeds(
-            hs1(),
-            seeds=SEEDS,
-            attack_config=ProfilerConfig(threshold=400, enhanced=True, filtering=True),
-            accounts=2,
-            t=400,
-        ),
-        rounds=1,
-        iterations=1,
+def test_robustness_across_seeds():
+    summary = run_across_seeds(
+        hs1(),
+        seeds=SEEDS,
+        attack_config=ProfilerConfig(threshold=400, enhanced=True, filtering=True),
+        accounts=2,
+        t=400,
     )
 
     rows = [

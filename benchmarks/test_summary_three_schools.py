@@ -12,7 +12,6 @@ from _bench_utils import emit
 
 
 def test_summary_three_schools(
-    benchmark,
     hs1_world, hs2_world, hs3_world,
     hs1_enhanced, hs2_enhanced, hs3_enhanced,
 ):
@@ -22,13 +21,10 @@ def test_summary_three_schools(
         ("HS3", hs3_world, hs3_enhanced, 1500),
     )
 
-    def evaluate_all():
-        return [
-            (label, evaluate_full(result, world.ground_truth(), t))
-            for label, world, result, t in plans
-        ]
-
-    evaluations = benchmark(evaluate_all)
+    evaluations = [
+        (label, evaluate_full(result, world.ground_truth(), t))
+        for label, world, result, t in plans
+    ]
 
     rows = []
     for label, e in evaluations:

@@ -1,28 +1,19 @@
 """Table 2: seeds, core users and candidates for the three schools.
 
-The benchmark times one full basic crawl (seed harvest -> core
-extraction -> candidate collection) on HS1; the table aggregates the
-session's three enhanced runs.  Shape assertions: seeds near school
-size, core ~5% of the school, candidates an order of magnitude larger.
+The table aggregates the session's three enhanced runs.  Shape
+assertions: seeds near school size, core ~5% of the school, candidates
+an order of magnitude larger.
 """
 
 from repro.analysis.tables import dataset_row, render_table2
-from repro.core.api import run_attack
-from repro.core.profiler import ProfilerConfig
 
 from _bench_utils import emit
 
 
 def test_table2_datasets(
-    benchmark, hs1_world, hs1_enhanced, hs2_enhanced, hs3_enhanced,
+    hs1_world, hs1_enhanced, hs2_enhanced, hs3_enhanced,
     hs2_world, hs3_world,
 ):
-    benchmark.pedantic(
-        lambda: run_attack(hs1_world, accounts=2, config=ProfilerConfig(threshold=500)),
-        rounds=1,
-        iterations=1,
-    )
-
     rows = []
     for label, world, result in (
         ("HS1", hs1_world, hs1_enhanced),

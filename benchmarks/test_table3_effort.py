@@ -13,19 +13,15 @@ from _bench_utils import emit
 
 
 def test_table3_effort(
-    benchmark,
     hs1_world, hs2_world, hs3_world,
     hs1_basic, hs2_basic, hs3_basic,
     hs1_enhanced, hs2_enhanced, hs3_enhanced,
 ):
-    def build_rows():
-        return [
-            effort_row("HS1", hs1_basic, hs1_enhanced),
-            effort_row("HS2", hs2_basic, hs2_enhanced),
-            effort_row("HS3", hs3_basic, hs3_enhanced),
-        ]
-
-    rows = benchmark(build_rows)
+    rows = [
+        effort_row("HS1", hs1_basic, hs1_enhanced),
+        effort_row("HS2", hs2_basic, hs2_enhanced),
+        effort_row("HS3", hs3_basic, hs3_enhanced),
+    ]
 
     for row, world in zip(rows, (hs1_world, hs2_world, hs3_world)):
         school_size = world.ground_truth().enrolled_count

@@ -15,16 +15,13 @@ from _bench_utils import emit
 THRESHOLDS = (200, 300, 400, 500)
 
 
-def test_table4_hs1_grid(benchmark, hs1_world, hs1_runs):
+def test_table4_hs1_grid(hs1_world, hs1_runs):
     truth = hs1_world.ground_truth()
 
-    def evaluate_grid():
-        return {
-            variant: sweep_full(result, truth, THRESHOLDS)
-            for variant, result in hs1_runs.items()
-        }
-
-    grid = benchmark(evaluate_grid)
+    grid = {
+        variant: sweep_full(result, truth, THRESHOLDS)
+        for variant, result in hs1_runs.items()
+    }
 
     basic = {e.threshold: e for e in grid["Basic methodology without filtering"]}
     enhanced = {e.threshold: e for e in grid["Enhanced methodology without filtering"]}

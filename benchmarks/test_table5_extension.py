@@ -19,7 +19,6 @@ from _bench_utils import emit
 
 
 def test_table5_extension(
-    benchmark,
     hs1_world, hs2_world, hs3_world,
     hs1_enhanced, hs2_enhanced, hs3_enhanced,
 ):
@@ -28,13 +27,6 @@ def test_table5_extension(
         ("HS2", hs2_world, hs2_enhanced, 1500),
         ("HS3", hs3_world, hs3_enhanced, 1500),
     )
-
-    def extend_hs1():
-        return build_extended_profiles(
-            hs1_enhanced, make_client(hs1_world, 2), t=400
-        )
-
-    benchmark.pedantic(extend_hs1, rounds=1, iterations=1)
 
     stats = {}
     minor_rows = []

@@ -15,8 +15,8 @@ from repro.osn.profile import Birthday, Name, Profile, SchoolAffiliation
 from _bench_utils import emit
 
 
-def test_table6_googleplus_policy(benchmark):
-    matrix = benchmark(lambda: policy_visibility_matrix(googleplus_policy()))
+def test_table6_googleplus_policy():
+    matrix = policy_visibility_matrix(googleplus_policy())
     rows = {row[0]: row[1:] for row in matrix}
 
     # Name/photo visible everywhere.
@@ -60,11 +60,7 @@ def test_table6_googleplus_policy(benchmark):
     )
 
 
-def test_googleplus_exposes_more_than_facebook_for_minors(benchmark):
-    def count_worst_minor_rows():
-        fb = sum(1 for row in policy_visibility_matrix(facebook_policy()) if row[3])
-        gp = sum(1 for row in policy_visibility_matrix(googleplus_policy()) if row[3])
-        return fb, gp
-
-    fb, gp = benchmark(count_worst_minor_rows)
+def test_googleplus_exposes_more_than_facebook_for_minors():
+    fb = sum(1 for row in policy_visibility_matrix(facebook_policy()) if row[3])
+    gp = sum(1 for row in policy_visibility_matrix(googleplus_policy()) if row[3])
     assert gp > fb

@@ -6,10 +6,7 @@ serialised when the session closes, inside the timed region),
 interleaved best-of-N to shrug off scheduler noise.  Each round starts
 from a fresh collection and runs with the collector paused, so the
 verdict measures telemetry rather than which rounds a full collection
-happened to land in.  The <10% budget rides the perf comparator: the
-emitted ``BENCH_telemetry_overhead.json`` declares ``max_value`` on the
-overhead metric, and the same :func:`repro.perf.compare.check_budgets`
-gate that ``bench compare`` applies in CI enforces it here.
+happened to land in.  The test asserts the <10% budget itself.
 """
 
 from __future__ import annotations
@@ -19,13 +16,11 @@ import time
 
 from repro.core.api import run_attack
 from repro.core.profiler import ProfilerConfig
-from repro.perf.compare import check_budgets
-from repro.perf.record import metric, new_record
 from repro.telemetry import Telemetry
 from repro.worldgen.presets import hs1
 from repro.worldgen.world import build_world
 
-from _bench_utils import emit, emit_json
+from _bench_utils import emit
 
 _ROUNDS = 3
 _MAX_OVERHEAD = 0.10
@@ -79,23 +74,5 @@ def test_telemetry_overhead_under_10_percent(tmp_path):
     ]
     emit("telemetry_overhead", "\n".join(lines))
 
-    record = new_record(
-        "telemetry_overhead",
-        params={"preset": "hs1", "rounds": _ROUNDS, "sink": "jsonl"},
-        metrics={
-            "overhead_percent": metric(
-                overhead * 100.0, "percent", "info",
-                max_value=_MAX_OVERHEAD * 100.0,
-            ),
-            "telemetry_off_seconds": metric(best_off, "seconds", "info"),
-            "telemetry_on_seconds": metric(best_on, "seconds", "info"),
-            "events": metric(events, "count", "exact"),
-            "requests": metric(requests, "count", "exact"),
-        },
-    )
-    emit_json("telemetry_overhead", record)
-
     assert events > requests > 0
-    # The <10% gate, through the same budget check 'bench compare' runs.
-    over_budget = check_budgets(record)
-    assert not over_budget, [item.note for item in over_budget]
+    assert overhead < _MAX_OVERHEAD, lines[-1]

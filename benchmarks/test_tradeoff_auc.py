@@ -15,16 +15,13 @@ from _bench_utils import emit
 THRESHOLDS = (100, 200, 300, 400, 500, 700, 1000)
 
 
-def test_tradeoff_auc(benchmark, hs1_world, hs1_runs):
+def test_tradeoff_auc(hs1_world, hs1_runs):
     truth = hs1_world.ground_truth()
 
-    def build_curves():
-        return {
-            variant: tradeoff_curve(result, truth, THRESHOLDS)
-            for variant, result in hs1_runs.items()
-        }
-
-    curves = benchmark(build_curves)
+    curves = {
+        variant: tradeoff_curve(result, truth, THRESHOLDS)
+        for variant, result in hs1_runs.items()
+    }
 
     rows = []
     aucs = {}

@@ -2,22 +2,14 @@
 
 Benches the ``smoke`` tier (object generator + lossless encode) and a
 sub-sampled ``city`` run (native sharded generation + one-pass CSR
-build), emitting one text exhibit plus machine-readable
-``BENCH_worldgen.json`` — the artifact the CI city-tier job asserts
-its memory ceiling against.
+build), emitting one text exhibit.
 """
 
 from __future__ import annotations
 
 from repro.colgen import bench_worldgen
-from repro.perf.record import (
-    RSS_TOLERANCE_PCT,
-    THROUGHPUT_TOLERANCE_PCT,
-    metric,
-    new_record,
-)
 
-from _bench_utils import emit, emit_json
+from _bench_utils import emit
 
 #: 25 blocks × 4k = 100k accounts: the full native machinery (sharded
 #: draws, one endpoint list, one in-place composite-key sort) at a
@@ -52,41 +44,6 @@ def test_worldgen_tier_throughput():
     lines.append(f"city tier @ {_CITY_BLOCKS} blocks (native columnar):")
     lines.extend(_fmt(city))
     emit("worldgen_colgen", "\n".join(lines))
-    # Schema-shaped record; the flat per-tier records ride along under
-    # their historical keys for the CI city job and older tooling.
-    emit_json(
-        "worldgen",
-        new_record(
-            "worldgen",
-            params={"smoke_seed": 11, "city_seed": 1, "city_blocks": _CITY_BLOCKS},
-            metrics={
-                "smoke_accounts_per_second": metric(
-                    smoke["accounts_per_second"], "accounts/sec", "higher",
-                    tolerance_pct=THROUGHPUT_TOLERANCE_PCT,
-                ),
-                "city_accounts_per_second": metric(
-                    city["accounts_per_second"], "accounts/sec", "higher",
-                    tolerance_pct=THROUGHPUT_TOLERANCE_PCT,
-                ),
-                "city_accounts": metric(city["accounts"], "count", "exact"),
-                "city_edges": metric(city["edges"], "count", "exact"),
-                "city_column_bytes": metric(
-                    city["column_nbytes"], "bytes", "lower",
-                    tolerance_pct=RSS_TOLERANCE_PCT,
-                ),
-                "city_graph_bytes": metric(
-                    city["graph_nbytes"], "bytes", "lower",
-                    tolerance_pct=RSS_TOLERANCE_PCT,
-                ),
-                "peak_rss_bytes": metric(
-                    city["peak_rss_bytes"], "bytes", "lower",
-                    tolerance_pct=RSS_TOLERANCE_PCT,
-                ),
-            },
-            smoke=smoke,
-            city_subsampled=city,
-        ),
-    )
 
     assert smoke["accounts"] > 5_000
     assert smoke["edges"] > 0

@@ -13,14 +13,12 @@ Examples
     python -m repro countermeasure --preset hs1
     python -m repro worldinfo --preset hs2
     python -m repro worldgen --tier city --bench-out BENCH_worldgen.json
-    python -m repro bench compare old-records/ benchmarks/output
 
 Every experiment subcommand builds the requested synthetic world
 (deterministic per ``--seed``), runs the corresponding experiment
 through the crawlable frontend, and prints paper-style tables/series.
-``bench compare|report`` gate and render the ``BENCH_*.json`` records
-the benchmark suite writes; the pipeline's own speed is measured by
-``python bench/run.py`` (see ``bench/README.md``).
+The pipeline's own speed is measured by ``python bench/run.py`` (see
+``bench/README.md``).
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ from repro.core.evaluation import (
 from repro.core.profiler import ProfilerConfig
 from repro.lint.cli import add_lint_arguments, run_lint
 from repro.osn.policy import policy_by_name
-from repro.perf.cli import add_bench_arguments, run_bench
 from repro.telemetry import Telemetry, replay_report
 from repro.worldgen.export import export_world_json
 from repro.worldgen.presets import PRESETS, preset
@@ -170,14 +167,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     world = _build_world_from(args)
-    config = _profiler_config(args)
-    if config.threshold is None:
-        config = ProfilerConfig(
-            threshold=max(args.thresholds),
-            enhanced=config.enhanced,
-            filtering=config.filtering,
-            epsilon=config.epsilon,
-        )
+    config = ProfilerConfig(
+        threshold=max(args.thresholds) if args.threshold is None else args.threshold,
+        enhanced=True,
+        filtering=True,
+        epsilon=args.epsilon,
+    )
     result = run_attack(world, accounts=args.accounts, config=config)
     evals = sweep_full(result, world.ground_truth(), args.thresholds)
     print(render_figure(figure1(evals, args.preset.upper())))
@@ -310,7 +305,7 @@ def cmd_robustness(args: argparse.Namespace) -> int:
 
 
 def cmd_worldgen(args: argparse.Namespace) -> int:
-    from repro.colgen import TIER_NAMES, bench_worldgen, write_bench_json
+    from repro.colgen import bench_worldgen, write_bench_json
 
     record = bench_worldgen(
         args.tier,
@@ -350,15 +345,16 @@ def cmd_crawl(args: argparse.Namespace) -> int:
     from repro.crawler.client import CrawlClient
     from repro.crawler.engine import CrawlPlan, CrawlScheduler
 
+    serve = args.serve or ("columnar" if args.tier else "object")
     if args.tier:
-        if args.serve != "columnar":
+        if serve != "columnar":
             print(
                 "error: --tier worlds have no object representation; "
                 "use --serve columnar",
                 file=sys.stderr,
             )
             return 2
-        columnar = generate(args.tier, seed=args.seed or 1)
+        columnar = generate(args.tier, seed=1 if args.seed is None else args.seed)
         frontend = columnar_frontend(columnar)
         uids = session_accounts(frontend, args.accounts)
         school_id = first_school_id(frontend)
@@ -366,7 +362,7 @@ def cmd_crawl(args: argparse.Namespace) -> int:
         seed = columnar.seed
     else:
         world = _build_world_from(args)
-        if args.serve == "columnar":
+        if serve == "columnar":
             frontend = frontend_for_object_world(world)
             uids = session_accounts(frontend, args.accounts)
         else:
@@ -382,7 +378,7 @@ def cmd_crawl(args: argparse.Namespace) -> int:
 
     effort = result.effort
     rows = [
-        ("world", f"{label} seed={seed} serve={args.serve}"),
+        ("world", f"{label} seed={seed} serve={serve}"),
         ("accounts", str(len(uids))),
         ("pages", str(result.pages)),
         ("sim_seconds", f"{result.sim_seconds:.1f}"),
@@ -447,8 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="Figure-1-style threshold sweep")
     _add_world_args(sweep)
     sweep.add_argument("-t", "--threshold", type=int, default=None)
-    sweep.add_argument("--enhanced", action="store_true", default=True)
-    sweep.add_argument("--filtering", action="store_true", default=True)
     sweep.add_argument("--epsilon", type=float, default=1.0)
     sweep.add_argument(
         "--thresholds", type=_parse_thresholds, default=[200, 300, 400, 500]
@@ -500,8 +494,9 @@ def build_parser() -> argparse.ArgumentParser:
     crawl.add_argument(
         "--serve",
         choices=("object", "columnar"),
-        default="object",
-        help="serving path: per-account objects or the columnar world",
+        default=None,
+        help="serving path: per-account objects or the columnar world "
+        "(default: object, or columnar with --tier)",
     )
     crawl.add_argument(
         "--tier",
@@ -558,13 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the machine-readable bench record (BENCH_worldgen.json)",
     )
     worldgen.set_defaults(func=cmd_worldgen)
-
-    bench = sub.add_parser(
-        "bench",
-        help="perf trajectory: compare BENCH_*.json records, gate CI",
-    )
-    add_bench_arguments(bench)
-    bench.set_defaults(func=run_bench)
 
     lint = sub.add_parser(
         "lint",

@@ -11,7 +11,7 @@ Entry points:
 * :func:`generate` — build a tier (``generate("city", seed=1)``).
 * :func:`encode_world` — losslessly columnarise a legacy object world.
 * :func:`bench_worldgen` — run a tier under measurement, for
-  ``BENCH_worldgen.json``.
+  ``python -m repro worldgen --bench-out``.
 * CLI: ``python -m repro worldgen --tier city``.
 """
 

@@ -1,8 +1,9 @@
 """Worldgen benchmarking: throughput, phase timings and peak RSS.
 
-One entry point, :func:`bench_worldgen`, runs a tier and returns the
-machine-readable record that lands in ``BENCH_worldgen.json`` — the
-artifact CI uploads and the 2GB-ceiling city job asserts against.
+One entry point, :func:`bench_worldgen`, runs a tier and returns a flat
+record; ``python -m repro worldgen --bench-out`` writes it with
+:func:`write_bench_json`, and CI's city-tier job asserts its memory
+ceilings against the file.
 
 Timing uses ``time.perf_counter`` only (CLOCK001: wall-clock reads are
 confined to ``repro.telemetry``), so the records carry durations and
@@ -11,14 +12,24 @@ counters, never timestamps.
 
 from __future__ import annotations
 
+import json
+import os
 import platform
+import resource
+import sys
 from typing import Any, Dict, Optional
-
-from repro.perf.record import atomic_write_json, peak_rss_bytes
 
 from .generate import generate
 
-__all__ = ["bench_worldgen", "write_bench_json"]
+__all__ = ["bench_worldgen", "peak_rss_bytes", "write_bench_json"]
+
+#: ru_maxrss is kibibytes on Linux, bytes on macOS.
+_RSS_UNIT = 1 if sys.platform == "darwin" else 1024
+
+
+def peak_rss_bytes() -> int:
+    """High-water-mark resident set size of this process, in bytes."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * _RSS_UNIT
 
 
 def bench_worldgen(
@@ -58,5 +69,18 @@ def bench_worldgen(
 
 
 def write_bench_json(record: Dict[str, Any], path: str) -> None:
-    """Write the flat worldgen record (atomic, like every BENCH file)."""
-    atomic_write_json(record, path)
+    """Write ``record`` as sorted JSON, atomically.
+
+    Serialise to ``<path>.tmp`` then ``os.replace``, so a reader (CI's
+    ceiling check) never sees a torn record and a failed write keeps
+    the previous file.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            json.dump(record, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)

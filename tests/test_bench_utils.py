@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import json
 import pathlib
 import sys
 
 import pytest
-
-from repro.perf.record import BenchRecordError, metric, new_record
 
 BENCHMARKS_DIR = pathlib.Path(__file__).resolve().parents[1] / "benchmarks"
 if str(BENCHMARKS_DIR) not in sys.path:
@@ -23,43 +20,7 @@ def output_dir(tmp_path, monkeypatch):
     return tmp_path
 
 
-def valid_record():
-    return new_record(
-        "crawl",
-        params={"preset": "tiny"},
-        metrics={"requests": metric(10, "count", "exact")},
-    )
-
-
 def test_emit_writes_text_exhibit(output_dir, capsys):
     _bench_utils.emit("demo", "line one\nline two")
     assert (output_dir / "demo.txt").read_text() == "line one\nline two\n"
     assert "line one" in capsys.readouterr().out
-
-
-def test_emit_json_writes_sorted_validated_record(output_dir):
-    _bench_utils.emit_json("crawl", valid_record())
-    path = output_dir / "BENCH_crawl.json"
-    text = path.read_text()
-    assert text.endswith("\n")
-    loaded = json.loads(text)
-    assert loaded["benchmark"] == "crawl"
-    assert list(loaded) == sorted(loaded)  # sort_keys for stable diffs
-    assert not list(output_dir.glob("*.tmp"))
-
-
-def test_emit_json_rejects_malformed_record(output_dir):
-    record = valid_record()
-    record["metrics"] = {}
-    with pytest.raises(BenchRecordError):
-        _bench_utils.emit_json("crawl", record)
-    # The bench fails here; nothing half-written lands for CI to upload.
-    assert not list(output_dir.iterdir())
-
-
-def test_emit_json_failure_preserves_previous_record(output_dir):
-    _bench_utils.emit_json("crawl", valid_record())
-    before = (output_dir / "BENCH_crawl.json").read_text()
-    with pytest.raises(BenchRecordError):
-        _bench_utils.emit_json("crawl", {"benchmark": "crawl"})
-    assert (output_dir / "BENCH_crawl.json").read_text() == before

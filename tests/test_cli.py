@@ -125,19 +125,25 @@ class TestExtendedCommands:
         assert "age_verification" in out
 
 
-def crawl_table(capsys, serve):
-    """The metric -> value rows ``crawl`` prints for the tiny preset."""
-    argv = ["crawl", "--preset", "tiny", "--accounts", "4", "--budget", "10"]
-    assert main(argv + ["--serve", serve]) == 0
+def crawl_table(capsys, *argv):
+    """The metric -> value rows ``crawl`` prints for ``argv``."""
+    assert main(["crawl", *argv]) == 0
     lines = capsys.readouterr().out.splitlines()
     return dict(
         (cell.strip() for cell in line.split("|")) for line in lines if "|" in line
     )
 
 
+TINY = ("--preset", "tiny", "--accounts", "4", "--budget", "10")
+SMOKE = ("--tier", "smoke", "--budget", "3")
+
+
 class TestCrawlCommand:
     def test_object_and_columnar_serving_crawl_the_same_pages(self, capsys):
-        tables = {serve: crawl_table(capsys, serve) for serve in ("object", "columnar")}
+        tables = {
+            serve: crawl_table(capsys, *TINY, "--serve", serve)
+            for serve in ("object", "columnar")
+        }
         rows = (
             "pages",
             "sim_seconds",
@@ -156,3 +162,16 @@ class TestCrawlCommand:
         assert [tables["object"][row] for row in rows] == [
             tables["columnar"][row] for row in rows
         ]
+
+    def test_tier_implies_columnar_serving(self, capsys):
+        implied = crawl_table(capsys, *SMOKE)
+        assert implied == crawl_table(capsys, *SMOKE, "--serve", "columnar")
+        assert implied["world"] == "tier=smoke seed=1 serve=columnar"
+
+    def test_tier_refuses_object_serving(self, capsys):
+        assert main(["crawl", *SMOKE, "--serve", "object"]) == 2
+        assert "use --serve columnar" in capsys.readouterr().err
+
+    def test_tier_crawls_seed_zero(self, capsys):
+        table = crawl_table(capsys, *SMOKE, "--seed", "0")
+        assert table["world"] == "tier=smoke seed=0 serve=columnar"

@@ -17,6 +17,7 @@ from repro.colgen import (
     tier,
     write_bench_json,
 )
+from repro.colgen.bench import peak_rss_bytes
 #: 3 blocks x 4k = 12k accounts: full native machinery, test-sized.
 _BLOCKS = 3
 
@@ -149,6 +150,12 @@ class TestNativeGraphIdentity:
         assert (world.csr.indptr.dtype, world.csr.indices.dtype) == ("int64", "int32")
         assert graph_digest(world) == expected
 
+    def test_pinned_city_footprint(self):
+        """The worldgen exhibit's 100k-account city, counted exactly."""
+        world = generate("city", seed=1, blocks=25)
+        assert (world.n_accounts, world.n_edges) == (100_000, 1_197_653)
+        assert (world.column_nbytes, world.graph_nbytes) == (8_100_000, 10_381_232)
+
 
 class TestBench:
     def test_bench_record_fields(self, tmp_path):
@@ -166,6 +173,20 @@ class TestBench:
         record = bench_worldgen("smoke", seed=11)
         assert record["accounts"] > 5_000
         assert "build_seconds" in record and "encode_seconds" in record
+
+    def test_peak_rss_is_a_positive_high_water_mark(self):
+        record = bench_worldgen("city", seed=7, blocks=2)
+        assert 0 < record["peak_rss_before_bytes"] <= record["peak_rss_bytes"]
+        assert record["peak_rss_bytes"] <= peak_rss_bytes()
+
+    def test_failed_write_keeps_the_previous_file(self, tmp_path):
+        out = tmp_path / "BENCH_worldgen.json"
+        write_bench_json({"tier": "city", "accounts": 8_000}, str(out))
+        before = out.read_text()
+        with pytest.raises(TypeError):
+            write_bench_json({"tier": "city", "accounts": object()}, str(out))
+        assert out.read_text() == before
+        assert [path.name for path in tmp_path.iterdir()] == [out.name]
 
 
 class TestCli:

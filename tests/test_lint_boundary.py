@@ -16,7 +16,15 @@ import json
 import os
 from typing import Dict, List
 
-from repro.lint import Baseline, lint_paths, module_name_for, render_text
+from repro.lint import (
+    Baseline,
+    LintCache,
+    all_rules,
+    lint_paths,
+    module_name_for,
+    render_text,
+    rule_signature,
+)
 from repro.lint.engine import iter_python_files
 from repro.lint.rules.base import FileContext
 from repro.lint.rules.oracle import (
@@ -100,12 +108,14 @@ def test_attacker_visible_surface_modules_exist():
         assert module in modules, f"allowlisted module '{module}' does not exist"
 
 
-def test_repo_lints_clean_against_the_shipped_baseline(monkeypatch):
+def test_repo_lints_clean_against_the_shipped_baseline(monkeypatch, tmp_path):
     """Every shipped baseline entry is justified debt, never serve-path.
 
     The serve/crawl path must lint clean with no grandfathering at all
     (a scale regression there defeats the columnar port); attack-pipeline
     debt may be baselined but each entry must say why and when it dies.
+    A second run against the first run's cache must parse nothing and
+    report the same findings, or every cached lint run pays cold cost.
     """
     baseline_path = os.path.join(REPO_ROOT, "lint-baseline.json")
     with open(baseline_path, "r", encoding="utf-8") as handle:
@@ -129,5 +139,16 @@ def test_repo_lints_clean_against_the_shipped_baseline(monkeypatch):
     # the linter), so lint from the repo root with the relative target.
     monkeypatch.chdir(REPO_ROOT)
     baseline = Baseline.load(baseline_path)
-    report = lint_paths([os.path.join("src", "repro")], baseline=baseline)
+    signature = rule_signature([rule.rule_id for rule in all_rules()])
+    cache_path = str(tmp_path / "lint-cache.json")
+    target = [os.path.join("src", "repro")]
+    report = lint_paths(
+        target, baseline=baseline, cache=LintCache(cache_path, signature)
+    )
     assert report.ok, "\n" + render_text(report)
+    warm = lint_paths(
+        target, baseline=baseline, cache=LintCache(cache_path, signature)
+    )
+    assert warm.files_reparsed == 0
+    assert warm.cache_hits == warm.files_checked == report.files_checked
+    assert warm.findings == report.findings

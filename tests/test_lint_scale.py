@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import textwrap
 
-from repro.lint import all_rules, lint_paths, lint_source
+from repro.lint import LintCache, all_rules, lint_paths, lint_source, rule_signature
 from repro.lint.flow.summary import ModuleSummary, extract_summary
 from repro.lint.scale import build_scale_report, render_text as render_report
 
@@ -226,6 +226,21 @@ class TestScale001:
         report = _scale(tmp_path, MATERIALIZE_SUPPRESSED_MULTILINE)
         assert report.findings == []
         assert report.suppressed == 1
+
+    def test_warm_scale_run_replays_the_cache(self, tmp_path):
+        """The scale pass alone, against a cache keyed by its own subset
+        signature: the warm run parses nothing and finds the same."""
+        rules = _rules("SCALE001", "SCALE002", "SCALE003", "DET002")
+        signature = rule_signature([rule.rule_id for rule in rules])
+        root = _project(tmp_path / "tree", MATERIALIZE_TWO_HOP)
+        cache_path = str(tmp_path / "scale-cache.json")
+        cold = lint_paths([root], rules=rules, cache=LintCache(cache_path, signature))
+        warm = lint_paths([root], rules=rules, cache=LintCache(cache_path, signature))
+        assert cold.files_reparsed == cold.files_checked > 0
+        assert warm.files_reparsed == 0
+        assert warm.cache_hits == warm.files_checked == cold.files_checked
+        assert [f.rule for f in warm.findings] == ["SCALE001"]
+        assert warm.findings == cold.findings
 
 
 # ----------------------------------------------------------------------

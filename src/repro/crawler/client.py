@@ -64,6 +64,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _MAX_THROTTLE_RETRIES = 8
 
+#: Page caps per portal scroll and per friend list: they bound a listing
+#: whose ``next_offset`` never runs out.
+_MAX_PORTAL_PAGES = 100
+_MAX_FRIEND_PAGES = 200
+
 #: Exception type -> the ``outcome`` of a ``request`` event.
 _OUTCOMES: Dict[type, str] = {
     RateLimitedError: "rate_limited",
@@ -266,12 +271,7 @@ class CrawlClient:
     # ------------------------------------------------------------------
     # Seed collection (Step 1)
     # ------------------------------------------------------------------
-    def collect_seeds(
-        self,
-        school_id: int,
-        accounts: Optional[List[int]] = None,
-        max_pages_per_account: int = 100,
-    ) -> Dict[int, str]:
+    def collect_seeds(self, school_id: int) -> Dict[int, str]:
         """Harvest the seed set S from the Find Friends Portal.
 
         Scrolls every results page (AJAX-style offsets) from each crawl
@@ -280,14 +280,12 @@ class CrawlClient:
         3.1).  Returns uid -> display name.
         """
         seeds: Dict[int, str] = {}
-        for account_id in accounts if accounts is not None else self.pool.usable:
-            self._drive(
-                self.portal_step(school_id, account_id, seeds, max_pages_per_account)
-            )
+        for account_id in self.pool.usable:
+            self._drive(self.portal_step(school_id, account_id, seeds))
         return seeds
 
     def portal_step(
-        self, school_id: int, account_id: int, seeds: Dict[int, str], max_pages: int = 100
+        self, school_id: int, account_id: int, seeds: Dict[int, str]
     ) -> Step[None]:
         """One account's scroll of the Find Friends Portal.
 
@@ -295,7 +293,7 @@ class CrawlClient:
         name), so a scroll cut short by a failure keeps what it parsed.
         """
         offset = 0
-        for _ in range(max_pages):
+        for _ in range(_MAX_PORTAL_PAGES):
             page = yield from self._request_step(
                 False,
                 "/find-friends/browser",
@@ -355,23 +353,21 @@ class CrawlClient:
     # ------------------------------------------------------------------
     # Friend lists (Step 3; paginated, p=20 per request)
     # ------------------------------------------------------------------
-    def fetch_friend_list(
-        self, user_id: int, max_pages: int = 200
-    ) -> Optional[List[DirectoryEntry]]:
+    def fetch_friend_list(self, user_id: int) -> Optional[List[DirectoryEntry]]:
         """Download a full friend list, page by page.
 
         Returns ``None`` when the list is not visible to a stranger —
         the distinction between the paper's C' and core set C.
         """
-        return self._drive(self.friend_list_step(user_id, max_pages=max_pages))
+        return self._drive(self.friend_list_step(user_id))
 
     def friend_list_step(
-        self, user_id: int, account_id: Optional[int] = None, max_pages: int = 200
+        self, user_id: int, account_id: Optional[int] = None
     ) -> Step[Optional[List[DirectoryEntry]]]:
         """The step behind :meth:`fetch_friend_list`, optionally pinned."""
         entries: List[DirectoryEntry] = []
         offset = 0
-        for _ in range(max_pages):
+        for _ in range(_MAX_FRIEND_PAGES):
             try:
                 page = yield from self._request_step(
                     False,

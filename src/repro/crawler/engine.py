@@ -22,12 +22,12 @@ pure function of (world seed, crawl seed, pool, plan) — reruns are
 bit-identical.
 
 Result-set invariance across pool sizes: seed harvesting is pinned to
-the first ``harvest_accounts`` accounts of the sorted pool (portal
-samples are per-account, so harvesting from *more* accounts would grow
-the seed set), and the profile/friend-list queue is built from the
-sorted seed set truncated at ``max_profiles`` — so pools of 1, 4 and 8
-accounts visit the same pages and spend the same per-category effort,
-they just overlap the waits.
+the first account of the sorted pool (portal samples are per-account,
+so harvesting from *more* accounts would grow the seed set), and the
+profile/friend-list queue is built from the sorted seed set truncated
+at ``max_profiles`` — so pools of 1, 4 and 8 accounts visit the same
+pages and spend the same per-category effort, they just overlap the
+waits.
 
 The engine has no transport of its own: each work item runs one of the
 client's sans-IO steps pinned to the session's account and parks on
@@ -129,21 +129,15 @@ class TurnDispatcher:
 
 @dataclass(frozen=True)
 class CrawlPlan:
-    """What to crawl and how much of it (the run's budget knobs).
+    """What to crawl and how much of it.
 
     ``max_profiles`` is the budget: the seed set is sorted and
     truncated there before the fetch phase, which is what keeps result
     sets identical across pool sizes at equal budgets.
-    ``harvest_accounts`` pins seed harvesting to the first N accounts
-    of the sorted pool for the same reason.
     """
 
     school_id: int
-    harvest_accounts: int = 1
-    max_pages_per_account: int = 100
     max_profiles: Optional[int] = None
-    fetch_friend_lists: bool = True
-    max_friend_pages: int = 200
 
 
 class _RunState:
@@ -234,20 +228,14 @@ class CrawlScheduler:
         state = _RunState()
 
         harvest: WorkItem = ("seeds", plan.school_id)
-        harvesters = sorted(client.pool.account_ids)[: max(1, plan.harvest_accounts)]
-        self._run_phase(
-            lambda turns: [
-                self._serve(turns, state, account_id, harvest)
-                for account_id in harvesters
-            ]
-        )
+        harvester = min(client.pool.account_ids)
+        self._run_phase(lambda turns: [self._serve(turns, state, harvester, harvest)])
 
         targets = sorted(state.seeds)
         if plan.max_profiles is not None:
             targets = targets[: plan.max_profiles]
         work: List[WorkItem] = [("profile", uid) for uid in targets]
-        if plan.fetch_friend_lists:
-            work.extend(("friends", uid) for uid in targets)
+        work.extend(("friends", uid) for uid in targets)
         state.work = deque(work)
         self._run_phase(
             lambda turns: [
@@ -326,15 +314,10 @@ class CrawlScheduler:
     def _step(self, state: _RunState, account_id: int, item: WorkItem) -> Step[None]:
         """The client step behind one work item, storing its result."""
         client = self.client
-        plan = self.plan
         kind, key = item
         if kind == "seeds":
-            yield from client.portal_step(
-                key, account_id, state.seeds, plan.max_pages_per_account
-            )
+            yield from client.portal_step(key, account_id, state.seeds)
         elif kind == "profile":
             state.profiles[key] = yield from client.profile_step(key, account_id)
         else:
-            state.friend_lists[key] = yield from client.friend_list_step(
-                key, account_id, plan.max_friend_pages
-            )
+            state.friend_lists[key] = yield from client.friend_list_step(key, account_id)

@@ -257,13 +257,6 @@ class BaseNetwork:
         except KeyError:
             raise NotFoundError(f"no such school: {school_id}") from None
 
-    def find_school_by_name(self, name: str) -> Optional[School]:
-        lowered = name.lower()
-        for school in self.schools.values():
-            if school.name.lower() == lowered:
-                return school
-        return None
-
     def find_account(self, user_id: int) -> Optional[Account]:
         """The account's eligibility view, or ``None`` for an unknown uid.
 

@@ -30,8 +30,8 @@ _CONFIG = ProfilerConfig(threshold=500, enhanced=True, filtering=True)
 def _attack_once(world, tmp_path, instrumented: bool):
     telemetry = None
     if instrumented:
-        telemetry = Telemetry.to_jsonl(
-            world.network.clock, str(tmp_path / "overhead.jsonl")
+        telemetry = Telemetry(
+            world.network.clock, jsonl=str(tmp_path / "overhead.jsonl")
         )
     gc.collect()
     gc.disable()

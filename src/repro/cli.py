@@ -48,7 +48,7 @@ from repro.core.evaluation import (
 from repro.core.profiler import ProfilerConfig
 from repro.lint.cli import add_lint_arguments, run_lint
 from repro.osn.policy import policy_by_name
-from repro.telemetry import Telemetry, replay_report
+from repro.telemetry import CrawlSessionReport, Telemetry, read_jsonl
 from repro.worldgen.export import export_world_json
 from repro.worldgen.presets import PRESETS, preset
 from repro.worldgen.world import World, build_world
@@ -106,18 +106,18 @@ def cmd_attack(args: argparse.Namespace) -> int:
     world = _build_world_from(args)
     telemetry = None
     if args.telemetry:
-        # Sinks buffer and write on close; reject an unwritable path now
-        # rather than after the whole crawl has run.
-        for sink_path in filter(None, (args.telemetry, args.prometheus)):
+        # The session writes its files on close; reject an unwritable
+        # path now rather than after the whole crawl has run.
+        for out_path in filter(None, (args.telemetry, args.prometheus)):
             try:
-                with open(sink_path, "w", encoding="utf-8"):
+                with open(out_path, "w", encoding="utf-8"):
                     pass
             except OSError as exc:
-                print(f"error: cannot write {sink_path!r}: {exc}", file=sys.stderr)
+                print(f"error: cannot write {out_path!r}: {exc}", file=sys.stderr)
                 return 2
-        telemetry = Telemetry.to_jsonl(world.clock, args.telemetry)
-        if args.prometheus:
-            telemetry.add_prometheus(args.prometheus)
+        telemetry = Telemetry(
+            world.clock, jsonl=args.telemetry, prometheus=args.prometheus or None
+        )
     result = run_attack(
         world,
         accounts=args.accounts,
@@ -154,7 +154,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     try:
-        report = replay_report(args.trace)
+        report = CrawlSessionReport.from_events(read_jsonl(args.trace))
     except OSError as exc:
         print(f"error: cannot read trace {args.trace!r}: {exc}", file=sys.stderr)
         return 2

@@ -1,75 +1,39 @@
-"""Observability for the attack pipeline: metrics, traces, events, reports.
+"""Observability for the attack pipeline: one event list per crawl session.
 
 The paper's central quantitative claim is *measurement effort* — HTTP
 GETs, accounts burned, throttle penalties, crawl duration (Section 4.5,
 Table 3).  This package turns that bookkeeping into a first-class
 subsystem:
 
-* :mod:`.metrics` — label-aware counters/gauges/histograms plus
-  Prometheus text exposition;
-* :mod:`.tracing` — sim-clock-aware spans (simulated crawl seconds
-  alongside wall seconds);
-* :mod:`.events` — the event bus and its sinks (memory, JSONL, and a
-  Prometheus snapshot folded from the events);
 * :mod:`.runtime` — the :class:`Telemetry` handle one crawl session
-  owns, held by its crawl client;
-* :mod:`.session` / :mod:`.replay` — per-phase / per-account /
-  per-category crawl-session reports, buildable live or from a trace.
+  owns, held by its crawl client: the session's events in one list, a
+  phase stack whose spans record simulated and wall seconds, and the
+  files written from the list on close;
+* :mod:`.events` — :class:`TelemetryEvent` and its JSONL line format
+  (:func:`read_jsonl` reads a trace back);
+* :mod:`.metrics` — :func:`fold_metrics`, the fold of an event list
+  into seven Prometheus families, and :func:`render_prometheus`;
+* :mod:`.session` — per-phase / per-account / per-category
+  crawl-session reports, built from a live list or a read-back trace.
 
-A session's event stream is its only ledger: the crawl client emits
-one ``request`` event per attempt at the site (plus ``throttle``,
+A session's event list is its only ledger: the crawl client emits one
+``request`` event per attempt at the site (plus ``throttle``,
 ``retry_exhausted`` and ``account_lost``), the profiler one ``span``
 per methodology step, and every report and metric is a fold of that
-stream.  Telemetry is strictly opt-in: the client accepts
+list.  Telemetry is strictly opt-in: the client accepts
 ``telemetry=None``, and nothing it calls ever holds a handle.
 """
 
-from .events import (
-    EventBus,
-    JsonlSink,
-    MemorySink,
-    PrometheusSink,
-    Sink,
-    TelemetryEvent,
-    read_jsonl,
-)
-from .metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricFamily,
-    MetricsRegistry,
-    render_prometheus,
-)
-from .replay import load_trace, replay_report
+from .events import TelemetryEvent, read_jsonl
+from .metrics import fold_metrics, render_prometheus
 from .runtime import Telemetry
-from .session import AccountStats, CrawlSessionReport, PhaseStats
-from .tracing import NO_PHASE, Span, SpanRecord, Tracer
+from .session import CrawlSessionReport
 
 __all__ = [
-    "AccountStats",
-    "Counter",
     "CrawlSessionReport",
-    "DEFAULT_BUCKETS",
-    "EventBus",
-    "Gauge",
-    "Histogram",
-    "JsonlSink",
-    "MemorySink",
-    "MetricFamily",
-    "MetricsRegistry",
-    "NO_PHASE",
-    "PhaseStats",
-    "PrometheusSink",
-    "Sink",
-    "Span",
-    "SpanRecord",
     "Telemetry",
     "TelemetryEvent",
-    "Tracer",
-    "load_trace",
+    "fold_metrics",
     "read_jsonl",
     "render_prometheus",
-    "replay_report",
 ]

@@ -1,98 +1,90 @@
-"""Label-aware metric primitives (counters, gauges, histograms).
+"""The Prometheus snapshot: seven metric families folded from the events.
 
 The paper's headline cost numbers (Table 3) are *counts* — HTTP GETs by
-category, accounts burned, throttle strikes — so the observability layer
-is built around a small Prometheus-flavoured metrics model:
-
-* a :class:`MetricsRegistry` owns named metric *families*;
-* each family fans out into label-keyed *series* via :meth:`labels`;
-* :func:`render_prometheus` serialises the whole registry in the
-  Prometheus text exposition format for scraping or offline diffing.
-
-Everything is plain in-process Python on the simulated pipeline — there
-is no background thread and no real network.  Nothing on the crawl path
-writes a registry: :class:`~repro.telemetry.events.PrometheusSink` fills
-one by folding a session's event stream.
+category, accounts burned, throttle strikes — and each is a count over
+a session's ``request`` events (one per frontend attempt) and its
+``throttle`` events.  :func:`fold_metrics` folds an event list into the
+seven families of :data:`FAMILIES`; :func:`render_prometheus` writes
+them in the Prometheus text exposition format.  A session does both
+once, when it closes, so nothing on the crawl path touches a metric.
+Strikes and disables are the ones the session's attempts ran into.
 """
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
-_LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
+from .events import TelemetryEvent
 
-#: Default histogram buckets, tuned for seconds-scale durations (polite
-#: sleeps, backoff penalties, request wall time).
+#: Histogram buckets, tuned for seconds-scale durations (polite sleeps,
+#: backoff penalties, request wall time).
 DEFAULT_BUCKETS: Tuple[float, ...] = (
     0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
     1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0,
 )
 
-LabelKey = Tuple[Tuple[str, str], ...]
-
-
-def _label_key(labelnames: Sequence[str], labels: Mapping[str, str]) -> LabelKey:
-    if set(labels) != set(labelnames):
-        raise ValueError(
-            f"labels {sorted(labels)} do not match declared labelnames "
-            f"{sorted(labelnames)}"
-        )
-    return tuple((name, str(labels[name])) for name in labelnames)
-
-
-class Counter:
-    """A monotonically increasing series."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError(f"counters only go up (got {amount})")
-        self.value += amount
-
-
-class Gauge:
-    """A series that can go up and down (e.g. usable accounts)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
+#: ``(name, help, type, label name or None)`` per family, in exposition order.
+FAMILIES: Tuple[Tuple[str, str, str, Optional[str]], ...] = (
+    (
+        "crawl_requests_total",
+        "Successful crawl GETs by Table-3 category",
+        "counter",
+        "category",
+    ),
+    (
+        "crawl_account_requests_total",
+        "Successful crawl GETs per crawl account",
+        "counter",
+        "account",
+    ),
+    (
+        "frontend_requests_total",
+        "HTTP requests served by the OSN frontend, by outcome",
+        "counter",
+        "outcome",
+    ),
+    (
+        "frontend_request_wall_seconds",
+        "Wall-clock time spent serving one request",
+        "histogram",
+        None,
+    ),
+    (
+        "ratelimit_strikes_total",
+        "Rate-limit strikes earned, per crawl account",
+        "counter",
+        "account",
+    ),
+    (
+        "ratelimit_accounts_disabled_total",
+        "Accounts permanently disabled for aggressive crawling",
+        "counter",
+        None,
+    ),
+    (
+        "pacer_sleep_seconds",
+        "Simulated seconds slept between requests, by reason",
+        "histogram",
+        "reason",
+    ),
+)
 
 
 class Histogram:
     """A bucketed distribution (cumulative buckets, Prometheus-style)."""
 
-    __slots__ = ("buckets", "bucket_counts", "count", "sum", "min", "max")
+    __slots__ = ("buckets", "bucket_counts", "count", "sum")
 
     def __init__(self, buckets: Sequence[float]) -> None:
         self.buckets: Tuple[float, ...] = tuple(buckets)
         self.bucket_counts: List[int] = [0] * (len(self.buckets) + 1)
         self.count = 0
         self.sum = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
 
     def observe(self, value: float) -> None:
         self.count += 1
         self.sum += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
         self.bucket_counts[bisect_left(self.buckets, value)] += 1
 
     def cumulative(self) -> List[Tuple[float, int]]:
@@ -106,124 +98,53 @@ class Histogram:
         return out
 
 
-class MetricFamily:
-    """A named metric plus all its label-keyed series."""
-
-    def __init__(
-        self,
-        name: str,
-        help_text: str,
-        kind: str,
-        labelnames: Sequence[str],
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> None:
-        if not _NAME_RE.match(name):
-            raise ValueError(f"invalid metric name {name!r}")
-        for label in labelnames:
-            if not _LABEL_RE.match(label):
-                raise ValueError(f"invalid label name {label!r}")
-        if len(set(labelnames)) != len(labelnames):
-            raise ValueError(f"duplicate label names in {labelnames!r}")
-        self.name = name
-        self.help_text = help_text
-        self.kind = kind
-        self.labelnames = tuple(labelnames)
-        self._buckets = tuple(buckets)
-        self._series: Dict[LabelKey, object] = {}
-
-    def _make_series(self) -> object:
-        if self.kind == "counter":
-            return Counter()
-        if self.kind == "gauge":
-            return Gauge()
-        return Histogram(self._buckets)
-
-    def labels(self, **labels: str):
-        """The series for this exact label combination (created lazily)."""
-        key = _label_key(self.labelnames, labels)
-        series = self._series.get(key)
-        if series is None:
-            series = self._series[key] = self._make_series()
-        return series
-
-    def series(self) -> Dict[LabelKey, object]:
-        """All live series, keyed by ``((label, value), ...)`` tuples."""
-        return dict(self._series)
-
-    # Convenience aggregates -------------------------------------------
-    def total(self) -> float:
-        """Sum of counter/gauge values (or observation counts) across series."""
-        if self.kind == "histogram":
-            return float(sum(s.count for s in self._series.values()))  # type: ignore[union-attr]
-        return float(sum(s.value for s in self._series.values()))  # type: ignore[union-attr]
-
-    def series_count(self) -> int:
-        return len(self._series)
+#: One family's series: label value (``None`` when the family has no
+#: label) -> an ``int`` count, or a :class:`Histogram`.
+Series = Dict[Optional[str], Any]
 
 
-class MetricsRegistry:
-    """Owns every metric family of one telemetry session."""
+def fold_metrics(events: Iterable[TelemetryEvent]) -> Dict[str, Series]:
+    """Fold an event list into the series of every family in :data:`FAMILIES`."""
+    families: Dict[str, Series] = {name: {} for name, *_ in FAMILIES}
 
-    def __init__(self) -> None:
-        self._families: Dict[str, MetricFamily] = {}
+    def count(name: str, label: Optional[str]) -> None:
+        series = families[name]
+        series[label] = series.get(label, 0) + 1
 
-    def _register(
-        self,
-        name: str,
-        help_text: str,
-        kind: str,
-        labelnames: Sequence[str],
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> MetricFamily:
-        existing = self._families.get(name)
-        if existing is not None:
-            if existing.kind != kind or existing.labelnames != tuple(labelnames):
-                raise ValueError(
-                    f"metric {name!r} already registered as {existing.kind} "
-                    f"with labels {existing.labelnames!r}"
-                )
-            return existing
-        family = MetricFamily(name, help_text, kind, labelnames, buckets)
-        self._families[name] = family
-        return family
+    def observe(name: str, label: Optional[str], value: float) -> None:
+        series = families[name]
+        histogram = series.get(label)
+        if histogram is None:
+            histogram = series[label] = Histogram(DEFAULT_BUCKETS)
+        histogram.observe(value)
 
-    def counter(
-        self, name: str, help_text: str = "", labelnames: Sequence[str] = ()
-    ) -> MetricFamily:
-        return self._register(name, help_text, "counter", labelnames)
+    for event in events:
+        fields = event.fields
+        if event.kind == "request":
+            outcome = str(fields["outcome"])
+            count("frontend_requests_total", outcome)
+            observe("frontend_request_wall_seconds", None, fields["wall_seconds"])
+            if fields["delay"] > 0:
+                observe("pacer_sleep_seconds", "polite", fields["delay"])
+            if outcome == "ok":
+                count("crawl_requests_total", str(fields["category"]))
+                count("crawl_account_requests_total", str(fields["account"]))
+            elif outcome in ("rate_limited", "account_disabled"):
+                count("ratelimit_strikes_total", str(fields["account"]))
+                if outcome == "account_disabled":
+                    count("ratelimit_accounts_disabled_total", None)
+        elif event.kind == "throttle" and fields["slept"] > 0:
+            observe("pacer_sleep_seconds", "backoff", fields["slept"])
+    return families
 
-    def gauge(
-        self, name: str, help_text: str = "", labelnames: Sequence[str] = ()
-    ) -> MetricFamily:
-        return self._register(name, help_text, "gauge", labelnames)
-
-    def histogram(
-        self,
-        name: str,
-        help_text: str = "",
-        labelnames: Sequence[str] = (),
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> MetricFamily:
-        return self._register(name, help_text, "histogram", labelnames, buckets)
-
-    def get(self, name: str) -> Optional[MetricFamily]:
-        return self._families.get(name)
-
-    def collect(self) -> Iterable[MetricFamily]:
-        return list(self._families.values())
-
-
-# ----------------------------------------------------------------------
-# Prometheus text exposition
-# ----------------------------------------------------------------------
 
 def _escape_label_value(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
-def _format_labels(key: LabelKey, extra: Sequence[Tuple[str, str]] = ()) -> str:
-    pairs = [f'{name}="{_escape_label_value(value)}"' for name, value in (*key, *extra)]
-    return "{" + ",".join(pairs) + "}" if pairs else ""
+def _format_labels(pairs: Sequence[Tuple[str, str]]) -> str:
+    text = ",".join(f'{name}="{_escape_label_value(value)}"' for name, value in pairs)
+    return "{" + text + "}" if text else ""
 
 
 def _format_value(value: float) -> str:
@@ -234,24 +155,24 @@ def _format_value(value: float) -> str:
     return repr(float(value))
 
 
-def render_prometheus(registry: MetricsRegistry) -> str:
-    """Serialise every family in the Prometheus text format (0.0.4)."""
+def render_prometheus(families: Dict[str, Series]) -> str:
+    """Serialise folded families in the Prometheus text format (0.0.4).
+
+    Series are sorted by label value, compared as text.
+    """
     lines: List[str] = []
-    for family in registry.collect():
-        if family.help_text:
-            lines.append(f"# HELP {family.name} {family.help_text}")
-        lines.append(f"# TYPE {family.name} {family.kind}")
-        for key, series in sorted(family.series().items()):
-            if family.kind == "histogram":
-                assert isinstance(series, Histogram)
-                for bound, cum in series.cumulative():
-                    labels = _format_labels(key, (("le", _format_value(bound)),))
-                    lines.append(f"{family.name}_bucket{labels} {cum}")
-                labels = _format_labels(key)
-                lines.append(f"{family.name}_sum{labels} {_format_value(series.sum)}")
-                lines.append(f"{family.name}_count{labels} {series.count}")
+    for name, help_text, kind, label in FAMILIES:
+        lines.append(f"# HELP {name} {help_text}")
+        lines.append(f"# TYPE {name} {kind}")
+        for value, series in sorted(families[name].items()):
+            pairs = [] if label is None else [(label, value)]
+            labels = _format_labels(pairs)
+            if kind == "histogram":
+                for bound, cumulative in series.cumulative():
+                    le = _format_labels([*pairs, ("le", _format_value(bound))])
+                    lines.append(f"{name}_bucket{le} {cumulative}")
+                lines.append(f"{name}_sum{labels} {_format_value(series.sum)}")
+                lines.append(f"{name}_count{labels} {series.count}")
             else:
-                assert isinstance(series, (Counter, Gauge))
-                labels = _format_labels(key)
-                lines.append(f"{family.name}{labels} {_format_value(series.value)}")
-    return "\n".join(lines) + ("\n" if lines else "")
+                lines.append(f"{name}{labels} {series}")
+    return "\n".join(lines) + "\n"

@@ -1,9 +1,9 @@
 """Crawl-session reports: the event stream folded into Table-3 shape.
 
 A :class:`CrawlSessionReport` is a pure function of the telemetry event
-stream — it can be built live from a memory sink or offline from a
-replayed JSONL trace (``python -m repro trace``), and both constructions
-yield an identical report.  It breaks the session down three ways:
+stream — it can be built live from a session's event list or offline
+from a JSONL trace read back (``python -m repro trace``), and both
+constructions yield an identical report.  It breaks the session down three ways:
 
 * **per phase** (seeds → core → candidates → scoring → threshold):
   page fetches (``ok`` attempts), raw GET attempts, throttles, backoff

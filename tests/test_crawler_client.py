@@ -11,23 +11,7 @@ from repro.osn.frontend import HtmlFrontend
 from repro.osn.privacy import PrivacySettings
 from repro.osn.profile import Birthday, Name, Profile
 from repro.osn.ratelimit import RateLimitConfig
-from repro.telemetry import CrawlSessionReport, PrometheusSink, Telemetry
-
-
-def _session(clock, tmp_path):
-    """An in-memory telemetry session that also folds a metrics snapshot."""
-    telemetry = Telemetry.in_memory(clock)
-    prometheus = PrometheusSink(str(tmp_path / "metrics.prom"))
-    telemetry.bus.add_sink(prometheus)
-    return telemetry, prometheus
-
-
-def _series(registry, name):
-    """``{label values: value}`` of one folded metric family."""
-    return {
-        tuple(value for _, value in key): series.value
-        for key, series in registry.get(name).series().items()
-    }
+from repro.telemetry import CrawlSessionReport, Telemetry, fold_metrics
 
 
 @pytest.fixture()
@@ -178,7 +162,7 @@ class TestRequestEvents:
         ``OsnError`` is a fault and propagates with no ``request`` event."""
         net, _, accounts = school_network
         frontend = HtmlFrontend(net)
-        telemetry = Telemetry.in_memory(net.clock)
+        telemetry = Telemetry(net.clock)
         crawl = CrawlClient(
             frontend,
             AccountPool.of([accounts["crawler"].user_id]),
@@ -243,7 +227,7 @@ class TestThrottleExhaustion:
         from repro.osn.errors import RateLimitedError
 
         net, _, _ = school_network
-        telemetry = Telemetry.in_memory(net.clock)
+        telemetry = Telemetry(net.clock)
         crawl, accounts = self._stuck_client(school_network, telemetry=telemetry)
         crawl.fetch_profile(accounts["alumnus"].user_id)
         with pytest.raises(RateLimitedError):
@@ -254,13 +238,13 @@ class TestThrottleExhaustion:
         assert len(exhausted) == 1
         assert exhausted[0].fields["throttles"] == _MAX_THROTTLE_RETRIES + 1
 
-    def test_session_report_pins_throttles_and_strikes(self, school_network, tmp_path):
+    def test_session_report_pins_throttles_and_strikes(self, school_network):
         """The client's attempts carry what the limiter used to report:
         one success, then nine strikes and eight 300 s back-offs."""
         from repro.osn.errors import RateLimitedError
 
         net, _, _ = school_network
-        telemetry, prometheus = _session(net.clock, tmp_path)
+        telemetry = Telemetry(net.clock)
         crawl, accounts = self._stuck_client(school_network, telemetry=telemetry)
         crawl.fetch_profile(accounts["alumnus"].user_id)
         with pytest.raises(RateLimitedError):
@@ -274,15 +258,12 @@ class TestThrottleExhaustion:
         assert (phase.pages, phase.attempts, phase.throttles) == (1, 10, 8)
         assert phase.backoff_seconds == pytest.approx(2400.0)
 
-        registry = prometheus.registry
+        families = fold_metrics(telemetry.events)
         crawler = str(accounts["crawler"].user_id)
-        assert _series(registry, "ratelimit_strikes_total") == {(crawler,): 9}
-        assert _series(registry, "ratelimit_accounts_disabled_total") == {}
-        assert _series(registry, "frontend_requests_total") == {
-            ("ok",): 1,
-            ("rate_limited",): 9,
-        }
-        (backoff,) = registry.get("pacer_sleep_seconds").series().values()
+        assert families["ratelimit_strikes_total"] == {crawler: 9}
+        assert families["ratelimit_accounts_disabled_total"] == {}
+        assert families["frontend_requests_total"] == {"ok": 1, "rate_limited": 9}
+        (backoff,) = families["pacer_sleep_seconds"].values()
         assert (backoff.count, backoff.sum) == (8, pytest.approx(2400.0))
 
 
@@ -344,7 +325,7 @@ class TestPinnedAccountDisabled:
         # The spare account absorbed the request after the rotation.
         assert crawl.effort_report().accounts_used == 1
 
-    def test_session_report_pins_the_lost_accounts(self, school_network, tmp_path):
+    def test_session_report_pins_the_lost_accounts(self, school_network):
         """Both accounts serve one page, then each is disabled by its
         first over-limit attempt: the report marks both lost, and the
         metrics count each disabling attempt as a strike."""
@@ -356,7 +337,7 @@ class TestPinnedAccountDisabled:
             is_fake=True,
         )
         first, spare = accounts["crawler"].user_id, extra.user_id
-        telemetry, prometheus = _session(net.clock, tmp_path)
+        telemetry = Telemetry(net.clock)
         crawl = CrawlClient(
             self._strict_frontend(net),
             AccountPool.of([first, spare]),
@@ -377,13 +358,7 @@ class TestPinnedAccountDisabled:
         phase = report.phases["-"]
         assert (phase.pages, phase.attempts, phase.throttles) == (2, 4, 0)
 
-        registry = prometheus.registry
-        assert _series(registry, "ratelimit_strikes_total") == {
-            (str(first),): 1,
-            (str(spare),): 1,
-        }
-        assert _series(registry, "ratelimit_accounts_disabled_total") == {(): 2}
-        assert _series(registry, "frontend_requests_total") == {
-            ("ok",): 2,
-            ("account_disabled",): 2,
-        }
+        families = fold_metrics(telemetry.events)
+        assert families["ratelimit_strikes_total"] == {str(first): 1, str(spare): 1}
+        assert families["ratelimit_accounts_disabled_total"] == {None: 2}
+        assert families["frontend_requests_total"] == {"ok": 2, "account_disabled": 2}

@@ -28,7 +28,7 @@ from repro.osn.errors import AccountDisabledError
 from repro.osn.frontend import HtmlFrontend
 from repro.osn.ratelimit import RateLimitConfig
 from repro.osn.rendercache import RenderCache
-from repro.telemetry import PrometheusSink, Telemetry
+from repro.telemetry import Telemetry, fold_metrics
 from repro.worldgen.presets import hs1, tiny
 from repro.worldgen.world import build_world
 
@@ -244,7 +244,7 @@ class TestClientParity:
         def events(crawl_with):
             world = build_world(tiny(seed=_SEED))
             uids = world.create_attacker_accounts(1)
-            telemetry = Telemetry.in_memory(world.network.clock)
+            telemetry = Telemetry(world.network.clock)
             client = CrawlClient(
                 world.frontend, AccountPool.of(uids), seed=_SEED, telemetry=telemetry
             )
@@ -394,15 +394,13 @@ class TestPlanValidation:
 
 
 class TestThrottleTelemetry:
-    def test_backoff_sleeps_carry_the_clients_label(self, school_network, tmp_path):
+    def test_backoff_sleeps_carry_the_clients_label(self, school_network):
         """A throttled engine fetch emits the client's ``throttle`` event
         for each back-off, which the metrics fold records under
         ``pacer_sleep_seconds{reason="backoff"}``, the label the
         sequential client's sleeps get."""
         net, school, accounts = school_network
-        telemetry = Telemetry.in_memory(net.clock)
-        prometheus = PrometheusSink(str(tmp_path / "metrics.prom"))
-        telemetry.bus.add_sink(prometheus)
+        telemetry = Telemetry(net.clock)
         # One request per 30 s window: every immediate second GET is
         # throttled once, then passes after the back-off.
         frontend = HtmlFrontend(
@@ -421,8 +419,8 @@ class TestThrottleTelemetry:
             client, CrawlPlan(school_id=school.school_id, max_profiles=2)
         ).run()
         assert result.pages > 1
-        sleeps = prometheus.registry.get("pacer_sleep_seconds").series()
-        assert set(sleeps) == {(("reason", "backoff"),)}
-        assert sleeps[(("reason", "backoff"),)].count == result.pages - 1
+        sleeps = fold_metrics(telemetry.events)["pacer_sleep_seconds"]
+        assert set(sleeps) == {"backoff"}
+        assert sleeps["backoff"].count == result.pages - 1
         throttles = [e for e in telemetry.events if e.kind == "throttle"]
         assert len(throttles) == result.pages - 1

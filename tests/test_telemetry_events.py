@@ -1,4 +1,4 @@
-"""Tests for the event bus and its sinks (memory, JSONL, Prometheus)."""
+"""Tests for the event record, its JSONL trace and the session's outputs."""
 
 import json
 
@@ -7,13 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.osn.clock import SimClock
-from repro.telemetry.events import (
-    EventBus,
-    JsonlSink,
-    MemorySink,
-    TelemetryEvent,
-    read_jsonl,
-)
+from repro.telemetry.events import TelemetryEvent, read_jsonl
 from repro.telemetry.runtime import Telemetry
 
 
@@ -21,67 +15,49 @@ def _event(seq=0, kind="request", **fields):
     return TelemetryEvent(kind=kind, seq=seq, sim_ts=1.5, phase="seeds", fields=fields)
 
 
-class TestEventBus:
-    def test_fans_out_to_all_sinks(self):
-        a, b = MemorySink(), MemorySink()
-        bus = EventBus([a, b])
-        bus.publish(_event())
-        assert len(a.events) == 1
-        assert len(b.events) == 1
-
-    def test_add_sink_after_construction(self):
-        bus = EventBus()
-        late = MemorySink()
-        bus.add_sink(late)
-        bus.publish(_event())
-        assert len(late.events) == 1
-
-
 class TestJsonlSink:
+    """The JSONL trace a session writes when it closes."""
+
     def test_round_trips_events(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        sink = JsonlSink(str(path))
-        events = [
-            _event(seq=0, account=7, category="seeds"),
-            _event(seq=1, kind="throttle", account=7, retry_after=2.5, slept=5.0),
-        ]
-        for event in events:
-            sink.handle(event)
-        assert sink.event_count == 2
-        sink.close()
-        assert read_jsonl(str(path)) == events
+        clock = SimClock()
+        telemetry = Telemetry(clock, jsonl=str(path))
+        telemetry.emit("request", account=7, category="seeds")
+        clock.sleep(2.5)
+        telemetry.emit("throttle", account=7, retry_after=2.5, slept=5.0)
+        assert telemetry.event_count == 2
+        telemetry.close()
+        assert read_jsonl(str(path)) == telemetry.events
 
     def test_nothing_written_before_close(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        sink = JsonlSink(str(path))
-        sink.handle(_event())
+        telemetry = Telemetry(SimClock(), jsonl=str(path))
+        telemetry.emit("request")
         assert not path.exists()
-        sink.close()
+        telemetry.close()
         assert path.exists()
 
     def test_close_idempotent(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        sink = JsonlSink(str(path))
-        sink.handle(_event())
-        sink.close()
-        sink.close()
+        telemetry = Telemetry(SimClock(), jsonl=str(path))
+        telemetry.emit("request")
+        telemetry.close()
+        telemetry.close()
         assert len(read_jsonl(str(path))) == 1
 
     def test_lines_are_sorted_key_json(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        sink = JsonlSink(str(path))
-        event = _event(account=7, category="seeds", slept=1 / 3)
-        sink.handle(event)
-        sink.close()
-        payload = {"kind": "request", "seq": 0, "sim_ts": 1.5, "phase": "seeds", **event.fields}
+        telemetry = Telemetry(SimClock(), jsonl=str(path))
+        event = telemetry.emit("request", account=7, category="seeds", slept=1 / 3)
+        telemetry.close()
+        payload = {"kind": "request", "seq": 0, "sim_ts": 0.0, "phase": "-", **event.fields}
         assert path.read_text() == json.dumps(payload, sort_keys=True) + "\n"
 
     def test_float_fields_round_trip_exactly(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        sink = JsonlSink(str(path))
-        original = _event(slept=0.30000000000000004, retry_after=1 / 3)
-        sink.handle(original)
-        sink.close()
+        telemetry = Telemetry(SimClock(), jsonl=str(path))
+        original = telemetry.emit("request", slept=0.30000000000000004, retry_after=1 / 3)
+        telemetry.close()
         (loaded,) = read_jsonl(str(path))
         assert loaded.fields["slept"] == original.fields["slept"]
         assert loaded.fields["retry_after"] == original.fields["retry_after"]
@@ -135,10 +111,10 @@ def _attempt(telemetry, account, outcome, delay=2.0):
 
 class TestPrometheusSink:
     def test_snapshots_registry_on_close(self, tmp_path):
-        """The snapshot is a fold of the request and throttle events."""
+        """The snapshot a session writes on close is a fold of its
+        request and throttle events."""
         path = tmp_path / "metrics.prom"
-        telemetry = Telemetry(SimClock())
-        telemetry.add_prometheus(str(path))
+        telemetry = Telemetry(SimClock(), prometheus=str(path))
         _attempt(telemetry, 1, "ok")
         _attempt(telemetry, 1, "rate_limited")
         telemetry.emit("throttle", account=1, category="profiles", retry_after=3.0, slept=6.0)
@@ -169,27 +145,26 @@ class TestPrometheusSink:
 
 class TestTelemetryHandle:
     def test_in_memory_constructor(self):
-        telemetry = Telemetry.in_memory(SimClock())
+        telemetry = Telemetry(SimClock())
         telemetry.emit("request", account=1)
         assert [e.kind for e in telemetry.events] == ["request"]
 
     def test_to_jsonl_constructor(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        telemetry = Telemetry.to_jsonl(SimClock(), str(path))
+        telemetry = Telemetry(SimClock(), jsonl=str(path))
         telemetry.emit("request", account=1)
         telemetry.close()
         assert read_jsonl(str(path)) == telemetry.events
+        assert [p.name for p in tmp_path.iterdir()] == ["t.jsonl"]
 
     def test_close_idempotent(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        telemetry = Telemetry.to_jsonl(SimClock(), str(path))
-        telemetry.emit("request")
+        """A second close writes neither file again."""
+        trace, metrics = tmp_path / "t.jsonl", tmp_path / "m.prom"
+        telemetry = Telemetry(SimClock(), jsonl=str(trace), prometheus=str(metrics))
+        _attempt(telemetry, 1, "ok")
         telemetry.close()
+        assert len(read_jsonl(str(trace))) == 1
+        trace.unlink()
+        metrics.unlink()
         telemetry.close()
-        assert len(read_jsonl(str(path))) == 1
-
-    def test_explicit_phase_overrides_stack(self):
-        telemetry = Telemetry.in_memory(SimClock())
-        with telemetry.span("seeds"):
-            telemetry.emit("request", phase="custom")
-        assert telemetry.events[0].phase == "custom"
+        assert not trace.exists() and not metrics.exists()

@@ -23,14 +23,7 @@ from repro.core.api import make_client, run_attack
 from repro.core.profiler import ProfilerConfig
 from repro.osn.frontend import HtmlFrontend
 from repro.osn.ratelimit import RateLimiter
-from repro.telemetry import (
-    CrawlSessionReport,
-    JsonlSink,
-    MemorySink,
-    PrometheusSink,
-    Telemetry,
-    replay_report,
-)
+from repro.telemetry import CrawlSessionReport, Telemetry, fold_metrics, read_jsonl
 from repro.worldgen.presets import smoke, tiny
 from repro.worldgen.world import build_world
 
@@ -46,10 +39,7 @@ def instrumented_world(tmp_path_factory):
     world = build_world(smoke())
     out = tmp_path_factory.mktemp("telemetry")
     path = out / "smoke.jsonl"
-    prometheus = PrometheusSink(str(out / "smoke.prom"))
-    telemetry = Telemetry(
-        world.network.clock, sinks=[MemorySink(), JsonlSink(str(path)), prometheus]
-    )
+    telemetry = Telemetry(world.network.clock, jsonl=str(path))
     client = make_client(world, accounts=2, telemetry=telemetry)
     result = run_attack(
         world,
@@ -57,7 +47,7 @@ def instrumented_world(tmp_path_factory):
         client=client,
     )
     telemetry.close()
-    return world, telemetry, result, str(path), client, prometheus.registry
+    return world, telemetry, result, str(path), client, fold_metrics(telemetry.events)
 
 
 def _attempts(telemetry, outcome=None):
@@ -68,11 +58,6 @@ def _attempts(telemetry, outcome=None):
     ]
 
 
-def _by_label(registry, name):
-    """``{label value: value}`` of a one-label folded counter family."""
-    return {key[0][1]: series.value for key, series in registry.get(name).series().items()}
-
-
 class TestEffortAgreement:
     def test_request_events_match_effort_total(self, instrumented_world):
         _, telemetry, result, *_ = instrumented_world
@@ -80,8 +65,8 @@ class TestEffortAgreement:
 
     def test_registry_counter_matches_effort_total(self, instrumented_world):
         """The folded Table-3 counters are the effort report's."""
-        _, _, result, _, _, registry = instrumented_world
-        assert _by_label(registry, "crawl_requests_total") == {
+        _, _, result, _, _, families = instrumented_world
+        assert families["crawl_requests_total"] == {
             category: count
             for category, count in (
                 (CATEGORY_SEEDS, result.effort.seed_requests),
@@ -93,22 +78,21 @@ class TestEffortAgreement:
         }
 
     def test_registry_account_counter_matches_effort_counter(self, instrumented_world):
-        *_, client, registry = instrumented_world
-        assert _by_label(registry, "crawl_account_requests_total") == {
+        *_, client, families = instrumented_world
+        assert families["crawl_account_requests_total"] == {
             str(account): count for account, count in client.counter.by_account().items()
         }
 
     def test_registry_outcomes_sum_to_get_attempts(self, instrumented_world):
-        _, telemetry, *_, registry = instrumented_world
+        _, telemetry, *_, families = instrumented_world
         report = CrawlSessionReport.from_events(telemetry.events)
-        assert registry.get("frontend_requests_total").total() == report.total_attempts
-        assert registry.get("frontend_request_wall_seconds").total() == report.total_attempts
+        assert sum(families["frontend_requests_total"].values()) == report.total_attempts
+        assert families["frontend_request_wall_seconds"][None].count == report.total_attempts
 
     def test_registry_polite_sleeps_match_attempts_and_pacers(self, instrumented_world):
-        _, telemetry, *_, client, registry = instrumented_world
+        _, telemetry, *_, client, families = instrumented_world
         report = CrawlSessionReport.from_events(telemetry.events)
-        sleeps = registry.get("pacer_sleep_seconds").series()
-        polite = sleeps[(("reason", "polite"),)]
+        polite = families["pacer_sleep_seconds"]["polite"]
         assert polite.count == report.total_attempts
         slept = sum(client.pacer_for(uid).total_slept for uid in client.pool.account_ids)
         assert polite.sum == pytest.approx(slept - report.total_backoff_seconds)
@@ -158,7 +142,7 @@ class TestJsonlReplay:
     def test_replay_equals_live_report(self, instrumented_world):
         _, telemetry, _, path, *_ = instrumented_world
         live = CrawlSessionReport.from_events(telemetry.events)
-        replayed = replay_report(path)
+        replayed = CrawlSessionReport.from_events(read_jsonl(path))
         assert replayed == live
 
     def test_trace_cli_prints_matching_total(self, instrumented_world, capsys):
@@ -220,7 +204,7 @@ class TestSessionOwnsItsTelemetry:
         nothing into the first session's stream."""
         world = build_world(tiny())
         config = ProfilerConfig(threshold=120)
-        telemetry = Telemetry.in_memory(world.network.clock)
+        telemetry = Telemetry(world.network.clock)
         run_attack(world, config=config, telemetry=telemetry)
         telemetry.close()
         recorded = telemetry.event_count

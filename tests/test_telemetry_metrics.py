@@ -1,99 +1,55 @@
-"""Tests for the metrics model: families, labels, histograms, exposition."""
+"""Tests for the metrics fold: series per label, histograms, exposition."""
 
 import pytest
 
+from repro.telemetry.events import TelemetryEvent
 from repro.telemetry.metrics import (
     DEFAULT_BUCKETS,
+    FAMILIES,
     Histogram,
-    MetricsRegistry,
+    fold_metrics,
     render_prometheus,
 )
 
 
+def _request(account=1, category="seeds", outcome="ok", wall_seconds=0.5, delay=2.0):
+    fields = dict(
+        account=account,
+        category=category,
+        path="/profile/9",
+        outcome=outcome,
+        wall_seconds=wall_seconds,
+        delay=delay,
+    )
+    return TelemetryEvent("request", 0, 0.0, "-", fields)
+
+
 class TestLabelSemantics:
     def test_same_labels_same_series(self):
-        registry = MetricsRegistry()
-        family = registry.counter("requests_total", labelnames=("category",))
-        family.labels(category="seeds").inc()
-        family.labels(category="seeds").inc(2)
-        assert family.labels(category="seeds").value == 3
+        families = fold_metrics([_request(category="seeds")] * 3)
+        assert families["crawl_requests_total"] == {"seeds": 3}
 
     def test_distinct_labels_distinct_series(self):
-        registry = MetricsRegistry()
-        family = registry.counter("requests_total", labelnames=("category",))
-        family.labels(category="seeds").inc()
-        family.labels(category="profiles").inc(5)
-        assert family.labels(category="seeds").value == 1
-        assert family.labels(category="profiles").value == 5
-        assert family.total() == 6
-        assert family.series_count() == 2
+        events = [_request(category="seeds")] + [_request(category="profiles")] * 5
+        requests = fold_metrics(events)["crawl_requests_total"]
+        assert requests == {"seeds": 1, "profiles": 5}
 
     def test_label_values_coerced_to_str(self):
-        registry = MetricsRegistry()
-        family = registry.counter("by_account", labelnames=("account",))
-        family.labels(account=17).inc()
-        assert family.labels(account="17").value == 1
+        families = fold_metrics([_request(account=17)])
+        assert families["crawl_account_requests_total"] == {"17": 1}
 
     def test_missing_label_rejected(self):
-        registry = MetricsRegistry()
-        family = registry.counter("requests_total", labelnames=("category", "phase"))
-        with pytest.raises(ValueError):
-            family.labels(category="seeds")
-
-    def test_extra_label_rejected(self):
-        registry = MetricsRegistry()
-        family = registry.counter("requests_total", labelnames=("category",))
-        with pytest.raises(ValueError):
-            family.labels(category="seeds", phase="core")
-
-    def test_label_order_does_not_matter(self):
-        registry = MetricsRegistry()
-        family = registry.counter("requests_total", labelnames=("a", "b"))
-        family.labels(a="1", b="2").inc()
-        assert family.labels(b="2", a="1").value == 1
+        """A request without a field the fold labels by is an error, not
+        a series under a made-up label."""
+        event = _request()
+        del event.fields["outcome"]
+        with pytest.raises(KeyError):
+            fold_metrics([event])
 
     def test_no_label_family_uses_empty_labels(self):
-        registry = MetricsRegistry()
-        family = registry.counter("total")
-        family.labels().inc(4)
-        assert family.labels().value == 4
-
-    def test_reregistration_returns_same_family(self):
-        registry = MetricsRegistry()
-        first = registry.counter("requests_total", labelnames=("category",))
-        second = registry.counter("requests_total", labelnames=("category",))
-        assert first is second
-
-    def test_conflicting_reregistration_rejected(self):
-        registry = MetricsRegistry()
-        registry.counter("requests_total", labelnames=("category",))
-        with pytest.raises(ValueError):
-            registry.gauge("requests_total", labelnames=("category",))
-        with pytest.raises(ValueError):
-            registry.counter("requests_total", labelnames=("other",))
-
-    def test_invalid_names_rejected(self):
-        registry = MetricsRegistry()
-        with pytest.raises(ValueError):
-            registry.counter("bad name")
-        with pytest.raises(ValueError):
-            registry.counter("ok_name", labelnames=("bad-label",))
-
-
-class TestCounterAndGauge:
-    def test_counter_rejects_negative(self):
-        registry = MetricsRegistry()
-        series = registry.counter("ups").labels()
-        with pytest.raises(ValueError):
-            series.inc(-1)
-
-    def test_gauge_moves_both_ways(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("usable_accounts").labels()
-        gauge.set(4)
-        gauge.dec()
-        gauge.inc(2)
-        assert gauge.value == 5
+        families = fold_metrics([_request(outcome="account_disabled")] * 4)
+        assert families["ratelimit_accounts_disabled_total"] == {None: 4}
+        assert "ratelimit_accounts_disabled_total 4" in render_prometheus(families)
 
 
 class TestHistogramBucketing:
@@ -105,8 +61,6 @@ class TestHistogramBucketing:
         assert hist.bucket_counts == [2, 1, 1, 1]
         assert hist.count == 5
         assert hist.sum == pytest.approx(111.5)
-        assert hist.min == 0.5
-        assert hist.max == 100.0
 
     def test_cumulative_ends_with_inf_and_total(self):
         hist = Histogram(buckets=(1.0, 5.0))
@@ -121,43 +75,41 @@ class TestHistogramBucketing:
         assert hist.bucket_counts[0] == 1
 
     def test_default_buckets_cover_sleep_scales(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("sleep_seconds").labels()
+        families = fold_metrics([_request(delay=2.5)])
+        hist = families["pacer_sleep_seconds"]["polite"]
         assert hist.buckets == DEFAULT_BUCKETS
-        hist.observe(2.5)
         assert hist.count == 1
 
 
 class TestPrometheusExposition:
     def test_counter_rendering(self):
-        registry = MetricsRegistry()
-        family = registry.counter(
-            "requests_total", "Requests by category", labelnames=("category",)
-        )
-        family.labels(category="seeds").inc(3)
-        text = render_prometheus(registry)
-        assert "# HELP requests_total Requests by category" in text
-        assert "# TYPE requests_total counter" in text
-        assert 'requests_total{category="seeds"} 3' in text
+        text = render_prometheus(fold_metrics([_request(category="seeds")] * 3))
+        assert "# HELP crawl_requests_total Successful crawl GETs by Table-3 category" in text
+        assert "# TYPE crawl_requests_total counter" in text
+        assert 'crawl_requests_total{category="seeds"} 3' in text
 
     def test_histogram_rendering(self):
-        registry = MetricsRegistry()
-        family = registry.histogram("lat", buckets=(1.0, 5.0))
-        family.labels().observe(0.5)
-        family.labels().observe(3.0)
-        text = render_prometheus(registry)
-        assert 'lat_bucket{le="1"} 1' in text
-        assert 'lat_bucket{le="5"} 2' in text
-        assert 'lat_bucket{le="+Inf"} 2' in text
-        assert "lat_sum 3.5" in text
-        assert "lat_count 2" in text
+        events = [_request(wall_seconds=0.5), _request(wall_seconds=3.0)]
+        lines = render_prometheus(fold_metrics(events)).splitlines()
+        for line in (
+            'frontend_request_wall_seconds_bucket{le="0.25"} 0',
+            'frontend_request_wall_seconds_bucket{le="0.5"} 1',
+            'frontend_request_wall_seconds_bucket{le="5"} 2',
+            'frontend_request_wall_seconds_bucket{le="+Inf"} 2',
+            "frontend_request_wall_seconds_sum 3.5",
+            "frontend_request_wall_seconds_count 2",
+        ):
+            assert line in lines
 
     def test_label_value_escaping(self):
-        registry = MetricsRegistry()
-        family = registry.counter("odd", labelnames=("path",))
-        family.labels(path='a"b\\c\nd').inc()
-        text = render_prometheus(registry)
-        assert 'odd{path="a\\"b\\\\c\\nd"} 1' in text
+        text = render_prometheus(fold_metrics([_request(category='a"b\\c\nd')]))
+        assert 'crawl_requests_total{category="a\\"b\\\\c\\nd"} 1' in text
 
     def test_empty_registry_renders_empty(self):
-        assert render_prometheus(MetricsRegistry()) == ""
+        """No events: every family is declared, and none has a series."""
+        text = render_prometheus(fold_metrics([]))
+        assert text.splitlines() == [
+            line
+            for name, help_text, kind, _ in FAMILIES
+            for line in (f"# HELP {name} {help_text}", f"# TYPE {name} {kind}")
+        ]

@@ -27,9 +27,11 @@ _REQUESTS = (
 
 def _session(clock, tmp_path):
     """A session that writes its trace and metrics snapshot on close."""
-    telemetry = Telemetry.to_jsonl(clock, str(tmp_path / "trace.jsonl"))
-    telemetry.add_prometheus(str(tmp_path / "metrics.prom"))
-    return telemetry
+    return Telemetry(
+        clock,
+        jsonl=str(tmp_path / "trace.jsonl"),
+        prometheus=str(tmp_path / "metrics.prom"),
+    )
 
 
 def _attempts(telemetry, rows):

@@ -1,10 +1,9 @@
-"""Tests for crawl-session reports and JSONL trace replay."""
+"""Tests for crawl-session reports, live and from a JSONL trace."""
 
 import pytest
 
 from repro.osn.clock import SimClock
-from repro.telemetry.events import JsonlSink, MemorySink
-from repro.telemetry.replay import load_trace, replay_report
+from repro.telemetry.events import read_jsonl
 from repro.telemetry.runtime import Telemetry
 from repro.telemetry.session import CrawlSessionReport
 
@@ -39,7 +38,7 @@ def _scripted_session(telemetry):
 class TestReportFromEvents:
     @pytest.fixture()
     def report(self):
-        telemetry = Telemetry.in_memory(SimClock())
+        telemetry = Telemetry(SimClock())
         _scripted_session(telemetry)
         return CrawlSessionReport.from_events(telemetry.events)
 
@@ -87,21 +86,20 @@ class TestReportFromEvents:
 class TestJsonlRoundTrip:
     def test_replayed_report_identical_to_live(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        memory = MemorySink()
-        telemetry = Telemetry(SimClock(), sinks=[memory, JsonlSink(str(path))])
+        telemetry = Telemetry(SimClock(), jsonl=str(path))
         _scripted_session(telemetry)
         telemetry.close()
 
-        live = CrawlSessionReport.from_events(memory.events)
-        assert load_trace(str(path)) == memory.events
-        replayed = replay_report(str(path))
+        live = CrawlSessionReport.from_events(telemetry.events)
+        assert read_jsonl(str(path)) == telemetry.events
+        replayed = CrawlSessionReport.from_events(read_jsonl(str(path)))
         assert replayed == live
         assert replayed.render() == live.render()
 
     def test_empty_trace_replays_to_empty_report(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
-        report = replay_report(str(path))
+        report = CrawlSessionReport.from_events(read_jsonl(str(path)))
         assert report.total_requests == 0
         assert report.event_count == 0
         assert "total requests (effort): 0" in report.render()

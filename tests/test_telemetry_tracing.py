@@ -1,52 +1,50 @@
-"""Tests for sim-clock-aware spans and the tracer's phase stack."""
+"""Tests for sim-clock-aware spans and the handle's phase stack."""
 
 import pytest
 
 from repro.osn.clock import SimClock
-from repro.telemetry.events import MemorySink
 from repro.telemetry.runtime import Telemetry
-from repro.telemetry.tracing import Tracer
 
 
 class TestSpans:
     def test_span_measures_simulated_time(self):
         clock = SimClock()
-        tracer = Tracer(clock)
-        with tracer.span("seeds"):
+        telemetry = Telemetry(clock)
+        with telemetry.span("seeds"):
             clock.sleep(120.0)
-        record = tracer.finished[0]
-        assert record.name == "seeds"
-        assert record.sim_seconds == pytest.approx(120.0)
-        assert record.wall_seconds < 1.0  # sim sleep costs no wall time
+        (record,) = telemetry.events
+        assert record.fields["name"] == "seeds"
+        assert record.fields["sim_seconds"] == pytest.approx(120.0)
+        assert record.fields["wall_seconds"] < 1.0  # sim sleep costs no wall time
 
     def test_nested_spans_track_parent_and_current(self):
-        clock = SimClock()
-        tracer = Tracer(clock)
-        assert tracer.current is None
-        with tracer.span("core"):
-            assert tracer.current == "core"
-            with tracer.span("friend_lists"):
-                assert tracer.current == "friend_lists"
-            assert tracer.current == "core"
-        assert tracer.current is None
-        inner, outer = tracer.finished
-        assert inner.parent == "core"
-        assert outer.parent == "-"
+        telemetry = Telemetry(SimClock())
+        assert telemetry.phase == "-"
+        with telemetry.span("core"):
+            assert telemetry.phase == "core"
+            with telemetry.span("friend_lists"):
+                assert telemetry.phase == "friend_lists"
+            assert telemetry.phase == "core"
+        assert telemetry.phase == "-"
+        inner, outer = (e.fields for e in telemetry.events)
+        assert inner["parent"] == "core"
+        assert outer["parent"] == "-"
 
     def test_span_closes_on_exception(self):
-        clock = SimClock()
-        tracer = Tracer(clock)
+        telemetry = Telemetry(SimClock())
         with pytest.raises(RuntimeError):
-            with tracer.span("seeds"):
+            with telemetry.span("seeds"):
                 raise RuntimeError("boom")
-        assert tracer.current is None
-        assert tracer.finished[0].name == "seeds"
+        assert telemetry.phase == "-"
+        (record,) = telemetry.events
+        assert record.fields["name"] == "seeds"
+        assert record.fields["error"] is True
 
 
 class TestTelemetryIntegration:
     def test_span_close_emits_event_attributed_to_parent(self):
         clock = SimClock()
-        telemetry = Telemetry(clock, sinks=[MemorySink()])
+        telemetry = Telemetry(clock)
         with telemetry.span("core"):
             clock.sleep(10.0)
             with telemetry.span("friend_lists"):
@@ -62,7 +60,7 @@ class TestTelemetryIntegration:
 
     def test_events_inside_span_carry_phase(self):
         clock = SimClock()
-        telemetry = Telemetry(clock, sinks=[MemorySink()])
+        telemetry = Telemetry(clock)
         telemetry.emit("request", account=1)
         with telemetry.span("seeds"):
             telemetry.emit("request", account=1)
@@ -72,7 +70,7 @@ class TestTelemetryIntegration:
 
     def test_sequence_and_sim_timestamps_monotonic(self):
         clock = SimClock()
-        telemetry = Telemetry(clock, sinks=[MemorySink()])
+        telemetry = Telemetry(clock)
         telemetry.emit("a")
         clock.sleep(3.0)
         telemetry.emit("b")

@@ -22,15 +22,18 @@ _MIN_NATIVE_ACCOUNTS_PER_SECOND = 10_000
 
 
 def _fmt(record):
+    # ru_maxrss is the process's lifetime peak, not the tier's own: a tier
+    # that peaks below what the process held earlier reads the same twice.
     return [
-        f"  accounts:            {record['accounts']:,}",
-        f"  edges:               {record['edges']:,}",
-        f"  accounts/second:     {record['accounts_per_second']:,.0f}",
-        f"  wall seconds:        {record['wall_seconds']:.2f}",
-        f"  graph build seconds: {record['graph_build_seconds']:.2f}",
-        f"  column MiB:          {record['column_nbytes'] / 2**20:.1f}",
-        f"  graph MiB:           {record['graph_nbytes'] / 2**20:.1f}",
-        f"  peak RSS MiB:        {record['peak_rss_bytes'] / 2**20:.0f}",
+        f"  accounts:                {record['accounts']:,}",
+        f"  edges:                   {record['edges']:,}",
+        f"  accounts/second:         {record['accounts_per_second']:,.0f}",
+        f"  wall seconds:            {record['wall_seconds']:.2f}",
+        f"  graph build seconds:     {record['graph_build_seconds']:.2f}",
+        f"  column MiB:              {record['column_nbytes'] / 2**20:.1f}",
+        f"  graph MiB:               {record['graph_nbytes'] / 2**20:.1f}",
+        f"  process peak MiB before: {record['peak_rss_before_bytes'] / 2**20:.0f}",
+        f"  process peak MiB after:  {record['peak_rss_bytes'] / 2**20:.0f}",
     ]
 
 

@@ -7,6 +7,8 @@ own via the factory fixtures.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from repro.core.api import make_client, run_attack
@@ -121,3 +123,22 @@ def school_network(empty_network):
         "crawler": crawler,
     }
     return net, school, accounts
+
+
+@pytest.fixture()
+def traced_peak():
+    """Run ``build()`` under ``tracemalloc``; return its result and peak bytes.
+
+    numpy reports its buffers to ``tracemalloc``, so the peak is an exact
+    count of the bytes the build held at once, not counting what was
+    allocated before it started (its inputs).
+    """
+
+    def run(build):
+        tracemalloc.start()
+        try:
+            return build(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return run

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.colgen import CSRGraph
-from repro.colgen.csr import index_dtype
+from repro.colgen.csr import _NARROW_BLOCK, _narrow_in_place, index_dtype
 
 #: A small fixed graph: 0-1, 0-2, 1-2, 2-3, 4 isolated.
 _EDGES = [(0, 1), (0, 2), (1, 2), (2, 3)]
@@ -105,6 +105,78 @@ class TestDirectedArraysMatchFromEdges:
         assert index_dtype(1) == np.int32
         assert index_dtype(2**31) == np.int32  # largest id 2**31 - 1
         assert index_dtype(2**31 + 1) == np.int64
+
+
+class TestNarrowingBlocks:
+    """``from_key`` narrows the sorted key into its own buffer
+    ``_NARROW_BLOCK`` keys at a time; where the blocks fall must not
+    matter, nor a block with nothing to write."""
+
+    @staticmethod
+    def check(n, pairs):
+        built = CSRGraph.from_directed_arrays(n, pairs[:, 0], pairs[:, 1])
+        reference = CSRGraph.from_edges(n, pairs.tolist())
+        assert built.indptr.tolist() == list(reference.indptr)
+        assert built.indices.tolist() == list(reference.indices)
+        assert built.indices.dtype == index_dtype(n)
+        assert built.indices.flags.c_contiguous
+        built.validate()
+
+    def test_duplicate_runs_straddle_block_edges(self):
+        # 30,000 distinct edges, each given three times in random
+        # orientations: every key is a run of three mixing both
+        # orientations, and the 180,000 keys fill three blocks whose
+        # inner edges (65,536 = 3k + 1, 131,072 = 3k + 2) each cut a run.
+        rng = np.random.default_rng(28)
+        n = 2_000
+        pairs = np.unique(np.sort(rng.integers(0, n, (40_000, 2)), axis=1), axis=0)
+        pairs = rng.permutation(pairs[pairs[:, 0] != pairs[:, 1]])[:30_000]
+        copies = rng.permutation(np.repeat(pairs, 3, axis=0))
+        flip = rng.random(len(copies)) < 0.5
+        copies[flip] = copies[flip][:, ::-1]
+        keys = np.sort(np.concatenate((copies @ [n, 1], copies @ [1, n])))
+        block_edges = range(_NARROW_BLOCK, len(keys), _NARROW_BLOCK)
+        assert len(block_edges) == 2
+        assert all(keys[edge - 1] == keys[edge] for edge in block_edges)
+        self.check(n, copies)
+
+    def test_all_duplicates(self):
+        # One edge, 70,000 times a way: 140,000 keys in three blocks,
+        # the last of which holds only repeats.
+        self.check(10, np.tile([[3, 7], [7, 3]], (35_000, 1)))
+
+    def test_empty(self):
+        self.check(4, np.empty((0, 2), dtype=np.int64))
+
+    @pytest.mark.parametrize("dtype", ["int32", "int64"])
+    def test_ids_as_wide_as_the_key(self, dtype):
+        # int64 ids (more than 2**31 rows) overwrite the key at the very
+        # offset they read, which no buildable test graph reaches.
+        rng = np.random.default_rng(64)
+        n = 1_000
+        key = np.sort(rng.integers(0, n * n, 3 * _NARROW_BLOCK))
+        fresh = np.empty(len(key), dtype=bool)
+        fresh[0] = True
+        np.not_equal(key[1:], key[:-1], out=fresh[1:])
+        expected = key[fresh] % n
+        size = _narrow_in_place(key, fresh, n, np.dtype(dtype))
+        assert key.view(dtype)[:size].tolist() == expected.tolist()
+
+
+class TestBuildMemory:
+    def test_from_directed_arrays_holds_little_beyond_the_key(self, traced_peak):
+        # 1.2M loop-free random edges on hs2's 20,868 rows; the composite
+        # key is 16 bytes an edge.  Narrowing the key in place holds 1.2x
+        # the key at once; building ``indices`` as a narrowed copy of the
+        # key held 1.7x.
+        rng = np.random.default_rng(20_868)
+        n, m = 20_868, 1_200_000
+        src = rng.integers(0, n, m)
+        dst = rng.integers(0, n - 1, m)
+        dst[dst >= src] += 1
+        graph, peak = traced_peak(lambda: CSRGraph.from_directed_arrays(n, src, dst))
+        assert graph.indptr[-1] == len(graph.indices) > 2 * m * 0.99
+        assert peak < 1.5 * 16 * m
 
 
 class TestQueries:

@@ -103,18 +103,23 @@ def _profiler_config(args: argparse.Namespace) -> ProfilerConfig:
 # ----------------------------------------------------------------------
 
 def cmd_attack(args: argparse.Namespace) -> int:
+    if args.prometheus and not args.telemetry:
+        # The snapshot is folded from the session's events, and only
+        # --telemetry records a session.
+        print("error: --prometheus needs --telemetry", file=sys.stderr)
+        return 2
+    # The session writes its files on close; reject an unwritable path
+    # now rather than after the world is built and the crawl has run.
+    for out_path in filter(None, (args.telemetry, args.prometheus)):
+        try:
+            with open(out_path, "w", encoding="utf-8"):
+                pass
+        except OSError as exc:
+            print(f"error: cannot write {out_path!r}: {exc}", file=sys.stderr)
+            return 2
     world = _build_world_from(args)
     telemetry = None
     if args.telemetry:
-        # The session writes its files on close; reject an unwritable
-        # path now rather than after the whole crawl has run.
-        for out_path in filter(None, (args.telemetry, args.prometheus)):
-            try:
-                with open(out_path, "w", encoding="utf-8"):
-                    pass
-            except OSError as exc:
-                print(f"error: cannot write {out_path!r}: {exc}", file=sys.stderr)
-                return 2
         telemetry = Telemetry(
             world.clock, jsonl=args.telemetry, prometheus=args.prometheus or None
         )

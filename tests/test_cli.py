@@ -53,6 +53,18 @@ class TestCommands:
         assert "students found" in out
         assert "false positives" in out
 
+    def test_attack_refuses_prometheus_without_telemetry(self, tmp_path, capsys, monkeypatch):
+        import repro.cli
+
+        def no_world(args):
+            raise AssertionError("the world was built before the usage check")
+
+        monkeypatch.setattr(repro.cli, "_build_world_from", no_world)
+        prom = tmp_path / "m.prom"
+        assert main(["attack", "--preset", "tiny", "--prometheus", str(prom)]) == 2
+        assert "--telemetry" in capsys.readouterr().err
+        assert not prom.exists()
+
     def test_sweep(self, capsys):
         code = main(
             ["sweep", "--preset", "tiny", "--thresholds", "60,90,120"]

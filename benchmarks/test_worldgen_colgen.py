@@ -12,9 +12,9 @@ from repro.colgen import bench_worldgen
 from _bench_utils import emit
 
 #: 25 blocks × 4k = 100k accounts: the full native machinery (sharded
-#: draws straight into one composite key, sorted and narrowed in place)
-#: at a benchmark-friendly size.  The key (~18 MiB here) and its
-#: one-byte duplicate mask are what the graph build holds at its peak.
+#: draws straight into one composite key, sorted and narrowed in place,
+#: then the columns) at a benchmark-friendly size.  The key (~18 MiB
+#: here) is the only large array the generation holds at its peak.
 _CITY_BLOCKS = 25
 
 #: Floor for the native path; the full 1M city run clears this by ~40x

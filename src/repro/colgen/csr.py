@@ -21,8 +21,9 @@ attacker accounts on the object network and the session accounts a
 columnar server lays over its world.
 
 The structure is immutable: a world's friendships are installed by one
-:meth:`CSRGraph.from_directed_arrays` or :meth:`CSRGraph.from_key`
-build, and adding a friendship means building a new graph.
+:meth:`CSRGraph.from_key` build, whose composite key
+:func:`put_edges` fills (as :meth:`CSRGraph.from_directed_arrays`
+does), and adding a friendship means building a new graph.
 """
 
 from __future__ import annotations
@@ -37,42 +38,84 @@ def index_dtype(n: int) -> "np.dtype":
     return np.dtype(np.int32 if n <= 2**31 else np.int64)
 
 
-def put_edges(key: np.ndarray, at: int, n: int, src, dst) -> int:
+def check_endpoints(src: np.ndarray, dst: np.ndarray) -> None:
+    """Raise ``ValueError`` unless ``src`` and ``dst`` are one-dimensional
+    and of one length: numpy would broadcast a mismatched pair into edges
+    that were never given."""
+    if src.ndim != 1 or src.shape != dst.shape:
+        raise ValueError(
+            f"endpoints must be two 1-D arrays of one length, not shapes "
+            f"{src.shape} and {dst.shape}"
+        )
+
+
+def put_edges(key: np.ndarray, at: int, n: int, src: np.ndarray, dst: np.ndarray) -> int:
     """Write edges ``src[i]``-``dst[i]`` into ``key`` from ``at``, in both
     orientations, as the composite key ``row * n + col``.
 
-    Returns where the written keys end.  The order the keys go in does
-    not matter: :meth:`CSRGraph.from_key` sorts them.
+    ``src`` and ``dst`` pass :func:`check_endpoints`.  A key too short
+    for the batch grows in place to 9/8 of what it needs, so a key filled
+    batch by batch is resized only a logarithmic number of times; it must
+    own its buffer, and no view of it may be alive.  Returns where the
+    written keys end.  The order the keys go in does not matter:
+    :meth:`CSRGraph.from_key` sorts them.
     """
-    m = len(src)
+    m = src.shape[0]
+    end = at + 2 * m
+    if end > key.shape[0]:
+        key.resize(end + end // 8, refcheck=False)
     forward = key[at:at + m]
     np.multiply(src, n, out=forward, dtype=np.int64)
     forward += dst
-    backward = key[at + m:at + 2 * m]
+    backward = key[at + m:end]
     np.multiply(dst, n, out=backward, dtype=np.int64)
     backward += src
-    return at + 2 * m
+    return end
 
 
-#: Keys :func:`_narrow_in_place` reads per step: a 512 KiB temporary.
+#: Keys :func:`_narrow_in_place` reads per step: a 512 KiB block.
 _NARROW_BLOCK = 1 << 16
 
 
-def _narrow_in_place(key: np.ndarray, fresh: np.ndarray, n: int, dtype) -> int:
-    """Write ``key[fresh] % n`` as ``dtype`` to the front of ``key``'s buffer.
+def _narrow_in_place(key: np.ndarray, indptr: np.ndarray, n: int, dtype) -> int:
+    """Deduplicate the sorted ``key`` into its own buffer, as ``dtype`` ids.
 
-    Returns how many ids were written.  Blocks go in ascending order and
-    each is copied out before anything is written.  The ids written so
-    far end at or before the byte where the next block starts, because
-    an id is never wider than a key, so no key is overwritten unread.
+    Writes each distinct key's column, ``key % n``, to the front of the
+    buffer and returns how many were written.  ``indptr`` holds each
+    row's start in ``key`` and is moved, in place, to the row's start
+    among the written ids.  A row's start is never a repeat (it is the
+    first key of its row), so its new place is the number of distinct
+    keys before it.
+
+    Blocks go in ascending order; each block's repeats are found, its
+    ids copied out and its row starts moved before anything is written,
+    and its last key is kept to test the next block's first.  The ids
+    written so far end at or before the byte where the next block
+    starts, because an id is never wider than a key, so no key is
+    overwritten unread.
     """
     out = key.view(dtype)
     size = 0
+    row = 0  # the first row whose start is not moved yet
+    last = 0
     for lo in range(0, key.shape[0], _NARROW_BLOCK):
-        block = key[lo:lo + _NARROW_BLOCK][fresh[lo:lo + _NARROW_BLOCK]]
-        block %= n
-        out[size:size + block.shape[0]] = block
-        size += block.shape[0]
+        block = key[lo:lo + _NARROW_BLOCK]
+        fresh = np.empty(block.shape[0], dtype=bool)
+        fresh[0] = lo == 0 or block[0] != last
+        np.not_equal(block[1:], block[:-1], out=fresh[1:])
+        last = block[-1]
+        ids = block[fresh]
+        ids %= n
+        # Every start left to move is at or past ``lo``.
+        stop = row + int(np.searchsorted(indptr[row:], lo + block.shape[0]))
+        starts = indptr[row:stop]
+        starts -= lo
+        starts[:] = np.searchsorted(np.flatnonzero(fresh), starts)
+        starts += size
+        row = stop
+        out[size:size + ids.shape[0]] = ids
+        size += ids.shape[0]
+    indptr[row:] = size  # rows that start past the last key
     return size
 
 
@@ -96,10 +139,14 @@ class CSRGraph:
         """Build from undirected edge pairs (either orientation, dups ok).
 
         Pure-python path: fine up to paper scale, and the reference
-        :meth:`from_directed_arrays` is tested against.
+        :meth:`from_directed_arrays` is tested against.  An id outside
+        ``0..n-1`` raises ``ValueError``.
         """
         adjacency: List[List[int]] = [[] for _ in range(n)]
         for a, b in edges:
+            for v in (a, b):
+                if not 0 <= v < n:
+                    raise ValueError(f"node id {v} outside 0..{n - 1}")
             if a == b:
                 continue
             adjacency[a].append(b)
@@ -125,16 +172,25 @@ class CSRGraph:
         """Vectorised build from endpoint arrays: edge ``i`` is ``src[i]``-``dst[i]``.
 
         Accepts what :meth:`from_edges` accepts (either orientation,
-        repeats, self-loops) and builds the identical graph.  Both
+        repeats, self-loops) and builds the identical graph.  Like it, it
+        raises ``ValueError`` for an id outside ``0..n-1``, found by one
+        min/max check of each endpoint array, and it raises for endpoints
+        that fail :func:`check_endpoints` too.  Both
         orientations of every edge go into one int64 composite key
         (:func:`put_edges`), which :meth:`from_key` sorts and narrows in
-        place.  Besides the inputs, the key and :meth:`from_key`'s
-        one-byte-per-key mask are the only full-size arrays: the build
-        holds 1.2x the key at once under ``tracemalloc`` for 1.2M random
-        edges.
+        place.  Besides the inputs, the key is the only full-size array:
+        the build holds 1.1x the key at once under ``tracemalloc`` for
+        1.2M random edges.
         """
         src = np.asarray(src)
         dst = np.asarray(dst)
+        check_endpoints(src, dst)
+        for ends in (src, dst):
+            if ends.size:
+                low, high = ends.min(), ends.max()
+                if low < 0 or high >= n:
+                    bad = low if low < 0 else high
+                    raise ValueError(f"node id {bad} outside 0..{n - 1}")
         keep = src != dst
         if not keep.all():
             src, dst = src[keep], dst[keep]
@@ -149,25 +205,22 @@ class CSRGraph:
 
         ``key`` is an int64 array that owns its buffer, filled by
         :func:`put_edges` with no self-loops; repeats are fine.  The
-        build consumes it: the key is sorted in place, a key equal to
-        its predecessor is a duplicate edge, and the deduplicated
-        neighbour ids, narrowed to :func:`index_dtype`, are written to
-        the front of the key's own buffer, which then shrinks to them
-        and becomes ``indices``.
+        build consumes it: the key is sorted in place, row ``r`` starts
+        at the first key ``>= r * n``, and :func:`_narrow_in_place`
+        writes the deduplicated neighbour ids, narrowed to
+        :func:`index_dtype`, to the front of the key's own buffer and
+        moves each row start back past the repeats before it.  The
+        buffer then shrinks to the ids and becomes ``indices``.  Besides
+        the key, only ``indptr`` and block-sized temporaries are ever
+        alive: no array as long as the key.
         """
         key.sort()
-        repeat = np.empty(key.shape[0], dtype=bool)
-        repeat[:1] = False
-        np.equal(key[1:], key[:-1], out=repeat[1:])
-        # Row r starts at the first key >= r * n.  That key is never a
-        # duplicate, so dropping duplicates shifts each start back by
-        # the number of duplicates before it.
         row_keys = np.arange(n + 1, dtype=np.int64)
         row_keys *= n
-        indptr = np.searchsorted(key, row_keys).astype(np.int64)
-        indptr -= np.searchsorted(np.flatnonzero(repeat), indptr)
+        indptr = np.searchsorted(key, row_keys).astype(np.int64, copy=False)
+        del row_keys
         dtype = index_dtype(n)
-        size = _narrow_in_place(key, np.logical_not(repeat, out=repeat), n, dtype)
+        size = _narrow_in_place(key, indptr, n, dtype)
         # Shrink to the ids, rounded up to whole keys.  No view of the
         # buffer is alive here, so no view is left on freed memory.
         key.resize(-(-size * dtype.itemsize // key.itemsize), refcheck=False)

@@ -13,14 +13,14 @@ same *columnar schema* directly:
   RNG, every generator is constructed from an explicit seed), and any
   shard can be regenerated independently.
 
-* The friendship graph is built in **one pass into one buffer**: each
-  block's edge batch is drawn once and written, in both orientations,
-  straight into one int64 composite key ``row * n + col`` (~192 MB for
-  the city's ~12M edges).  :meth:`CSRGraph.from_key` sorts the key in
-  place and narrows it, in place too, into the int32 ``indices``.  At
-  the peak the key, a one-byte-per-key duplicate mask (~24 MB) and the
-  columns (~81 MB) are alive: the city peaks near 346 MiB RSS and
-  keeps a ~100 MB graph.
+* The friendship graph is built first, in **one pass into one buffer**:
+  each block's edge batch is drawn once and written, in both
+  orientations, straight into one int64 composite key ``row * n + col``
+  (~192 MB for the city's ~12M edges).  :meth:`CSRGraph.from_key` sorts
+  the key in place and deduplicates and narrows it, in place too, into
+  the int32 ``indices``.  The columns (~81 MB) are drawn after the graph,
+  so at the peak the key is the only large array alive: the city peaks
+  near 243 MiB RSS and keeps a ~100 MB graph.
 
 * Demography is a deliberately simplified projection of the paper's
   model — a school-age slice with the COPPA lying mix, adult privacy
@@ -127,22 +127,27 @@ def _shard_rng(seed: int, stream: int, shard: int) -> "np.random.Generator":
 
 
 def _generate_native(spec: TierSpec, seed: int) -> ColumnarWorld:
+    """The graph first, then the columns: the graph build's key is then
+    the only large array alive at its peak.  Columns and edges draw from
+    separate per-shard streams, so the order changes no byte."""
     n = spec.blocks * spec.block_size
     t0 = time.perf_counter()
-    world = _generate_columns(spec, seed, n)
+    csr = _build_graph(spec, seed, n) if spec.materialize_graph else None
     t1 = time.perf_counter()
-    world.stats["columns_seconds"] = t1 - t0
-    if spec.materialize_graph:
-        world.csr = _build_graph(spec, seed, n)
-        world.stats["edges"] = float(world.csr.edge_count())
+    world = _generate_columns(spec, seed, n, csr)
     t2 = time.perf_counter()
-    world.stats["graph_seconds"] = t2 - t1
+    if csr is not None:
+        world.stats["edges"] = float(csr.edge_count())
+    world.stats["graph_seconds"] = t1 - t0
+    world.stats["columns_seconds"] = t2 - t1
     world.stats["wall_seconds"] = t2 - t0
     world.stats["accounts"] = float(n)
     return world
 
 
-def _generate_columns(spec: TierSpec, seed: int, n: int) -> ColumnarWorld:
+def _generate_columns(
+    spec: TierSpec, seed: int, n: int, csr: Optional[CSRGraph]
+) -> ColumnarWorld:
     from repro.osn.privacy import PrivacySettings, ProfileField
     from repro.worldgen.names import FEMALE_FIRST, LAST_NAMES, MALE_FIRST
     from repro.worldgen.population import Role
@@ -344,7 +349,7 @@ def _generate_columns(spec: TierSpec, seed: int, n: int) -> ColumnarWorld:
         observation_year=_OBSERVATION_YEAR,
         people=people,
         accounts=accounts,
-        csr=None,
+        csr=csr,
         names=names,
         cities=cities,
         streets=StringTable(),
@@ -384,8 +389,8 @@ def _key_capacity(spec: TierSpec) -> int:
 
     Each block draws Poisson-many edges, so a world draws a Poisson
     number with mean ``lam``; it exceeds ``lam + 8 * sqrt(lam)`` with a
-    probability below 1e-13, and :func:`_build_graph` grows the key if
-    it ever does.  Two slots per edge: one for each orientation.
+    probability below 1e-13, and :func:`put_edges` grows the key if it
+    ever does.  Two slots per edge: one for each orientation.
     """
     lam = spec.blocks * spec.block_size * (spec.mean_block_degree + spec.mean_city_degree) / 2.0
     return 2 * int(lam + 8.0 * math.sqrt(lam) + 1.0)
@@ -397,18 +402,19 @@ def _build_graph(spec: TierSpec, seed: int, n: int) -> CSRGraph:
     The key (int64, two slots per edge: ~192 MB for the city's ~12M
     edges) is the build's only full-size array: each block's batch goes
     into it as it is drawn, and :meth:`CSRGraph.from_key` sorts it in
-    place and narrows it, in place too, into ``indices``.  At the peak
-    the key and a one-byte-per-key duplicate mask (~24 MB) are alive:
-    the 100k city's build holds 1.3x its key at once under
-    ``tracemalloc``.
+    place and narrows it, in place too, into ``indices``.  Nothing else
+    as long as the key is ever alive: the 100k city's build holds 1.17x
+    its key at once under ``tracemalloc``, the slots the key keeps in
+    reserve included.
     """
     key = np.empty(_key_capacity(spec), dtype=np.int64)
     end = 0
     for b in range(spec.blocks):
+        # Bound to names, a block's batch stays alive while the next one
+        # is drawn.  Freed first, it leaves the heap's top free, the
+        # allocator returns it to the OS after every block and the next
+        # draw faults it back in: ~100k more page faults on the city.
         src, dst = _shard_edge_batch(spec, seed, b, n)
-        need = end + 2 * src.shape[0]
-        if need > key.shape[0]:
-            key.resize(need + need // 8, refcheck=False)
         end = put_edges(key, end, n, src, dst)
     key.resize(end, refcheck=False)
     return CSRGraph.from_key(n, key)

@@ -10,9 +10,9 @@ CLI, benchmarks and CI can ask for:
   encoded to columns.
 * ``city``   — ~1M accounts, generated natively on the columnar path
   with sharded draws and a one-pass CSR build in one buffer, the
-  composite key, sorted and narrowed in place: at the peak only the key
-  (~192 MB), its duplicate mask (~24 MB) and the columns (~81 MB) are
-  alive, ~346 MiB RSS.
+  composite key, sorted and narrowed in place before the columns are
+  drawn: at the peak the key (~192 MB) is the only large array alive,
+  ~243 MiB RSS.
 * ``metro``  — ~10M accounts, generation-only: demographic and account
   columns are produced shard by shard, but adjacency is never
   materialised (that is the next scale rung, not this one).

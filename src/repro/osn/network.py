@@ -632,35 +632,44 @@ class SocialNetwork(BaseNetwork):
         except KeyError:
             raise NotFoundError(f"no such user: {user_id}") from None
 
-    def add_friendships(self, src: Any, dst: Any) -> int:
-        """Befriend ``src[i]`` and ``dst[i]`` for every ``i``; returns how
-        many of the friendships are new.
+    def add_friendships(self, batches: Iterable[Tuple[Any, Any]]) -> int:
+        """Befriend ``src[i]`` and ``dst[i]`` for every ``i`` of every
+        ``(src, dst)`` batch; returns how many of the friendships are new.
 
-        Pairs may repeat and come in either orientation.  An unknown uid
-        raises :class:`NotFoundError` and a self-pair :class:`ValueError`,
-        both before anything changes.  The graph is rebuilt in one
-        :meth:`~repro.colgen.csr.CSRGraph.from_directed_arrays` pass over
-        its old edges and the new pairs, with a row for every registered
-        uid, and :attr:`version` moves only when an edge was added.
+        Pairs may repeat and come in either orientation.  Endpoints that
+        are not two 1-D arrays of one length and a self-pair raise
+        :class:`ValueError`, an unknown uid :class:`NotFoundError`, all
+        before the graph or :attr:`version` changes.  The old graph's
+        edges and then each batch, as it comes, go into one composite key
+        (:func:`~repro.colgen.csr.put_edges`), so the batches a generator
+        yields are never all alive at once, and one
+        :meth:`~repro.colgen.csr.CSRGraph.from_key` build with a row for
+        every registered uid replaces the graph.  :attr:`version` moves
+        only when an edge was added.
         """
-        from repro.colgen.csr import CSRGraph  # local: see __init__
+        # local: see __init__
+        from repro.colgen.csr import CSRGraph, check_endpoints, put_edges
 
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        if src.size:
-            # Uids are dense from 1, so known extremes mean known uids.
-            for uid in (src.min(), src.max(), dst.min(), dst.max()):
-                self._check_uid(int(uid))
-        loops = np.flatnonzero(src == dst)
-        if loops.size:
-            raise ValueError(f"self-friendship not allowed: {src[loops[0]]}")
+        n = self._next_user_id
         old = self.graph
-        rows = np.repeat(np.arange(len(old), dtype=np.int64), np.diff(old.indptr))
-        self.graph = CSRGraph.from_directed_arrays(
-            self._next_user_id,
-            np.concatenate((rows, src)),
-            np.concatenate((old.indices, dst)),
-        )
+        key = np.repeat(np.arange(len(old), dtype=np.int64), np.diff(old.indptr))
+        key *= n
+        key += old.indices
+        end = key.shape[0]
+        for src, dst in batches:
+            src = np.asarray(src, dtype=np.int64)
+            dst = np.asarray(dst, dtype=np.int64)
+            check_endpoints(src, dst)
+            if src.size:
+                # Uids are dense from 1, so known extremes mean known uids.
+                for uid in (src.min(), src.max(), dst.min(), dst.max()):
+                    self._check_uid(int(uid))
+                loops = np.flatnonzero(src == dst)
+                if loops.size:
+                    raise ValueError(f"self-friendship not allowed: {src[loops[0]]}")
+            end = put_edges(key, end, n, src, dst)
+        key.resize(end, refcheck=False)
+        self.graph = CSRGraph.from_key(n, key)
         added = self.graph.edge_count() - old.edge_count()
         if added:
             self.bump_version()
@@ -669,7 +678,7 @@ class SocialNetwork(BaseNetwork):
     def add_friendship(self, a: int, b: int) -> bool:
         """Create a (mutual) friendship between two existing accounts;
         ``False`` if they already were friends."""
-        return self.add_friendships([a], [b]) == 1
+        return self.add_friendships([([a], [b])]) == 1
 
     # ------------------------------------------------------------------
     # Storage surface (see BaseNetwork)

@@ -17,11 +17,15 @@ transfer students and leavers, so someone who left two years ago shares
 few friends with this year's freshmen — exactly the structure the paper
 relies on when classifying by year.
 
-Each sampler hands its draws over as endpoint uid arrays, and
-:meth:`FriendshipBuilder.build` installs every drawn pair with one
-:meth:`~repro.osn.network.SocialNetwork.add_friendships` call, which
-builds the network's CSR graph in one pass and folds repeats and both
-orientations of a pair into one edge.
+Each sampler yields its draws as ``(src, dst)`` batches of endpoint
+uids, and :meth:`FriendshipBuilder.build` hands the samplers' batches,
+as they are drawn, to one
+:meth:`~repro.osn.network.SocialNetwork.add_friendships` call.  That
+call writes each batch into one composite key before the next is drawn
+and builds the network's CSR graph from it in one pass, folding repeats
+and both orientations of a pair into one edge, so the key is the only
+full-size array the install holds: no endpoint array of the whole world
+is ever built.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -38,6 +42,14 @@ from repro.osn.network import SocialNetwork
 from .accounts import AccountIndex
 from .config import FriendshipConfig, WorldConfig
 from .population import Person, Population, Role
+
+#: Drawn endpoint pairs, as two uid arrays.
+Batch = Tuple[np.ndarray, np.ndarray]
+
+#: Users whose external friends go into one batch, so the external
+#: sampler, which draws most of a world's pairs (~1.1M of hs2's ~1.2M),
+#: never holds them all at once.
+_EXTERNAL_USERS_PER_BATCH = 256
 
 
 @dataclass
@@ -85,7 +97,6 @@ class FriendshipBuilder:
         self.rng = rng
         # One 64-bit draw from the caller's stream seeds the samplers.
         self.np_rng = np.random.default_rng(rng.getrandbits(64))
-        self._drawn: List[Tuple[np.ndarray, np.ndarray]] = []
 
     # ------------------------------------------------------------------
     # Entry point
@@ -93,19 +104,14 @@ class FriendshipBuilder:
     def build(self) -> int:
         """Sample every edge, install them in one pass; returns the
         number installed."""
-        for school_index in range(len(self.config.schools)):
-            self._build_school_edges(school_index)
-        self._build_family_edges()
-        self._build_external_edges()
-        src, dst = (np.concatenate(ends) for ends in zip(*self._drawn))
-        self._drawn = []  # free the per-sampler blocks before the install
-        # A sampler may pair a uid with itself; such a draw is no edge.
-        keep = src != dst
-        return self.network.add_friendships(src[keep], dst[keep])
+        return self.network.add_friendships(self._batches())
 
-    def _collect(self, uids_a: np.ndarray, uids_b: np.ndarray) -> None:
-        """Queue drawn pairs, given as two endpoint uid arrays."""
-        self._drawn.append((uids_a, uids_b))
+    def _batches(self) -> Iterator[Batch]:
+        """Every sampler's batches, in draw order."""
+        for school_index in range(len(self.config.schools)):
+            yield from self._school_edges(school_index)
+        yield from self._family_edges()
+        yield from self._external_edges()
 
     # ------------------------------------------------------------------
     # School blocks
@@ -156,7 +162,7 @@ class FriendshipBuilder:
         )
         return table[gap] if gap < len(table) else 0.0
 
-    def _build_school_edges(self, school_index: int) -> None:
+    def _school_edges(self, school_index: int) -> Iterator[Batch]:
         current, alumni = self._school_groups(school_index)
         cfg = self.config.friendship
         cohorts = sorted(current)
@@ -168,9 +174,9 @@ class FriendshipBuilder:
                 if base_p <= 0:
                     continue
                 if ya == yb:
-                    self._within_block(current[ya], base_p)
+                    yield from self._within_block(current[ya], base_p)
                 else:
-                    self._cross_block(current[ya], current[yb], base_p)
+                    yield from self._cross_block(current[ya], current[yb], base_p)
 
         # Current x alumni, decaying with graduation gap.
         alumni_cohorts = sorted(alumni)
@@ -182,13 +188,13 @@ class FriendshipBuilder:
                 if gap < 1 or gap > 6:
                     continue
                 p = cfg.p_student_alumni_base * (cfg.student_alumni_decay ** (gap - 1))
-                self._sparse_bipartite(uids_a, alumni[y_alum], p)
+                yield from self._sparse_bipartite(uids_a, alumni[y_alum], p)
 
         # Alumni x alumni: same and adjacent cohorts only.
         for i, ya in enumerate(alumni_cohorts):
-            self._sparse_within(alumni[ya], cfg.p_alumni_same_cohort)
+            yield from self._sparse_within(alumni[ya], cfg.p_alumni_same_cohort)
             if i + 1 < len(alumni_cohorts) and alumni_cohorts[i + 1] == ya + 1:
-                self._sparse_bipartite(
+                yield from self._sparse_bipartite(
                     alumni[ya], alumni[ya + 1], cfg.p_alumni_adjacent_cohort
                 )
 
@@ -207,7 +213,7 @@ class FriendshipBuilder:
         overlap = np.minimum(end_a, end_b) - np.maximum(start_a, start_b)
         return np.clip(overlap / horizon, 0.0, 1.0)
 
-    def _within_block(self, members: Sequence[_Member], base_p: float) -> None:
+    def _within_block(self, members: Sequence[_Member], base_p: float) -> Iterator[Batch]:
         n = len(members)
         if n < 2:
             return
@@ -215,19 +221,21 @@ class FriendshipBuilder:
         iu, ju = np.triu_indices(n, k=1)
         hits = self.np_rng.random(iu.shape[0]) < probs[iu, ju]
         uids = _uid_array(members)
-        self._collect(uids[iu[hits]], uids[ju[hits]])
+        yield uids[iu[hits]], uids[ju[hits]]
 
     def _cross_block(
         self, members_a: Sequence[_Member], members_b: Sequence[_Member], base_p: float
-    ) -> None:
+    ) -> Iterator[Batch]:
         if not members_a or not members_b:
             return
         probs = base_p * self._overlap_factor(members_a, members_b)
         hits = self.np_rng.random(probs.shape) < probs
         ia, ib = np.nonzero(hits)
-        self._collect(_uid_array(members_a)[ia], _uid_array(members_b)[ib])
+        yield _uid_array(members_a)[ia], _uid_array(members_b)[ib]
 
-    def _sparse_bipartite(self, uids_a: Sequence[int], uids_b: Sequence[int], p: float) -> None:
+    def _sparse_bipartite(
+        self, uids_a: Sequence[int], uids_b: Sequence[int], p: float
+    ) -> Iterator[Batch]:
         """Sample a sparse bipartite edge set without enumerating pairs."""
         na, nb = len(uids_a), len(uids_b)
         if na == 0 or nb == 0 or p <= 0:
@@ -237,13 +245,13 @@ class FriendshipBuilder:
             return
         ia = self.np_rng.integers(0, na, size=count)
         ib = self.np_rng.integers(0, nb, size=count)
-        self._collect(
-            np.asarray(uids_a, dtype=np.int64)[ia], np.asarray(uids_b, dtype=np.int64)[ib]
-        )
+        yield np.asarray(uids_a, dtype=np.int64)[ia], np.asarray(uids_b, dtype=np.int64)[ib]
 
-    def _sparse_within(self, uids: Sequence[int], p: float) -> None:
-        """Like ``_sparse_bipartite`` within one group; a draw of one
-        member twice is dropped with the other self-pairs in ``build``."""
+    def _sparse_within(self, uids: Sequence[int], p: float) -> Iterator[Batch]:
+        """Like ``_sparse_bipartite`` within one group.  A draw of one
+        member twice is no edge and is dropped: this is the one sampler
+        that can pair a uid with itself (the others pair disjoint groups
+        or distinct members)."""
         n = len(uids)
         if n < 2 or p <= 0:
             return
@@ -253,13 +261,14 @@ class FriendshipBuilder:
             return
         ia = self.np_rng.integers(0, n, size=count)
         ib = self.np_rng.integers(0, n, size=count)
+        keep = ia != ib
         group = np.asarray(uids, dtype=np.int64)
-        self._collect(group[ia], group[ib])
+        yield group[ia[keep]], group[ib[keep]]
 
     # ------------------------------------------------------------------
     # Families
     # ------------------------------------------------------------------
-    def _build_family_edges(self) -> None:
+    def _family_edges(self) -> Iterator[Batch]:
         p_friend = self.config.family.p_parent_friends_child
         child_uids: List[int] = []
         parent_uids: List[int] = []
@@ -273,9 +282,7 @@ class FriendshipBuilder:
                     if parent_uid is not None and self.rng.random() < p_friend:
                         child_uids.append(child_uid)
                         parent_uids.append(parent_uid)
-        self._collect(
-            np.array(child_uids, dtype=np.int64), np.array(parent_uids, dtype=np.int64)
-        )
+        yield np.array(child_uids, dtype=np.int64), np.array(parent_uids, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # External friends
@@ -293,7 +300,7 @@ class FriendshipBuilder:
         mu = math.log(max(median, 1.0))
         return np.maximum(1, self.np_rng.lognormal(mu, sigma, size).astype(int))
 
-    def _build_external_edges(self) -> None:
+    def _external_edges(self) -> Iterator[Batch]:
         cfg = self.config.friendship
         pool = self._external_pool()
         if len(pool) == 0:
@@ -314,9 +321,12 @@ class FriendshipBuilder:
                 continue
             degrees = self._external_degree(median, sigma, len(uids))
             sizes = np.minimum(degrees, len(pool))
-            targets = [
-                self.np_rng.choice(pool, size=int(k), replace=False) for k in sizes
-            ]
-            self._collect(
-                np.repeat(np.array(uids, dtype=np.int64), sizes), np.concatenate(targets)
-            )
+            for lo in range(0, len(uids), _EXTERNAL_USERS_PER_BATCH):
+                hi = lo + _EXTERNAL_USERS_PER_BATCH
+                targets = [
+                    self.np_rng.choice(pool, size=int(k), replace=False) for k in sizes[lo:hi]
+                ]
+                yield (
+                    np.repeat(np.array(uids[lo:hi], dtype=np.int64), sizes[lo:hi]),
+                    np.concatenate(targets),
+                )

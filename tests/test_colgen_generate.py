@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import importlib
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -169,18 +170,37 @@ class TestGraphBuild:
         """The 100k city's graph build, under ``tracemalloc``.
 
         The composite key (16 bytes a drawn edge) is the build's only
-        full-size array: 1.3x the key at the peak.  Drawing into an int32
-        endpoint list first and building ``indices`` as a narrowed copy
-        of the key held 2.3x.
+        full-size array: 1.17x the key at the peak, the slots it keeps in
+        reserve included.  With a one-byte-per-key repeat mask beside it
+        the build held 1.30x; drawing into an int32 endpoint list first
+        and building ``indices`` as a narrowed copy of the key, 2.3x.
         """
-        from repro.colgen.generate import _build_graph, _shard_edge_batch
+        from repro.colgen.generate import _build_graph
 
         spec = TIERS["city"].with_blocks(25)
         n = spec.blocks * spec.block_size
-        drawn = sum(_shard_edge_batch(spec, 1, b, n)[0].shape[0] for b in range(spec.blocks))
         graph, peak = traced_peak(lambda: _build_graph(spec, 1, n))
         assert graph.edge_count() == 1_197_653
-        assert peak < 1.5 * 16 * drawn
+        assert peak < 1.25 * 16 * drawn_edges(spec, 1)
+
+    def test_city_generation_holds_little_beyond_the_key(self, traced_peak):
+        """The whole 100k city, columns and all, under ``tracemalloc``.
+
+        The graph is built before the columns, so the key is the only
+        large array alive at the peak (1.17x the key).  Drawn first, the
+        columns sat under the key: 1.73x.
+        """
+        world, peak = traced_peak(lambda: generate("city", seed=1, blocks=25))
+        assert world.n_edges == 1_197_653
+        assert peak < 1.3 * 16 * drawn_edges(TIERS["city"].with_blocks(25), 1)
+
+
+def drawn_edges(spec, seed) -> int:
+    """How many edges a native world draws: its key holds two slots each."""
+    from repro.colgen.generate import _shard_edge_batch
+
+    n = spec.blocks * spec.block_size
+    return sum(_shard_edge_batch(spec, seed, b, n)[0].shape[0] for b in range(spec.blocks))
 
 
 class TestBench:
@@ -199,6 +219,32 @@ class TestBench:
         record = bench_worldgen("smoke", seed=11)
         assert record["accounts"] > 5_000
         assert "build_seconds" in record and "encode_seconds" in record
+
+    def test_graph_and_columns_time_their_own_phases(self, monkeypatch):
+        # On a clock that only the two phases move (the graph by 10, the
+        # columns by 1), each phase's seconds are its own and together
+        # they make up the run.
+        generate_module = importlib.import_module("repro.colgen.generate")
+        now = [0.0]
+
+        def ticking(phase, seconds):
+            def run(*args):
+                now[0] += seconds
+                return phase(*args)
+
+            return run
+
+        monkeypatch.setattr(generate_module, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+        monkeypatch.setattr(
+            generate_module, "_build_graph", ticking(generate_module._build_graph, 10.0)
+        )
+        monkeypatch.setattr(
+            generate_module, "_generate_columns", ticking(generate_module._generate_columns, 1.0)
+        )
+        record = bench_worldgen("city", seed=7, blocks=2)
+        assert record["graph_build_seconds"] == 10.0
+        assert record["columns_seconds"] == 1.0
+        assert record["graph_build_seconds"] + record["columns_seconds"] == record["wall_seconds"]
 
     def test_peak_rss_is_a_positive_high_water_mark(self):
         record = bench_worldgen("city", seed=7, blocks=2)

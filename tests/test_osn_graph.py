@@ -27,7 +27,7 @@ def network_of(n_users, pairs=()):
             registered_birthday=Birthday(1980),
         )
     ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    net.add_friendships(ends[:, 0], ends[:, 1])
+    net.add_friendships([(ends[:, 0], ends[:, 1])])
     return net
 
 
@@ -54,7 +54,26 @@ class TestMutation:
 
     def test_bulk_add_counts_new_only(self):
         net = network_of(3)
-        assert net.add_friendships([1, 2, 1], [2, 3, 2]) == 2
+        assert net.add_friendships([([1, 2, 1], [2, 3, 2])]) == 2
+
+    @pytest.mark.parametrize(
+        "batches",
+        [
+            [([1, 2], [3])],
+            [([1], [2, 3])],
+            [([[1, 2]], [[3, 4]])],
+            [(1, 2)],
+            [([1, 2], [2, 3]), ([1, 2], [3])],
+        ],
+        ids=["short-dst", "short-src", "two-dimensional", "scalars", "second-batch"],
+    )
+    def test_mismatched_endpoints_raise_and_add_nothing(self, batches):
+        # Mismatched endpoints would broadcast: [1, 2] with [3] is not 1-3 and 2-3.
+        net = network_of(4, [(1, 4)])
+        before = adjacency(net), net.version
+        with pytest.raises(ValueError, match="1-D arrays of one length"):
+            net.add_friendships(batches)
+        assert (adjacency(net), net.version) == before
 
 
 class TestQueries:
@@ -151,15 +170,18 @@ class TestBulkAddMatchesEdgeLoop:
         pairs = data.draw(
             st.permutations(fresh + [(b, a) for a, b in fresh + start])
         )
+        cut = data.draw(st.integers(0, len(pairs)))
         loop = network_of(N_USERS, start)
         expected = sum(loop.add_friendship(a, b) for a, b in pairs)
         ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-        for src, dst in (
-            ([a for a, _ in pairs], [b for _, b in pairs]),
-            (ends[:, 0], ends[:, 1]),
+        for batches in (
+            [([a for a, _ in pairs], [b for _, b in pairs])],
+            [(ends[:, 0], ends[:, 1])],
+            # Two batches from a generator, either of them maybe empty.
+            ((ends[part, 0], ends[part, 1]) for part in (slice(None, cut), slice(cut, None))),
         ):
             bulk = network_of(N_USERS, start)
-            assert bulk.add_friendships(src, dst) == expected
+            assert bulk.add_friendships(batches) == expected
             assert adjacency(bulk) == adjacency(loop)
 
     @given(
@@ -175,5 +197,5 @@ class TestBulkAddMatchesEdgeLoop:
         before = adjacency(net), net.version
         pairs = fresh[:at] + [(node, node)] + fresh[at:]
         with pytest.raises(ValueError):
-            net.add_friendships([a for a, _ in pairs], [b for _, b in pairs])
+            net.add_friendships([([a for a, _ in pairs], [b for _, b in pairs])])
         assert (adjacency(net), net.version) == before

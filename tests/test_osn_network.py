@@ -111,7 +111,7 @@ class TestFriendships:
             accounts[k].user_id for k in ("lying_minor", "minor", "alumnus")
         )
         # minor-alumnus is new (given twice, once reversed); alumnus-lying exists.
-        assert net.add_friendships([minor, alumnus, alumnus], [alumnus, minor, lying]) == 1
+        assert net.add_friendships([([minor, alumnus, alumnus], [alumnus, minor, lying])]) == 1
         assert net.population_stats()["edges"] == 3
 
     @pytest.mark.parametrize(
@@ -132,7 +132,7 @@ class TestFriendships:
         with pytest.raises(error):
             net.add_friendship(a, b)
         with pytest.raises(error):  # a good pair beside it is not added either
-            net.add_friendships([accounts["minor"].user_id, a], [alumnus, b])
+            net.add_friendships([([accounts["minor"].user_id, a], [alumnus, b])])
         assert friendships(net) == before
 
     def test_account_registered_later_is_friendless(self, school_network):

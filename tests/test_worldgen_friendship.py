@@ -8,9 +8,10 @@ import random
 
 import pytest
 
+from repro.colgen.csr import CSRGraph
 from repro.worldgen import friendship as friendship_mod
 from repro.worldgen.population import Role
-from repro.worldgen.presets import hs1, smoke, tiny
+from repro.worldgen.presets import hs1, hs2, smoke, tiny
 from repro.worldgen.world import build_world
 
 
@@ -111,6 +112,36 @@ class TestEdgeStructure:
         a = build_world(tiny(seed=29)).network.graph
         b = build_world(tiny(seed=29)).network.graph
         assert sorted(a.edges()) == sorted(b.edges())
+
+
+class TestInstallMemory:
+    def test_hs2_install_holds_little_beyond_the_key(self, traced_peak, monkeypatch):
+        """hs2's friendship install, sampling and CSR build, under ``tracemalloc``.
+
+        The composite key (16 bytes a drawn pair, 18.35 MiB) is the
+        install's only full-size array: each sampler's batch goes into it
+        as it is drawn, the external friends by chunks of users, and the
+        peak is 1.18x the key.  Queueing every batch, concatenating the
+        endpoint arrays and copying them to drop self-pairs held 4.26x;
+        drawing the external sampler's ~1.1M pairs as one batch, 1.88x.
+        """
+        seen = {}
+        build = friendship_mod.FriendshipBuilder.build
+        from_key = CSRGraph.from_key.__func__
+
+        def traced_build(builder):
+            installed, seen["peak"] = traced_peak(lambda: build(builder))
+            return installed
+
+        def counted_from_key(cls, n, key):
+            seen["keys"] = key.shape[0]
+            return from_key(cls, n, key)
+
+        monkeypatch.setattr(friendship_mod.FriendshipBuilder, "build", traced_build)
+        monkeypatch.setattr(CSRGraph, "from_key", classmethod(counted_from_key))
+        world = build_world(hs2(seed=202))
+        assert world.network.graph.edge_count() == 1_200_850
+        assert seen["peak"] < 1.5 * 8 * seen["keys"]
 
 
 def world_digest(world) -> str:

@@ -12,7 +12,7 @@ OSN's HTML frontend with:
 The transport is written once, sans-IO: a request and each page walk is
 a :data:`Step` that yields every simulated wait and returns its parsed
 result.  The public methods sleep those waits on the
-:class:`~repro.osn.clock.SimClock`; the async engine parks on them, so
+:class:`~repro.osn.clock.SimClock`; the engine parks on them, so
 both run the same retries, rotation, accounting and telemetry events.
 
 The client is the only component that records requests.  With a

@@ -87,7 +87,7 @@ class Pacer:
     def next_polite_delay(self) -> float:
         """Draw the next polite inter-request delay without sleeping it.
 
-        Advances the jitter RNG; the async scheduler uses this to
+        Advances the jitter RNG; the crawl engine uses this to
         compute a wake-up instant instead of advancing the shared clock
         (which would double-count overlapping sessions' waits).
         """

@@ -4,7 +4,7 @@ Layered on :mod:`repro.lint.flow`: per-function effect summaries
 (mutates-self / mutates-param / mutates-global / mutates-class-attr /
 performs-blocking-call) propagated over the whole-program call graph,
 proving the serve path is read-only and shared state is explicitly
-owned before the async crawl engine lands.
+owned, which the crawl engine's concurrent sessions rely on.
 """
 
 from .effects import (

@@ -22,8 +22,8 @@ columnar server lays over its world.
 
 The structure is immutable: a world's friendships are installed by one
 :meth:`CSRGraph.from_key` build, whose composite key
-:func:`put_edges` fills (as :meth:`CSRGraph.from_directed_arrays`
-does), and adding a friendship means building a new graph.
+:func:`put_edges` fills, and adding a friendship means building a new
+graph.
 """
 
 from __future__ import annotations
@@ -138,9 +138,9 @@ class CSRGraph:
     def from_edges(cls, n: int, edges: Iterable[Tuple[int, int]]) -> "CSRGraph":
         """Build from undirected edge pairs (either orientation, dups ok).
 
-        Pure-python path: fine up to paper scale, and the reference
-        :meth:`from_directed_arrays` is tested against.  An id outside
-        ``0..n-1`` raises ``ValueError``.
+        Pure-python path: fine up to paper scale, and the reference the
+        vectorised :func:`put_edges` + :meth:`from_key` build is tested
+        against.  An id outside ``0..n-1`` raises ``ValueError``.
         """
         adjacency: List[List[int]] = [[] for _ in range(n)]
         for a, b in edges:
@@ -166,38 +166,6 @@ class CSRGraph:
         indptr = np.zeros(len(counts) + 1, dtype=np.int64)
         np.cumsum(np.asarray(counts, dtype=np.int64), out=indptr[1:])
         return cls(indptr, np.asarray(flat, dtype=np.int64))
-
-    @classmethod
-    def from_directed_arrays(cls, n: int, src, dst) -> "CSRGraph":
-        """Vectorised build from endpoint arrays: edge ``i`` is ``src[i]``-``dst[i]``.
-
-        Accepts what :meth:`from_edges` accepts (either orientation,
-        repeats, self-loops) and builds the identical graph.  Like it, it
-        raises ``ValueError`` for an id outside ``0..n-1``, found by one
-        min/max check of each endpoint array, and it raises for endpoints
-        that fail :func:`check_endpoints` too.  Both
-        orientations of every edge go into one int64 composite key
-        (:func:`put_edges`), which :meth:`from_key` sorts and narrows in
-        place.  Besides the inputs, the key is the only full-size array:
-        the build holds 1.1x the key at once under ``tracemalloc`` for
-        1.2M random edges.
-        """
-        src = np.asarray(src)
-        dst = np.asarray(dst)
-        check_endpoints(src, dst)
-        for ends in (src, dst):
-            if ends.size:
-                low, high = ends.min(), ends.max()
-                if low < 0 or high >= n:
-                    bad = low if low < 0 else high
-                    raise ValueError(f"node id {bad} outside 0..{n - 1}")
-        keep = src != dst
-        if not keep.all():
-            src, dst = src[keep], dst[keep]
-        del keep
-        key = np.empty(2 * src.shape[0], dtype=np.int64)
-        put_edges(key, 0, n, src, dst)
-        return cls.from_key(n, key)
 
     @classmethod
     def from_key(cls, n: int, key: np.ndarray) -> "CSRGraph":

@@ -67,8 +67,8 @@ class EffortCounter:
     def record(self, category: str, account_id: int) -> None:
         if category not in _CATEGORIES:
             category = CATEGORY_OTHER
-        self._by_category[category] += 1  # repro-lint: shared(EffortCounter) -- Table 3 is one tally across sessions; the dispatcher runs one session at a time
-        self._by_account[account_id] = self._by_account.get(account_id, 0) + 1  # repro-lint: shared(EffortCounter) -- Table 3 is one tally across sessions; the dispatcher runs one session at a time
+        self._by_category[category] += 1  # repro-lint: shared(EffortCounter) -- Table 3 is one tally across sessions; run_sessions resumes one session at a time
+        self._by_account[account_id] = self._by_account.get(account_id, 0) + 1  # repro-lint: shared(EffortCounter) -- Table 3 is one tally across sessions; run_sessions resumes one session at a time
 
     def count(self, category: str) -> int:
         return self._by_category.get(category, 0)

@@ -1,15 +1,14 @@
 """Per-function effect summaries for the concurrency-safety pass.
 
 Built on the :mod:`repro.lint.flow` IR: every function's ops already
-carry ``(path, mode)`` write records, alias roots, ``await`` markers and
-held-lock sets, so this module only has to *classify* each write
-(mutates-self / mutates-param / mutates-global / mutates-class-attr),
-spot blocking calls, and stitch the per-function facts into a call
-graph.  Interprocedural propagation is then plain breadth-first
-reachability with parent links — no fixpoint is needed because effect
-*sites* stay attributed to the function that performs them; rules
-combine "site in f" with "f reachable from entry" and render the call
-chain as the witness.
+carry ``(path, mode)`` write records and alias roots, so this module
+only has to *classify* each write (mutates-self / mutates-param /
+mutates-global / mutates-class-attr) and stitch the per-function facts
+into a call graph.  Interprocedural propagation is then plain
+breadth-first reachability with parent links — no fixpoint is needed
+because effect *sites* stay attributed to the function that performs
+them; rules combine "site in f" with "f reachable from entry" and
+render the call chain as the witness.
 
 Approximations (documented in DESIGN.md §7):
 
@@ -32,7 +31,6 @@ import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import (
-    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -41,7 +39,6 @@ from typing import (
     Mapping,
     MutableMapping,
     Optional,
-    Sequence,
     Set,
     Tuple,
 )
@@ -73,34 +70,6 @@ MUTATOR_METHODS: FrozenSet[str] = frozenset(
     }
 )
 
-#: Dotted callables that block the event loop (wall-clock waits,
-#: synchronous I/O).  Matched after resolving the first component
-#: through the module's import aliases.
-BLOCKING_CALLS: FrozenSet[str] = frozenset(
-    {
-        "time.sleep",
-        "os.system",
-        "os.wait",
-        "subprocess.run",
-        "subprocess.call",
-        "subprocess.check_call",
-        "subprocess.check_output",
-        "subprocess.Popen",
-        "urllib.request.urlopen",
-        "socket.create_connection",
-        "requests.get",
-        "requests.post",
-        "requests.request",
-    }
-)
-
-#: Bare builtins that block (console reads, synchronous file opens).
-BLOCKING_BARE: FrozenSet[str] = frozenset({"input", "open"})
-
-#: Receiver components that mark a wait as SimClock-mediated: the
-#: simulation's cooperative clock, allowlisted by ASYNC001.
-_SIMCLOCK_RECEIVERS: FrozenSet[str] = frozenset({"clock", "_clock", "sim_clock"})
-
 #: Alias-resolution passes (a second pass catches x = y; y = self.z).
 _ALIAS_PASSES = 2
 
@@ -121,29 +90,6 @@ class MutationSite:
         return f"{self.module}:{self.function}"
 
 
-@dataclass(frozen=True)
-class BlockingSite:
-    """One blocking call (wall-clock wait / sync I/O)."""
-
-    callee: str
-    module: str
-    function: str
-    line: int
-    col: int
-
-    @property
-    def fqn(self) -> str:
-        return f"{self.module}:{self.function}"
-
-
-@dataclass(frozen=True)
-class FunctionEffects:
-    """Direct (non-transitive) effects of one function."""
-
-    mutations: Tuple[MutationSite, ...] = ()
-    blocking: Tuple[BlockingSite, ...] = ()
-
-
 ClassKey = Tuple[str, str]  # (module, class name)
 
 
@@ -158,8 +104,8 @@ class EffectAnalysis:
         self.index = index
         #: (module, class) -> attr -> (module, class) from __init__.
         self.attr_types: Dict[ClassKey, Dict[str, ClassKey]] = {}
-        #: fqn -> direct effects.
-        self.effects: Dict[str, FunctionEffects] = {}
+        #: fqn -> the writes the function performs itself (not its callees').
+        self.effects: Dict[str, Tuple[MutationSite, ...]] = {}
         #: fqn -> sorted callee fqns.
         self.edges: Dict[str, Tuple[str, ...]] = {}
         #: fqn -> FunctionInfo (only indexed, non-shadowed functions).
@@ -246,7 +192,7 @@ class EffectAnalysis:
         summary: ModuleSummary,
         fn: FunctionInfo,
         module_globals: FrozenSet[str],
-    ) -> FunctionEffects:
+    ) -> Tuple[MutationSite, ...]:
         own_class = _own_class(summary, fn)
         params = frozenset(p for p in fn.params if p != "self")
         locals_bound = frozenset(
@@ -254,7 +200,6 @@ class EffectAnalysis:
         )
         aliases = _alias_map(fn)
         mutations: List[MutationSite] = []
-        blocking: List[BlockingSite] = []
 
         def classify(path: str, mode: str, line: int, col: int) -> None:
             for resolved in _resolve_alias(path, aliases):
@@ -291,63 +236,15 @@ class EffectAnalysis:
                         )
                     )
             for call in _walk_calls(op.expr.calls):
-                self._call_effects(
-                    summary, fn, call, classify, blocking
-                )
-        return FunctionEffects(tuple(mutations), tuple(blocking))
-
-    def _call_effects(
-        self,
-        summary: ModuleSummary,
-        fn: FunctionInfo,
-        call: CallInfo,
-        classify: Callable[[str, str, int, int], None],
-        blocking: List[BlockingSite],
-    ) -> None:
-        if call.callee is None:
-            # Accessor-receiver calls (``self._limiter_for(a).charge()``):
-            # the receiver is a fresh call result, never a shared path.
-            return
-        parts = call.callee.split(".")
-        if len(parts) >= 2 and parts[-1] in MUTATOR_METHODS:
-            receiver = ".".join(parts[:-1])
-            classify(receiver, "mutate", call.line, call.col)
-        site = self._blocking_site(summary, fn, call, parts)
-        if site is not None:
-            blocking.append(site)
-
-    def _blocking_site(
-        self,
-        summary: ModuleSummary,
-        fn: FunctionInfo,
-        call: CallInfo,
-        parts: Sequence[str],
-    ) -> Optional[BlockingSite]:
-        callee = ".".join(parts)
-        if len(parts) == 1:
-            if parts[0] in BLOCKING_BARE and parts[0] not in summary.imports:
-                if parts[0] not in summary.functions:
-                    return BlockingSite(
-                        callee, summary.module, fn.qualname, call.line, call.col
-                    )
-            if parts[0] in summary.imports:
-                absolute = summary.imports[parts[0]][0]
-                if absolute in BLOCKING_CALLS:
-                    return BlockingSite(
-                        absolute, summary.module, fn.qualname, call.line, call.col
-                    )
-            return None
-        # SimClock-mediated waits are cooperative, not blocking.
-        if parts[-1] == "sleep" and parts[-2] in _SIMCLOCK_RECEIVERS:
-            return None
-        root = parts[0]
-        if root in summary.imports:
-            absolute = ".".join([summary.imports[root][0], *parts[1:]])
-            if absolute in BLOCKING_CALLS:
-                return BlockingSite(
-                    absolute, summary.module, fn.qualname, call.line, call.col
-                )
-        return None
+                # Accessor-receiver calls (``self._limiter_for(a).charge()``)
+                # have no callee: the receiver is a fresh call result,
+                # never a shared path.
+                if call.callee is None:
+                    continue
+                receiver, _, method = call.callee.rpartition(".")
+                if receiver and method in MUTATOR_METHODS:
+                    classify(receiver, "mutate", call.line, call.col)
+        return tuple(mutations)
 
     def _classify_write(
         self,
@@ -613,8 +510,8 @@ _ANALYSES: "MutableMapping[ProjectIndex, EffectAnalysis]" = (
 
 def analysis_for(index: ProjectIndex) -> EffectAnalysis:
     """One shared :class:`EffectAnalysis` per project index (memoised so
-    the four concurrency rules build the call graph once, not four
-    times)."""
+    the concurrency rules, the scale rules and the scale report build
+    the call graph once between them)."""
     cached = _ANALYSES.get(index)
     if cached is None:
         cached = EffectAnalysis(index)

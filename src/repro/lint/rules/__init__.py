@@ -5,7 +5,7 @@ from . import clock, determinism, mutables, oracle  # noqa: F401  (registration)
 
 # The whole-program rules live outside this package; importing them
 # registers them.  flow (FLOW001/FLOW002/DEAD001) first — conc
-# (PURE001/SHARE001/ASYNC001/ASYNC002) builds on its IR and base class.
+# (PURE001/SHARE001) builds on its IR and base class.
 from .. import flow  # noqa: E402,F401  (registration)
 from .. import conc  # noqa: E402,F401  (registration)
 

@@ -1,4 +1,4 @@
-"""The concurrency-safety rules: PURE001, SHARE001, ASYNC001, ASYNC002.
+"""The concurrency-safety rules: PURE001 and SHARE001.
 
 Fixture projects live under ``tmp_path/repro/...`` so
 :func:`~repro.lint.module_name_for` derives real ``repro.*`` dotted
@@ -290,148 +290,30 @@ class TestShare001:
         assert {f.rule for f in report.findings} == {"SHARE001"}
         assert "TOTAL" in report.findings[0].message
 
-
-# ----------------------------------------------------------------------
-# ASYNC001: no blocking calls on async paths
-# ----------------------------------------------------------------------
-
-#: The blocking call sits in a sync helper one hop below the coroutine.
-BLOCKING_BACKOFF = {
-    "repro/__init__.py": "",
-    "repro/crawler/__init__.py": "",
-    "repro/crawler/aio.py": """
-        import time
+    def test_write_in_an_async_def_under_a_lock_is_still_caught(self, tmp_path):
+        """Neither a ``with`` block nor an ``async def`` hides a write:
+        both bodies yield ops like any other."""
+        files = dict(SHARED_COUNTER)
+        files["repro/session.py"] = """
+            import threading
 
 
-        def backoff(seconds):
-            time.sleep(seconds)
+            class SessionStore:
+                def __init__(self) -> None:
+                    self._lock = threading.Lock()
+                    self.counts = {}
 
-
-        async def fetch(page):
-            backoff(1.0)
-            return page
-        """,
-}
-
-SIMCLOCK_BACKOFF = {
-    "repro/__init__.py": "",
-    "repro/crawler/__init__.py": "",
-    "repro/crawler/aio.py": """
-        def backoff(clock, seconds):
-            clock.sleep(seconds)
-
-
-        async def fetch(clock, page):
-            backoff(clock, 1.0)
-            return page
-        """,
-}
-
-
-class TestAsync001:
-    def test_two_hop_blocking_call_is_caught(self, tmp_path):
-        root = _project(tmp_path, BLOCKING_BACKOFF)
-        report = lint_paths([root], rules=_rules("ASYNC001"))
-        assert {f.rule for f in report.findings} == {"ASYNC001"}
-        finding = report.findings[0]
-        assert "time.sleep" in finding.message
-        assert "fetch" in finding.message
-        assert "backoff" in finding.message  # the chain is spelled out
-
-    def test_simclock_sleep_is_cooperative(self, tmp_path):
-        root = _project(tmp_path, SIMCLOCK_BACKOFF)
-        report = lint_paths([root], rules=_rules("ASYNC001"))
-        assert report.findings == []
-
-    def test_blocking_call_in_sync_only_code_is_fine(self, tmp_path):
-        files = {
-            "repro/__init__.py": "",
-            "repro/crawler/__init__.py": "",
-            "repro/crawler/aio.py": """
-                import time
-
-
-                def backoff(seconds):
-                    time.sleep(seconds)
-                """,
-        }
+                async def note(self, uid):
+                    with self._lock:
+                        self.counts[uid] = self.counts.get(uid, 0) + 1
+            """
         root = _project(tmp_path, files)
-        report = lint_paths([root], rules=_rules("ASYNC001"))
-        assert report.findings == []
-
-
-# ----------------------------------------------------------------------
-# ASYNC002: awaits under locks, mutation across awaits
-# ----------------------------------------------------------------------
-
-AWAIT_UNDER_LOCK = {
-    "repro/__init__.py": "",
-    "repro/crawler/__init__.py": "",
-    "repro/crawler/aio.py": """
-        import threading
-
-
-        class Cache:
-            def __init__(self) -> None:
-                self._lock = threading.Lock()
-                self.data = {}
-
-            async def refresh(self, fetch):
-                with self._lock:
-                    value = await fetch()
-                    self.data["v"] = value
-        """,
-}
-
-MUTATE_ACROSS_AWAIT = {
-    "repro/__init__.py": "",
-    "repro/crawler/__init__.py": "",
-    "repro/crawler/aio.py": """
-        class Tally:
-            def __init__(self) -> None:
-                self.count = 0
-
-            async def bump(self, flush):
-                count = self.count
-                await flush()
-                self.count = count + 1
-        """,
-}
-
-REREAD_AFTER_AWAIT = {
-    "repro/__init__.py": "",
-    "repro/crawler/__init__.py": "",
-    "repro/crawler/aio.py": """
-        class Tally:
-            def __init__(self) -> None:
-                self.count = 0
-
-            async def bump(self, flush):
-                await flush()
-                self.count = self.count + 1
-        """,
-}
-
-
-class TestAsync002:
-    def test_await_while_holding_lock_is_caught(self, tmp_path):
-        root = _project(tmp_path, AWAIT_UNDER_LOCK)
-        report = lint_paths([root], rules=_rules("ASYNC002"))
-        assert any(
-            "holding lock" in f.message and "self._lock" in f.message
-            for f in report.findings
-        )
-
-    def test_stale_read_written_after_await_is_caught(self, tmp_path):
-        root = _project(tmp_path, MUTATE_ACROSS_AWAIT)
-        report = lint_paths([root], rules=_rules("ASYNC002"))
-        assert {f.rule for f in report.findings} == {"ASYNC002"}
-        assert any("self.count" in f.message for f in report.findings)
-
-    def test_reread_after_await_is_clean(self, tmp_path):
-        root = _project(tmp_path, REREAD_AFTER_AWAIT)
-        report = lint_paths([root], rules=_rules("ASYNC002"))
-        assert report.findings == []
+        report = lint_paths([root], rules=_rules("SHARE001"))
+        assert {f.rule for f in report.findings} == {"SHARE001"}
+        finding = report.findings[0]
+        assert finding.path.endswith("session.py")
+        assert finding.line == 12
+        assert "self.counts" in finding.message
 
 
 # ----------------------------------------------------------------------

@@ -283,13 +283,18 @@ class TestCli:
 
     def test_select_unknown_rule_is_usage_error(self, tmp_path):
         source_path = _write(tmp_path, "clean.py", "x = 1\n")
-        assert main(["lint", "--no-cache", source_path, "--select", "NOPE999"]) == 2
+        for rule_id in ("NOPE999", "ASYNC001", "ASYNC002"):
+            assert main(["lint", "--no-cache", source_path, "--select", rule_id]) == 2
 
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("ORACLE001", "ORACLE002", "DET001", "CLOCK001", "MUT001"):
+        for rule_id in (
+            "ORACLE001", "ORACLE002", "DET001", "CLOCK001", "MUT001", "PURE001", "SHARE001"
+        ):
             assert rule_id in out
+        assert "ASYNC001" not in out
+        assert "ASYNC002" not in out
 
 
 # ----------------------------------------------------------------------

@@ -33,15 +33,19 @@ every wait it yields, so pacing, retries, Table-3 accounting and
 telemetry are the sequential client's, and the engine sees parsed
 pages only, never simulator internals.  A lost account or an exhausted
 retry never aborts a run; it is recorded in
-:attr:`CrawlRunResult.failures`.
+:attr:`CrawlRunResult.failures`.  With a telemetry handle on the
+client, the harvest runs in a ``seeds`` span and the queue drain in a
+``crawl`` span, which emits one ``unserved`` event per item no session
+was left to take.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, ContextManager, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.osn.clock import SimClock
 from repro.osn.errors import AccountDisabledError, RateLimitedError
@@ -189,6 +193,11 @@ class CrawlScheduler:
     # ------------------------------------------------------------------
     # Phases
     # ------------------------------------------------------------------
+    def _span(self, name: str) -> ContextManager:
+        """A telemetry phase span, or a no-op when observability is off."""
+        telemetry = self.client.telemetry
+        return telemetry.span(name) if telemetry is not None else nullcontext()
+
     def run(self) -> CrawlRunResult:
         """Harvest seeds, then drain the queue; failures are listed, not raised."""
         client = self.client
@@ -199,7 +208,8 @@ class CrawlScheduler:
 
         harvest: WorkItem = ("seeds", plan.school_id)
         harvester = min(client.pool.account_ids)
-        run_sessions(clock, [self._serve(state, harvester, harvest)])
+        with self._span("seeds"):
+            run_sessions(clock, [self._serve(state, harvester, harvest)])
 
         targets = sorted(state.seeds)
         if plan.max_profiles is not None:
@@ -207,11 +217,16 @@ class CrawlScheduler:
         work: List[WorkItem] = [("profile", uid) for uid in targets]
         work.extend(("friends", uid) for uid in targets)
         state.work = deque(work)
-        run_sessions(
-            clock,
-            [self._drain(state, account_id) for account_id in sorted(client.pool.usable)],
-        )
-        state.failures.extend(("unserved", None, item) for item in state.work)
+        with self._span("crawl"):
+            run_sessions(
+                clock,
+                [self._drain(state, account_id) for account_id in sorted(client.pool.usable)],
+            )
+            telemetry = client.telemetry
+            for kind, uid in state.work:
+                state.failures.append(("unserved", None, (kind, uid)))
+                if telemetry is not None:
+                    telemetry.emit("unserved", item=kind, uid=uid)
 
         return CrawlRunResult(
             seeds=dict(state.seeds),

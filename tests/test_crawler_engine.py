@@ -326,6 +326,7 @@ class TestClientParity:
             return [
                 (e.kind, e.sim_ts, {k: v for k, v in e.fields.items() if k != "wall_seconds"})
                 for e in telemetry.events
+                if e.kind != "span"
             ]
 
         def engine(client, school_id):
@@ -456,6 +457,36 @@ class TestFailSoft:
         assert completed(result) | set(exhausted) == work_items(result)
         assert not completed(result) & set(exhausted)
         assert result.pages == 10 * len(uids)
+
+
+class TestRunTrace:
+    def test_spans_add_up_to_the_run_and_unserved_items_are_traced(self):
+        """A traced run is a ``seeds`` span around the harvest and a
+        ``crawl`` span around the drain, whose simulated seconds add up to
+        the run's; the drain's span holds one ``unserved`` event per
+        unserved failure, in the same order."""
+        world = build_world(tiny(seed=_SEED))
+        uids = world.create_attacker_accounts(3)
+        telemetry = Telemetry(world.network.clock)
+        client = CrawlClient(
+            BanFrom(world.frontend, {uid: 5 for uid in uids}),
+            AccountPool.of(uids),
+            seed=_SEED,
+            telemetry=telemetry,
+        )
+        plan = CrawlPlan(school_id=world.school().school_id, max_profiles=_BUDGET)
+        result = CrawlScheduler(client, plan).run()
+
+        spans = [e.fields for e in telemetry.events if e.kind == "span"]
+        assert [span["name"] for span in spans] == ["seeds", "crawl"]
+        assert sum(span["sim_seconds"] for span in spans) == pytest.approx(result.sim_seconds)
+        requests = [e for e in telemetry.events if e.kind == "request"]
+        assert {e.phase for e in requests} == {"seeds", "crawl"}
+        unserved = [e for e in telemetry.events if e.kind == "unserved"]
+        assert unserved and {e.phase for e in unserved} == {"crawl"}
+        assert [(e.fields["item"], e.fields["uid"]) for e in unserved] == [
+            item for reason, _, item in result.failures if reason == "unserved"
+        ]
 
 
 class TestPlanValidation:

@@ -39,6 +39,7 @@ from repro.analysis.tables import ascii_table, render_policy_table
 from repro.core.api import make_client, run_attack
 from repro.core.coppaless import run_natural_approach
 from repro.analysis.robustness import run_across_seeds
+from repro.colgen.tiers import TIERS
 from repro.core.countermeasures import run_countermeasure_comparison, run_countermeasure_suite
 from repro.core.evaluation import (
     evaluate_full,
@@ -348,6 +349,14 @@ def cmd_robustness(args: argparse.Namespace) -> int:
 def cmd_worldgen(args: argparse.Namespace) -> int:
     from repro.colgen import bench_worldgen, write_bench_json
 
+    if args.blocks is not None and TIERS[args.tier].kind != "native":
+        native = ", ".join(name for name, spec in TIERS.items() if spec.kind == "native")
+        print(
+            f"error: --blocks applies only to the native tiers ({native}), "
+            f"not to --tier {args.tier}",
+            file=sys.stderr,
+        )
+        return 2
     record = bench_worldgen(
         args.tier,
         seed=args.seed,
@@ -548,7 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     crawl.add_argument(
         "--tier",
-        choices=("smoke", "paper", "city", "metro"),
+        # Only a tier that materialises its friendship graph can be served.
+        choices=[name for name, spec in TIERS.items() if spec.materialize_graph],
         default=None,
         help="crawl a native columnar tier instead of a preset "
         "(implies --serve columnar)",
@@ -584,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     worldgen.add_argument(
         "--tier",
         default="smoke",
-        choices=("smoke", "paper", "city", "metro"),
+        choices=list(TIERS),
         help="size tier to generate (default: smoke)",
     )
     worldgen.add_argument("--seed", type=int, default=1, help="world seed")
@@ -596,9 +606,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     worldgen.add_argument(
         "--blocks",
-        type=int,
+        type=_int_at_least(1),
         default=None,
-        help="override the native tiers' block count (smaller test runs)",
+        help="override a native tier's block count (smaller test runs); N >= 1",
     )
     worldgen.add_argument(
         "--bench-out",

@@ -91,8 +91,11 @@ def generate(
     ``smoke``/``paper`` run the calibrated object generator and encode;
     ``city``/``metro`` run the native sharded path.
     ``blocks`` overrides the native shard count — tests use it to run
-    the full city machinery at a few thousand accounts.
+    the full city machinery at a few thousand accounts; fewer than one
+    block raises ``ValueError``.
     """
+    if blocks is not None and blocks < 1:
+        raise ValueError(f"blocks must be at least 1, not {blocks}")
     spec = tier_by_name(tier_name)
     if spec.kind == "preset":
         return _generate_from_preset(spec, seed, school)

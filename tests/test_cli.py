@@ -46,6 +46,14 @@ class TestParser:
         assert exited.value.code == 2
         assert "--budget: must be at least 0, not -3" in capsys.readouterr().err
 
+    def test_crawl_of_a_tier_without_a_graph_is_a_usage_error(self, capsys):
+        # metro materialises no adjacency: its crawl died at the first
+        # profile GET, after generating ~10M accounts.
+        with pytest.raises(SystemExit) as exited:
+            main(["crawl", "--tier", "metro"])
+        assert exited.value.code == 2
+        assert "invalid choice: 'metro'" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_worldinfo(self, capsys):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import compress, filterfalse
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -27,6 +28,7 @@ from typing import (
     Optional,
     Protocol,
     Sequence,
+    Set,
 )
 
 from repro.crawler.client import CrawlClient
@@ -94,8 +96,10 @@ def friend_name_resolver(
 
     A friend's display name comes from a page the crawl already fetched
     (``crawled``), else from one ``client.fetch_profile`` GET.  Each uid
-    is resolved once, when the linkage first asks for it, so the GETs
-    follow that order.
+    is resolved once, when the linkage first asks for it.  The linkage
+    asks for each distinct uid once per call, in the order its
+    (student, friend) walk first meets it, so the GETs follow that
+    order; the memo also spans calls that share this resolver.
     """
     names: Dict[int, Optional[str]] = {}
 
@@ -117,12 +121,19 @@ def link_home_addresses(
 
     ``friend_name_of`` resolves a friend uid to a display name (e.g.
     :func:`friend_name_resolver`); without it only the surname+city
-    channel runs.
+    channel runs.  It is asked once per distinct friend uid per call,
+    in the order the walk over (student, friend) pairs first meets
+    each uid, and a friend it resolves to ``None`` matches no student.
+    A friend listed twice by one student yields a candidate for each
+    listing.
     Returns uid -> candidates ordered best first.
     """
     linked: Dict[int, List[AddressCandidate]] = {}
-    # Friend display name -> its lowered surname, within this call.
-    lowered_surnames: Dict[str, str] = {}
+    # Friend uid -> display name, resolved once within this call, and
+    # lowered surname -> the resolved friends who carry it.
+    friend_names: Dict[int, Optional[str]] = {}
+    friends_by_surname: Dict[str, Set[int]] = {}
+    met = friend_names.__contains__
     for uid, profile in extended.items():
         surname = _surname(profile.name)
         lowered = surname.lower()
@@ -136,16 +147,20 @@ def link_home_addresses(
                 if profile.direct_friends is not None
                 else sorted(profile.reverse_friends)
             )
-            for friend_uid in friend_ids:
+            # ``filterfalse`` is lazy, so a uid stored in the loop body
+            # is skipped when the same list meets it again.
+            for friend_uid in filterfalse(met, friend_ids):
                 friend_name = friend_name_of(friend_uid)
-                if friend_name is None:
-                    continue
-                friend_surname = lowered_surnames.get(friend_name)
-                if friend_surname is None:
-                    friend_surname = _surname(friend_name).lower()
-                    lowered_surnames[friend_name] = friend_surname
-                if friend_surname != lowered:
-                    continue
+                friend_names[friend_uid] = friend_name
+                if friend_name is not None:
+                    friends_by_surname.setdefault(
+                        _surname(friend_name).lower(), set()
+                    ).add(friend_uid)
+            # One pick per listing, among the friends resolved to this
+            # surname; an unresolved friend is in no set.
+            same = friends_by_surname.get(lowered, frozenset()).__contains__
+            for friend_uid in compress(friend_ids, map(same, friend_ids)):
+                friend_name = friend_names[friend_uid]
                 record = registry.lookup_person(
                     friend_name.split(" ", 1)[0], surname, city
                 )

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import html
 import re
+from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .errors import ParseError
@@ -35,10 +36,19 @@ _SITE_NAME = "FaceSpace"
 _esc = html.escape
 _unesc = html.unescape
 
+#: Finds a character ``html.escape`` rewrites.  A value without one is
+#: its own escape, so renderers insert it as is: almost every value.
+_needs_escape = re.compile("[&<>\"']").search
+
+
+def _text(value: str) -> str:
+    """``value`` escaped for HTML text or an attribute."""
+    return _esc(value) if _needs_escape(value) else value
+
 
 def _shell(title: str, body: str) -> str:
     return (
-        f"<html><head><title>{_esc(title)} | {_SITE_NAME}</title></head>"
+        f"<html><head><title>{_text(title)} | {_SITE_NAME}</title></head>"
         f"<body>{body}</body></html>"
     )
 
@@ -55,41 +65,46 @@ def _require(pattern: "re.Pattern[str]", text: str, what: str) -> "re.Match[str]
 # ----------------------------------------------------------------------
 
 def render_profile_page(view: ProfileView) -> str:
-    """Render a profile view to HTML exactly as the viewer would see it."""
+    """Render a profile view to HTML exactly as the viewer would see it.
+
+    Every text value goes through :func:`_text`, which escapes only a
+    value holding one of ``& < > " '``: the page is byte for byte what
+    escaping every value gives.
+    """
     parts: List[str] = [f'<div id="profile" data-uid="{view.user_id}">']
-    parts.append(f'<h1 class="name">{_esc(view.name)}</h1>')
+    parts.append(f'<h1 class="name">{_text(view.name)}</h1>')
     if view.has_profile_photo:
         parts.append(f'<img class="profile-photo" src="/photo/{view.user_id}.jpg"/>')
     if view.gender is not None:
-        parts.append(f'<span class="gender">{_esc(view.gender.value)}</span>')
+        parts.append(f'<span class="gender">{_text(view.gender.value)}</span>')
     for network in view.networks:
-        parts.append(f'<span class="network">{_esc(network)}</span>')
+        parts.append(f'<span class="network">{_text(network)}</span>')
     if view.high_schools:
         parts.append('<ul class="schools">')
         for aff in view.high_schools:
             year = "" if aff.graduation_year is None else str(aff.graduation_year)
             parts.append(
                 f'<li class="school" data-school-id="{aff.school_id}" '
-                f'data-year="{year}">{_esc(aff.school_name)}</li>'
+                f'data-year="{year}">{_text(aff.school_name)}</li>'
             )
         parts.append("</ul>")
     if view.relationship_status is not None:
         parts.append(
-            f'<span class="relationship">{_esc(view.relationship_status)}</span>'
+            f'<span class="relationship">{_text(view.relationship_status)}</span>'
         )
     if view.interested_in is not None:
-        parts.append(f'<span class="interested-in">{_esc(view.interested_in)}</span>')
+        parts.append(f'<span class="interested-in">{_text(view.interested_in)}</span>')
     if view.birthday_year is not None:
         parts.append(f'<span class="birthday-year">{view.birthday_year}</span>')
     if view.hometown is not None:
-        parts.append(f'<span class="hometown">{_esc(view.hometown)}</span>')
+        parts.append(f'<span class="hometown">{_text(view.hometown)}</span>')
     if view.current_city is not None:
-        parts.append(f'<span class="current-city">{_esc(view.current_city)}</span>')
+        parts.append(f'<span class="current-city">{_text(view.current_city)}</span>')
     if view.employer is not None:
-        parts.append(f'<span class="employer">{_esc(view.employer)}</span>')
+        parts.append(f'<span class="employer">{_text(view.employer)}</span>')
     if view.graduate_school is not None:
         parts.append(
-            f'<span class="graduate-school">{_esc(view.graduate_school)}</span>'
+            f'<span class="graduate-school">{_text(view.graduate_school)}</span>'
         )
     if view.photo_count is not None:
         parts.append(f'<span class="photo-count">{view.photo_count}</span>')
@@ -99,14 +114,14 @@ def render_profile_page(view: ProfileView) -> str:
         parts.append('<ul class="wall">')
         parts.extend(
             f'<li class="wall-post" data-author="{post.author_id}">'
-            f"{_esc(post.text)}</li>"
+            f"{_text(post.text)}</li>"
             for post in view.wall_posts
         )
         parts.append("</ul>")
     if view.contact_email is not None:
-        parts.append(f'<span class="contact-email">{_esc(view.contact_email)}</span>')
+        parts.append(f'<span class="contact-email">{_text(view.contact_email)}</span>')
     if view.contact_phone is not None:
-        parts.append(f'<span class="contact-phone">{_esc(view.contact_phone)}</span>')
+        parts.append(f'<span class="contact-phone">{_text(view.contact_phone)}</span>')
     if view.friend_list_visible:
         parts.append(
             f'<a class="friends-link" href="/profile/{view.user_id}/friends">Friends</a>'
@@ -126,15 +141,21 @@ _PROFILE_DIV_RE = re.compile(r'<div id="profile" data-uid="(\d+)">')
 
 #: Every element a profile page can carry, as one alternation, so one
 #: left-to-right scan finds them all.  Escaping keeps ``<`` and ``"``
-#: out of rendered text, so no text can end or fake an element.  Groups:
-#: a text element's class and text; a school's id, year and name; a
-#: wall post's author and text; a marker element's class.
+#: out of rendered text, so no text can end or fake an element.  Every
+#: alternative starts at its tag's ``<``, so the scan skips ahead to
+#: the next ``<`` between matches.  Groups: a text element's class and
+#: text; a school's id, year and name; a wall post's author and text; a
+#: marker element's class.
 _PROFILE_ELEMENT_RE = re.compile(
     r'<(?:span|h1) class="([a-z-]+)">([^<]*)</'
     r'|<li class="school" data-school-id="(\d+)" data-year="(\d*)">([^<]*)</li>'
     r'|<li class="wall-post" data-author="(\d+)">([^<]*)</li>'
-    r'|class="(profile-photo|friends-link|message-link|public-search)"'
+    r'|<(?:img|a|meta) class="(profile-photo|friends-link|message-link|public-search)"'
 )
+
+
+#: Each gender by its rendered value.
+_GENDERS: Dict[str, Gender] = {gender.value: gender for gender in Gender}
 
 
 def parse_profile_page(page: str) -> ProfileView:
@@ -144,9 +165,13 @@ def parse_profile_page(page: str) -> ProfileView:
     HTML come back as ``None``/empty, exactly like the original view.
     One scan after the profile div reads every element; where a text
     element repeats, its first occurrence counts.  A page without the
-    profile div or the name raises :class:`ParseError`.
+    profile div or the name raises :class:`ParseError`, and a gender
+    that is no :class:`Gender` value raises ``ValueError``.
     """
     div = _require(_PROFILE_DIV_RE, page, "profile div")
+    # A character reference starts with ``&``; on a page without one,
+    # every value is its own unescape (``str`` returns it as is).
+    unesc = _unesc if "&" in page else str
     texts: Dict[str, str] = {}
     networks: List[str] = []
     schools: List[SchoolAffiliation] = []
@@ -156,20 +181,20 @@ def parse_profile_page(page: str) -> ProfileView:
         page, div.end()
     ):
         if cls == "network":
-            networks.append(_unesc(text))
+            networks.append(unesc(text))
         elif cls:
             if cls not in texts:
-                texts[cls] = _unesc(text)
+                texts[cls] = unesc(text)
         elif sid:
             schools.append(
                 SchoolAffiliation(
                     school_id=int(sid),
-                    school_name=_unesc(sname),
+                    school_name=unesc(sname),
                     graduation_year=int(year) if year else None,
                 )
             )
         elif author:
-            wall_posts.append(WallPostView(int(author), _unesc(post)))
+            wall_posts.append(WallPostView(int(author), unesc(post)))
         else:
             markers.add(marker)
     if "name" not in texts:
@@ -179,7 +204,7 @@ def parse_profile_page(page: str) -> ProfileView:
     return build_profile_view(
         user_id=int(div.group(1)),
         name=texts["name"],
-        gender=Gender(gender) if gender is not None else None,
+        gender=None if gender is None else _GENDERS.get(gender) or Gender(gender),
         networks=tuple(networks),
         has_profile_photo="profile-photo" in markers,
         high_schools=tuple(schools),
@@ -227,15 +252,13 @@ class ListingPage(NamedTuple):
         return after if after < self.total else None
 
 
-#: Finds a character ``html.escape`` rewrites.  A name without one is
-#: its own escape, so rows insert it as is: almost every name.
-_needs_escape = re.compile("[&<>\"']").search
-
-
 def _render_rows(entries: Sequence[DirectoryEntry]) -> str:
+    # :func:`_text`'s guard, asked once for the page's 20 names: a clean
+    # name is its own escape, so one hit escapes them all.
+    escape = _esc if _needs_escape("".join(map(itemgetter(1), entries))) else str
     rows = [
         f'<li class="user-row" data-uid="{uid}"><a href="/profile/{uid}">'
-        f'{_esc(name) if _needs_escape(name) else name}</a></li>'
+        f"{escape(name)}</a></li>"
         for uid, name in entries
     ]
     return "".join(rows)
@@ -253,12 +276,15 @@ _LISTING_RES = {
 
 
 def _parse_rows(page: str) -> Tuple[DirectoryEntry, ...]:
+    """The page's rows, built at C level; names are unescaped only on a
+    page that holds an ``&``."""
     rows = _ROW_RE.findall(page)
-    return tuple(
-        directory_entries(
-            [int(uid) for uid, _ in rows], [_unesc(name) for _, name in rows]
-        )
-    )
+    if not rows:
+        return ()
+    uids, names = zip(*rows)
+    if "&" in page:
+        names = map(_unesc, names)
+    return tuple(directory_entries(map(int, uids), names))
 
 
 def _render_listing(
@@ -305,8 +331,8 @@ def render_school_page(school: School) -> str:
     body = (
         f'<div class="school-info" data-school-id="{school.school_id}" '
         f'data-enrollment="{hint}">'
-        f'<h1 class="school-name">{_esc(school.name)}</h1>'
-        f'<span class="school-city">{_esc(school.city)}</span></div>'
+        f'<h1 class="school-name">{_text(school.name)}</h1>'
+        f'<span class="school-city">{_text(school.city)}</span></div>'
     )
     return _shell(school.name, body)
 
@@ -336,7 +362,7 @@ def parse_school_page(page: str) -> School:
 # ----------------------------------------------------------------------
 
 def render_action_page(kind: str, target_id: int) -> str:
-    body = f'<div class="action" data-kind="{_esc(kind)}" data-target="{target_id}"></div>'
+    body = f'<div class="action" data-kind="{_text(kind)}" data-target="{target_id}"></div>'
     return _shell(kind, body)
 
 

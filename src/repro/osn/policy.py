@@ -90,6 +90,9 @@ class SitePolicy:
     _caps: Tuple[Dict[ProfileField, Audience], ...] = field(
         init=False, repr=False, compare=False
     )
+    _cap_seen: Tuple[Dict[Relationship, Tuple[ProfileField, ...]], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         # The minor cap, and its one copy: the widest audience each field
@@ -106,6 +109,19 @@ class SitePolicy:
             for f in ProfileField
         }
         object.__setattr__(self, "_caps", (adult, minor))
+        # Read off the same table: the fields whose cap each relationship
+        # sees, indexed by the owner's minor status.
+        object.__setattr__(
+            self,
+            "_cap_seen",
+            tuple(
+                {
+                    rel: tuple(f for f, cap in caps.items() if cap in seen)
+                    for rel, seen in _SEEN_BY.items()
+                }
+                for caps in (adult, minor)
+            ),
+        )
 
     # ------------------------------------------------------------------
     # Registration / classification
@@ -174,13 +190,18 @@ class SitePolicy:
         Exactly the fields for which :meth:`field_visible_to` answers
         ``True``: a viewer who sees an audience sees every wider one, so
         they see ``min(chosen, cap)`` exactly when they see both the
-        field's cap and the owner's chosen audience.
+        field's cap and the owner's chosen audience.  The fields whose
+        cap the viewer sees are precomputed, so only their chosen
+        audiences are read.
         """
         if minor is None:
             minor = self.is_registered_minor(account, now_year)
         seen = _SEEN_BY[relationship]
-        chosen = account.settings.audience_for
-        return {f for f, cap in self._caps[minor].items() if cap in seen and chosen(f) in seen}
+        # ``PrivacySettings.audience_for`` without a Python call per
+        # field: a field the owner never set takes the default.
+        chosen = account.settings.audiences.get
+        default = account.settings.default
+        return {f for f in self._cap_seen[minor][relationship] if chosen(f, default) in seen}
 
     def message_button_visible(
         self,

@@ -14,6 +14,12 @@ constructions yield an identical report.  It breaks the session down three ways:
 * **per category**: the Table-3 request decomposition (seeds /
   profiles / friend_lists / other), cross-checkable against
   :class:`~repro.crawler.effort.EffortReport`.
+
+It also counts what failed (``unserved`` items and ``retry_exhausted``
+requests, beside the lost accounts), and takes the session's simulated
+duration from its top-level spans, which cover the polite waits before
+the first request; a trace without spans falls back to its first and
+last events.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .events import TelemetryEvent
+from .runtime import NO_PHASE
 
 _CATEGORY_ORDER = ("seeds", "profiles", "friend_lists", "other")
 
@@ -59,6 +66,8 @@ class CrawlSessionReport:
     total_attempts: int = 0
     total_throttles: int = 0
     total_backoff_seconds: float = 0.0
+    unserved_items: int = 0
+    retries_exhausted: int = 0
     sim_duration_seconds: float = 0.0
     event_count: int = 0
 
@@ -70,6 +79,8 @@ class CrawlSessionReport:
         report = cls()
         first_ts: float | None = None
         last_ts: float | None = None
+        # Simulated seconds of each top-level span, in trace order.
+        top_span_seconds: List[float] = []
         for event in events:
             report.event_count += 1
             first_ts = event.sim_ts if first_ts is None else first_ts
@@ -99,11 +110,20 @@ class CrawlSessionReport:
                 report.total_backoff_seconds += slept
             elif kind == "account_lost":
                 report._account(fields.get("account")).disabled = True
+            elif kind == "unserved":
+                report.unserved_items += 1
+            elif kind == "retry_exhausted":
+                report.retries_exhausted += 1
             elif kind == "span":
                 phase = report._phase(str(fields.get("name", event.phase)))
-                phase.sim_seconds += float(fields.get("sim_seconds", 0.0))
+                sim_seconds = float(fields.get("sim_seconds", 0.0))
+                phase.sim_seconds += sim_seconds
                 phase.wall_seconds += float(fields.get("wall_seconds", 0.0))
-        if first_ts is not None and last_ts is not None:
+                if fields.get("parent") == NO_PHASE:
+                    top_span_seconds.append(sim_seconds)
+        if top_span_seconds:
+            report.sim_duration_seconds = sum(top_span_seconds)
+        elif first_ts is not None and last_ts is not None:
             report.sim_duration_seconds = last_ts - first_ts
         return report
 
@@ -195,6 +215,8 @@ class CrawlSessionReport:
                     f"throttles:               {self.total_throttles}",
                     f"backoff slept:           {self.total_backoff_seconds:.1f} s",
                     f"accounts used/lost:      {self.accounts_used}/{self.accounts_lost}",
+                    f"unserved items:          {self.unserved_items}",
+                    f"retries exhausted:       {self.retries_exhausted}",
                     f"sim crawl duration:      {self.sim_duration_seconds:.1f} s",
                     f"events:                  {self.event_count}",
                 ]

@@ -243,3 +243,48 @@ class TestCrawlCommand:
     def test_tier_crawls_seed_zero(self, capsys):
         table = crawl_table(capsys, *SMOKE, "--seed", "0")
         assert table["world"] == "tier=smoke seed=0 serve=columnar"
+
+
+def trace_summary(capsys, trace):
+    """The ``label: value`` lines ``trace`` prints after its tables."""
+    assert main(["trace", str(trace)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    return dict(
+        (label, value.strip())
+        for label, colon, value in (line.partition(":") for line in lines)
+        if colon
+    )
+
+
+class TestTraceCommand:
+    """The replay says how long a run took and what it failed to do."""
+
+    def test_crawl_replay_takes_its_duration_from_the_spans(self, capsys, tmp_path):
+        # The first GET waits out a polite delay, so the first event's
+        # timestamp is ~2.6 s after the crawl started: last minus first
+        # read 42.1 s, short of the table's 44.7.
+        trace = tmp_path / "crawl.jsonl"
+        table = crawl_table(
+            capsys, "--preset", "tiny", "--accounts", "8", "--budget", "20",
+            "--telemetry", str(trace),
+        )
+        summary = trace_summary(capsys, trace)
+        assert summary["sim crawl duration"] == f"{table['sim_seconds']} s" == "44.7 s"
+        assert summary["unserved items"] == summary["retries exhausted"] == "0"
+
+    def test_attack_replay_sums_the_top_level_spans(self, capsys, tmp_path):
+        from repro.telemetry import read_jsonl
+
+        trace = tmp_path / "attack.jsonl"
+        assert main(["attack", "--preset", "tiny", "--telemetry", str(trace)]) == 0
+        capsys.readouterr()
+        top = [
+            e.fields for e in read_jsonl(str(trace))
+            if e.kind == "span" and e.fields["parent"] == "-"
+        ]
+        assert [span["name"] for span in top] == [
+            "setup", "seeds", "core", "scoring", "threshold",
+        ]
+        duration = sum(span["sim_seconds"] for span in top)
+        assert trace_summary(capsys, trace)["sim crawl duration"] == f"{duration:.1f} s"
+        assert f"{duration:.1f}" == "425.0"

@@ -31,7 +31,7 @@ from repro.osn.errors import AccountDisabledError, NotFoundError
 from repro.osn.frontend import HtmlFrontend
 from repro.osn.ratelimit import RateLimitConfig
 from repro.osn.rendercache import RenderCache
-from repro.telemetry import Telemetry, fold_metrics
+from repro.telemetry import CrawlSessionReport, Telemetry, fold_metrics, read_jsonl
 from repro.worldgen.presets import hs1, tiny
 from repro.worldgen.world import build_world
 
@@ -487,6 +487,37 @@ class TestRunTrace:
         assert [(e.fields["item"], e.fields["uid"]) for e in unserved] == [
             item for reason, _, item in result.failures if reason == "unserved"
         ]
+
+    def test_the_report_counts_the_runs_failures(self, tmp_path):
+        """The replayed report counts each failure the run recorded: the
+        three banned accounts as lost, and every item left over as
+        unserved, live and from the JSONL trace alike."""
+        world = build_world(tiny(seed=_SEED))
+        uids = world.create_attacker_accounts(3)
+        trace = tmp_path / "crawl.jsonl"
+        telemetry = Telemetry(world.network.clock, jsonl=str(trace))
+        client = CrawlClient(
+            BanFrom(world.frontend, {uid: 5 for uid in uids}),
+            AccountPool.of(uids),
+            seed=_SEED,
+            telemetry=telemetry,
+        )
+        plan = CrawlPlan(school_id=world.school().school_id, max_profiles=_BUDGET)
+        result = CrawlScheduler(client, plan).run()
+        telemetry.close()
+
+        reasons = Counter(reason for reason, _, _ in result.failures)
+        report = CrawlSessionReport.from_events(telemetry.events)
+        assert (report.unserved_items, report.accounts_lost) == (15, 3)
+        assert report.unserved_items == reasons["unserved"]
+        assert report.accounts_lost == reasons["account_lost"]
+        assert report.retries_exhausted == reasons["retry_exhausted"] == 0
+        replayed = CrawlSessionReport.from_events(read_jsonl(str(trace)))
+        assert replayed == report
+        text = replayed.render()
+        assert "unserved items:          15\n" in text
+        assert "retries exhausted:       0\n" in text
+        assert f"sim crawl duration:      {result.sim_seconds:.1f} s\n" in text
 
 
 class TestPlanValidation:

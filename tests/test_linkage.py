@@ -261,8 +261,8 @@ class TestSurnamesLoweredOnce:
         theirs, their_calls = self.recording(names)
         linked = link_home_addresses(extended, registry, ours)
         assert linked == reference_link_home_addresses(extended, registry, theirs)
-        assert our_calls == their_calls
-        assert len(our_calls) > len(set(our_calls))  # friends repeat across students
+        assert our_calls == list(dict.fromkeys(their_calls))
+        assert len(their_calls) > len(set(their_calls))  # friends repeat across students
         assert any(c.confidence is Confidence.HIGH for cs in linked.values() for c in cs)
 
     def test_a_shared_name_is_lowered_for_each_student(self):
@@ -288,5 +288,103 @@ class TestSurnamesLoweredOnce:
         theirs, their_calls = self.recording(names)
         linked = link_home_addresses(students, registry, ours)
         assert linked == reference_link_home_addresses(students, registry, theirs)
-        assert our_calls == their_calls == [42, 43] * 3
+        assert our_calls == list(dict.fromkeys(their_calls)) == [42, 43]
         assert [linked[uid][0].via_friend for uid in (1, 2)] == ["Pat Miller", "Pat Lee"]
+
+
+class TestEachFriendResolvedOnce:
+    """``friend_name_of`` is asked once per distinct friend uid per call,
+    in the order the per-pair walk first meets it; the result is the
+    per-pair reference's."""
+
+    REGISTRY = VoterRegistry(
+        [
+            VoterRecord("Pat", "Miller", "12 Oak St", "Smallville", 1970),
+            VoterRecord("Sam", "Miller", "12 Oak St", "Smallville", 1972),
+        ]
+    )
+
+    @staticmethod
+    def student(uid, name, friends):
+        from repro.core.extension import ExtendedProfile
+
+        return ExtendedProfile(
+            user_id=uid, name=name, gender=None, school_name="HS",
+            inferred_year=2014, inferred_city="Smallville",
+            inferred_birth_year=1996, appears_registered_adult=False,
+            view=None, direct_friends=friends,
+        )
+
+    @staticmethod
+    def recording(names):
+        calls = []
+
+        def friend_name_of(uid):
+            calls.append(uid)
+            return names.get(uid)
+
+        return friend_name_of, calls
+
+    def link_both(self, students, names):
+        ours, our_calls = self.recording(names)
+        theirs, their_calls = self.recording(names)
+        linked = link_home_addresses(students, self.REGISTRY, ours)
+        assert linked == reference_link_home_addresses(students, self.REGISTRY, theirs)
+        return linked, our_calls, their_calls
+
+    def test_an_unresolved_friend_is_asked_once_and_never_matches(self):
+        students = {
+            1: self.student(1, "Kim Miller", [42, 43, 42]),
+            2: self.student(2, "Al Miller", [42]),
+        }
+        linked, our_calls, their_calls = self.link_both(students, {43: "Pat Miller"})
+        assert our_calls == [42, 43]
+        assert their_calls == [42, 43, 42, 42]
+        assert [c.via_friend for c in linked[1]] == ["Pat Miller"]
+        assert [c.confidence for c in linked[2]] == [Confidence.MEDIUM]
+
+    def test_a_friend_listed_twice_yields_two_candidates(self):
+        students = {1: self.student(1, "Kim Miller", [44, 43, 44])}
+        names = {43: "Pat Miller", 44: "Sam Miller"}
+        linked, our_calls, _ = self.link_both(students, names)
+        assert our_calls == [44, 43]
+        assert [c.via_friend for c in linked[1]] == ["Sam Miller", "Pat Miller", "Sam Miller"]
+        assert {c.confidence for c in linked[1]} == {Confidence.HIGH}
+
+    def test_resolver_gets_follow_the_per_pair_walk(self):
+        """On the tiny world, after the attack and the extension, the
+        resolver's profile GETs are the ones the per-pair reference
+        walk makes, in the same order."""
+        from repro.core.api import run_attack
+        from repro.core.profiler import ProfilerConfig
+        from repro.worldgen.presets import tiny
+        from repro.worldgen.world import build_world
+
+        world = build_world(tiny())
+        attack = run_attack(
+            world, accounts=2,
+            config=ProfilerConfig(threshold=120, enhanced=True, filtering=True),
+        )
+        extended = build_extended_profiles(attack, make_client(world, 1), t=100)
+        registry = build_voter_registry(
+            world.population, world.config.observation_year, seed=5
+        )
+
+        class RecordingClient:
+            def __init__(self):
+                self.client = make_client(world, 1)
+                self.fetched = []
+
+            def fetch_profile(self, uid):
+                self.fetched.append(uid)
+                return self.client.fetch_profile(uid)
+
+        ours, theirs = RecordingClient(), RecordingClient()
+        linked = link_home_addresses(
+            extended, registry, friend_name_resolver(attack.profiles, ours)
+        )
+        assert linked == reference_link_home_addresses(
+            extended, registry, friend_name_resolver(attack.profiles, theirs)
+        )
+        assert ours.fetched == theirs.fetched
+        assert len(set(ours.fetched)) == len(ours.fetched) > 0

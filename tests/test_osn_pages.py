@@ -3,11 +3,13 @@
 import html
 import re
 from typing import List, Optional
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.osn import pages
 from repro.osn.errors import ParseError
 from repro.osn.network import DirectoryEntry, School
 from repro.osn.pages import (
@@ -282,6 +284,58 @@ class TestOnePassProfileParser:
         page = render_friends_page(1, 1, 0, [DirectoryEntry(2, "Pat")])
         with pytest.raises(ParseError):
             parse_profile_page(page)
+
+
+class TestEscapeGuards:
+    """The renderer escapes only values holding one of ``& < > " '``,
+    and the parser unescapes only pages holding an ``&``: pages and
+    parsed views are what escaping and unescaping every value give."""
+
+    #: ``make_view`` with every value free of the five characters.
+    CLEAN = dict(
+        name="Jane Oneil",
+        networks=("Net One",),
+        high_schools=(SchoolAffiliation(7, "St Mary High", 2014),),
+        hometown="Springfield",
+        current_city="East End",
+        employer="Acme Co",
+        contact_email="ab@example.com",
+        wall_posts=(WallPostView(5, "see you"),),
+    )
+
+    @pytest.mark.parametrize(
+        "where",
+        [
+            {"wall_posts": (WallPostView(5, "see you"), WallPostView(6, "salt & pepper"))},
+            {"high_schools": (SchoolAffiliation(7, "Mary & Joseph High", 2014),)},
+            {"networks": ("Net One", "Acme & Sons")},
+        ],
+        ids=["wall-post", "school-name", "network"],
+    )
+    def test_a_pages_only_ampersand_is_unescaped(self, where):
+        view = make_view(**{**self.CLEAN, **where})
+        page = render_profile_page(view)
+        assert page.count("&") == 1 and "&amp;" in page
+        assert parse_profile_page(page) == reference_parse_profile_page(page) == view
+
+    def test_a_page_without_an_ampersand(self):
+        view = make_view(**self.CLEAN)
+        page = render_profile_page(view)
+        assert "&" not in page
+        assert parse_profile_page(page) == reference_parse_profile_page(page) == view
+
+    @given(view=views_strategy)
+    @settings(max_examples=200, deadline=None)
+    def test_pages_are_what_escaping_every_value_gives(self, view):
+        guarded = render_profile_page(view)
+        with mock.patch.object(pages, "_needs_escape", lambda value: True):
+            assert render_profile_page(view) == guarded
+
+    def test_an_unknown_gender_still_raises(self):
+        page = render_profile_page(make_view(gender=Gender.MALE))
+        assert parse_profile_page(page).gender is Gender.MALE
+        with pytest.raises(ValueError):
+            parse_profile_page(page.replace(">male<", ">robot<"))
 
 
 class TestDirectoryEntry:

@@ -103,3 +103,53 @@ class TestJsonlRoundTrip:
         assert report.total_requests == 0
         assert report.event_count == 0
         assert "total requests (effort): 0" in report.render()
+
+
+class TestDurationAndFailures:
+    def test_duration_sums_the_top_level_spans(self):
+        """A span's clock starts before the polite wait that precedes its
+        first request, so the spans see time that the events' own
+        timestamps miss; a nested span is counted once, in its parent."""
+        telemetry = Telemetry(SimClock())
+        clock = telemetry.clock
+        with telemetry.span("seeds"):
+            clock.sleep(3.0)
+            _attempt(telemetry, 1, "seeds", "/find-friends/browser", "ok")
+        with telemetry.span("core"):
+            with telemetry.span("candidates"):
+                clock.sleep(4.0)
+                _attempt(telemetry, 1, "profiles", "/profile/9", "ok")
+            clock.sleep(1.5)
+        report = CrawlSessionReport.from_events(telemetry.events)
+        assert report.sim_duration_seconds == pytest.approx(8.5)
+        assert "sim crawl duration:      8.5 s\n" in report.render()
+
+    def test_a_trace_without_spans_keeps_last_minus_first(self):
+        telemetry = Telemetry(SimClock())
+        telemetry.clock.sleep(3.0)
+        _attempt(telemetry, 1, "profiles", "/profile/9", "ok")
+        telemetry.clock.sleep(4.0)
+        _attempt(telemetry, 1, "profiles", "/profile/10", "ok")
+        report = CrawlSessionReport.from_events(telemetry.events)
+        assert report.sim_duration_seconds == pytest.approx(4.0)
+
+    def test_failures_are_counted_and_rendered(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        telemetry = Telemetry(SimClock(), jsonl=str(path))
+        with telemetry.span("crawl"):
+            telemetry.emit(
+                "retry_exhausted", account=1, path="/profile/9",
+                category="profiles", throttles=4,
+            )
+            telemetry.emit("unserved", item="profile", uid=9)
+            telemetry.emit("unserved", item="friends", uid=9)
+        telemetry.close()
+        live = CrawlSessionReport.from_events(telemetry.events)
+        assert (live.unserved_items, live.retries_exhausted) == (2, 1)
+        assert CrawlSessionReport.from_events(read_jsonl(str(path))) == live
+        lines = live.render().splitlines()
+        at = lines.index("accounts used/lost:      0/0")
+        assert lines[at + 1 : at + 3] == [
+            "unserved items:          2",
+            "retries exhausted:       1",
+        ]

@@ -25,6 +25,7 @@ The pipeline's own speed is measured by ``python bench/run.py`` (see
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Callable, List, Optional, Sequence
 
@@ -122,20 +123,27 @@ def _profiler_config(args: argparse.Namespace) -> ProfilerConfig:
 # Subcommands
 # ----------------------------------------------------------------------
 
-def _writable(*paths: Optional[str]) -> bool:
+def _writable(*paths: Optional[str], atomic: bool = False) -> bool:
     """Create each given output file now; ``False`` after reporting the
     first that cannot be written.
 
-    A telemetry session writes its files on close, so a command checks
-    its paths before the world is built and the crawl has run.
+    A telemetry session writes its files on close, and an export or a
+    bench record once its world is built, so a command checks its paths
+    before the world is built.  A file written ``atomic``-ally, through
+    ``<path>.tmp`` and a rename (:func:`repro.colgen.write_bench_json`),
+    is checked by creating and removing that ``.tmp`` file instead, so a
+    file already at the path stays as it is.
     """
     for out_path in filter(None, paths):
+        probe = f"{out_path}.tmp" if atomic else out_path
         try:
-            with open(out_path, "w", encoding="utf-8"):
+            with open(probe, "w", encoding="utf-8"):
                 pass
         except OSError as exc:
             print(f"error: cannot write {out_path!r}: {exc}", file=sys.stderr)
             return False
+        if atomic:
+            os.unlink(probe)
     return True
 
 
@@ -357,6 +365,8 @@ def cmd_worldgen(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    if not _writable(args.bench_out, atomic=True):
+        return 2
     record = bench_worldgen(
         args.tier,
         seed=args.seed,
@@ -451,6 +461,8 @@ def cmd_crawl(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
+    if not _writable(args.output):
+        return 2
     world = _build_world_from(args)
     export_world_json(world, args.output, include_individuals=args.full)
     print(f"wrote {'full' if args.full else 'aggregate'} snapshot to {args.output}")
@@ -631,7 +643,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        # Flushed here, a closed pipe raises inside the guard, not at exit.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``repro trace PATH | head``): point it
+        # at /dev/null so the interpreter's own flush at exit cannot raise
+        # again, and fail quietly, as a writer killed by SIGPIPE would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

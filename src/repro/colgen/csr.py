@@ -11,9 +11,9 @@ undirected graph is stored as
 which is 4–8 bytes per edge endpoint and answers the queries the
 simulator and the attack pipeline issue (neighbour lists, degrees,
 membership, mutual friends) with contiguous slices and binary search.
-Rows being sorted is a class invariant: construction sorts and
-deduplicates, ``validate()`` re-checks it, and ``are_friends`` and
-``mutual_friend_count`` rely on it.
+Rows being sorted is a class invariant: construction sorts,
+deduplicates and drops self-loops, ``validate()`` re-checks it, and
+``are_friends`` and ``mutual_friend_count`` rely on it.
 
 A row is a user id, and an id outside the rows has no friends.  That
 one rule covers every account registered after the graph was built:
@@ -73,50 +73,53 @@ def put_edges(key: np.ndarray, at: int, n: int, src: np.ndarray, dst: np.ndarray
     return end
 
 
-#: Keys :func:`_narrow_in_place` reads per step: a 512 KiB block.
-_NARROW_BLOCK = 1 << 16
+#: Keys :func:`_narrow_in_place` reads per step: 8,192 (64 KiB).  A
+#: block's temporaries (mask, ids, rows, and counts for the ~340 rows a
+#: city block spans) then stay below glibc's default 128 KiB mmap
+#: threshold and reuse the heap pages the last block freed; 65,536-key
+#: blocks map and fault in their 512 KiB temporaries afresh (82k page
+#: faults on the city), which costs the pass all it saves.
+_NARROW_BLOCK = 1 << 13
 
 
-def _narrow_in_place(key: np.ndarray, indptr: np.ndarray, n: int, dtype) -> int:
-    """Deduplicate the sorted ``key`` into its own buffer, as ``dtype`` ids.
+def _narrow_in_place(key: np.ndarray, n: int, dtype) -> np.ndarray:
+    """Deduplicate the sorted ``key`` into its own buffer, as ``dtype`` ids,
+    and return ``indptr``.
 
-    Writes each distinct key's column, ``key % n``, to the front of the
-    buffer and returns how many were written.  ``indptr`` holds each
-    row's start in ``key`` and is moved, in place, to the row's start
-    among the written ids.  A row's start is never a repeat (it is the
-    first key of its row), so its new place is the number of distinct
-    keys before it.
+    Drops repeats and self-loops, splits each kept key into its row and
+    id with one floor division, writes the ids to the front of the
+    buffer and counts each row's ids into the ``n + 1`` array whose
+    running sum is ``indptr``.
 
-    Blocks go in ascending order; each block's repeats are found, its
-    ids copied out and its row starts moved before anything is written,
-    and its last key is kept to test the next block's first.  The ids
-    written so far end at or before the byte where the next block
-    starts, because an id is never wider than a key, so no key is
-    overwritten unread.
+    Blocks go in ascending order; each block's ids are copied out before
+    anything is written, and its last key is kept to test the next
+    block's first.  The ids written so far end at or before the byte
+    where the next block starts, because an id is never wider than a
+    key, so no key is overwritten unread.
     """
     out = key.view(dtype)
+    indptr = np.zeros(n + 1, dtype=np.int64)
     size = 0
-    row = 0  # the first row whose start is not moved yet
-    last = 0
+    last = -1  # below every key
     for lo in range(0, key.shape[0], _NARROW_BLOCK):
         block = key[lo:lo + _NARROW_BLOCK]
         fresh = np.empty(block.shape[0], dtype=bool)
-        fresh[0] = lo == 0 or block[0] != last
+        fresh[0] = block[0] != last
         np.not_equal(block[1:], block[:-1], out=fresh[1:])
         last = block[-1]
         ids = block[fresh]
-        ids %= n
-        # Every start left to move is at or past ``lo``.
-        stop = row + int(np.searchsorted(indptr[row:], lo + block.shape[0]))
-        starts = indptr[row:stop]
-        starts -= lo
-        starts[:] = np.searchsorted(np.flatnonzero(fresh), starts)
-        starts += size
-        row = stop
-        out[size:size + ids.shape[0]] = ids
-        size += ids.shape[0]
-    indptr[row:] = size  # rows that start past the last key
-    return size
+        rows = ids // n
+        ids -= rows * n
+        keep = ids != rows
+        if not keep.all():
+            ids, rows = ids[keep], rows[keep]
+        if ids.shape[0]:
+            # Rows are sorted: the counts span rows[0]..rows[-1] exactly.
+            indptr[rows[0] + 1:rows[-1] + 2] += np.bincount(rows - rows[0])
+            out[size:size + ids.shape[0]] = ids
+            size += ids.shape[0]
+    np.cumsum(indptr, out=indptr)
+    return indptr
 
 
 class CSRGraph:
@@ -172,23 +175,20 @@ class CSRGraph:
         """Build from a composite key holding both orientations of every edge.
 
         ``key`` is an int64 array that owns its buffer, filled by
-        :func:`put_edges` with no self-loops; repeats are fine.  The
-        build consumes it: the key is sorted in place, row ``r`` starts
-        at the first key ``>= r * n``, and :func:`_narrow_in_place`
+        :func:`put_edges`; repeats and self-loops are fine and dropped,
+        as :meth:`from_edges` drops them.  The build consumes it: the
+        key is sorted in place, and one :func:`_narrow_in_place` pass
         writes the deduplicated neighbour ids, narrowed to
         :func:`index_dtype`, to the front of the key's own buffer and
-        moves each row start back past the repeats before it.  The
-        buffer then shrinks to the ids and becomes ``indices``.  Besides
-        the key, only ``indptr`` and block-sized temporaries are ever
-        alive: no array as long as the key.
+        counts them per row into ``indptr``.  The buffer then shrinks to
+        the ids and becomes ``indices``.  Besides the key, only
+        ``indptr`` and block-sized temporaries are ever alive: no array
+        as long as the key.
         """
         key.sort()
-        row_keys = np.arange(n + 1, dtype=np.int64)
-        row_keys *= n
-        indptr = np.searchsorted(key, row_keys).astype(np.int64, copy=False)
-        del row_keys
         dtype = index_dtype(n)
-        size = _narrow_in_place(key, indptr, n, dtype)
+        indptr = _narrow_in_place(key, n, dtype)
+        size = int(indptr[-1])
         # Shrink to the ids, rounded up to whole keys.  No view of the
         # buffer is alive here, so no view is left on freed memory.
         key.resize(-(-size * dtype.itemsize // key.itemsize), refcheck=False)

@@ -17,10 +17,10 @@ same *columnar schema* directly:
   each block's edge batch is drawn once and written, in both
   orientations, straight into one int64 composite key ``row * n + col``
   (~192 MB for the city's ~12M edges).  :meth:`CSRGraph.from_key` sorts
-  the key in place and deduplicates and narrows it, in place too, into
-  the int32 ``indices``.  The columns (~81 MB) are drawn after the graph,
-  so at the peak the key is the only large array alive: the city peaks
-  near 243 MiB RSS and keeps a ~100 MB graph.
+  it in place, then drops repeats and self-loops and narrows it, in place
+  too, into the int32 ``indices``.  The columns (~81 MB) are drawn after
+  the graph, so at the peak the key is the only large array alive: the
+  city peaks near 234 MiB RSS and keeps a ~100 MB graph.
 
 * Demography is a deliberately simplified projection of the paper's
   model — a school-age slice with the COPPA lying mix, adult privacy
@@ -367,24 +367,23 @@ def _generate_columns(
 
 def _shard_edge_batch(
     spec: TierSpec, seed: int, shard: int, n: int
-) -> Tuple["np.ndarray", "np.ndarray"]:
-    """The (src, dst) endpoints contributed by one block.
+) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]:
+    """One block's draws: ``(src_in, dst_in, src_out, dst_out)``.
 
-    Each block draws from its own stream, so the batch is fixed by
-    ``(seed, shard)`` alone, whatever order the blocks are drawn in.
+    Inner edges join two of the block's accounts, outer ones a block
+    account and any city account, self-pairs included.  Each block draws
+    from its own stream, so its draws are fixed by ``(seed, shard)`` alone.
     """
     rng = _shard_rng(seed, _STREAM_EDGES, shard)
     lo = shard * spec.block_size
+    hi = lo + spec.block_size
     m_in = int(rng.poisson(spec.block_size * spec.mean_block_degree / 2.0))
-    src_in = lo + rng.integers(0, spec.block_size, m_in)
-    dst_in = lo + rng.integers(0, spec.block_size, m_in)
+    src_in = rng.integers(lo, hi, m_in)
+    dst_in = rng.integers(lo, hi, m_in)
     m_out = int(rng.poisson(spec.block_size * spec.mean_city_degree / 2.0))
-    src_out = lo + rng.integers(0, spec.block_size, m_out)
+    src_out = rng.integers(lo, hi, m_out)
     dst_out = rng.integers(0, n, m_out)
-    src = np.concatenate([src_in, src_out])
-    dst = np.concatenate([dst_in, dst_out])
-    keep = src != dst
-    return src[keep], dst[keep]
+    return src_in, dst_in, src_out, dst_out
 
 
 def _key_capacity(spec: TierSpec) -> int:
@@ -403,21 +402,22 @@ def _build_graph(spec: TierSpec, seed: int, n: int) -> CSRGraph:
     """Draw every block's edges once, straight into one composite key.
 
     The key (int64, two slots per edge: ~192 MB for the city's ~12M
-    edges) is the build's only full-size array: each block's batch goes
-    into it as it is drawn, and :meth:`CSRGraph.from_key` sorts it in
-    place and narrows it, in place too, into ``indices``.  Nothing else
-    as long as the key is ever alive: the 100k city's build holds 1.17x
-    its key at once under ``tracemalloc``, the slots the key keeps in
-    reserve included.
+    edges) is the build's only full-size array: each block's draws go
+    into it as they are drawn, and :meth:`CSRGraph.from_key` sorts it in
+    place and narrows it, in place too, into ``indices``, dropping
+    repeats and self-pairs.  Nothing else as long as the key is ever
+    alive: the 100k city's build holds 1.1x its key at once under
+    ``tracemalloc``, the slots the key keeps in reserve included.
     """
     key = np.empty(_key_capacity(spec), dtype=np.int64)
     end = 0
     for b in range(spec.blocks):
-        # Bound to names, a block's batch stays alive while the next one
-        # is drawn.  Freed first, it leaves the heap's top free, the
+        # Bound to names, a block's draws stay alive while the next ones
+        # are drawn.  Freed first, they leave the heap's top free, the
         # allocator returns it to the OS after every block and the next
         # draw faults it back in: ~100k more page faults on the city.
-        src, dst = _shard_edge_batch(spec, seed, b, n)
-        end = put_edges(key, end, n, src, dst)
+        src_in, dst_in, src_out, dst_out = _shard_edge_batch(spec, seed, b, n)
+        end = put_edges(key, end, n, src_in, dst_in)
+        end = put_edges(key, end, n, src_out, dst_out)
     key.resize(end, refcheck=False)
     return CSRGraph.from_key(n, key)

@@ -12,7 +12,7 @@ CLI, benchmarks and CI can ask for:
   with sharded draws and a one-pass CSR build in one buffer, the
   composite key, sorted and narrowed in place before the columns are
   drawn: at the peak the key (~192 MB) is the only large array alive,
-  ~243 MiB RSS.
+  ~234 MiB RSS.
 * ``metro``  — ~10M accounts, generation-only: demographic and account
   columns are produced shard by shard, but adjacency is never
   materialised (that is the next scale rung, not this one).

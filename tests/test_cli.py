@@ -288,3 +288,78 @@ class TestTraceCommand:
         duration = sum(span["sim_seconds"] for span in top)
         assert trace_summary(capsys, trace)["sim crawl duration"] == f"{duration:.1f} s"
         assert f"{duration:.1f}" == "425.0"
+
+
+class TestOutputPaths:
+    """Every output path is checked before a world is built, and a
+    closed stdout ends a command quietly."""
+
+    @staticmethod
+    def no_world(*args, **kwargs):
+        raise AssertionError("a world was built before the path check")
+
+    @staticmethod
+    def one_error(capsys, path):
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: cannot write {str(path)!r}")
+
+    def test_unwritable_bench_out_fails_before_the_world_is_built(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.colgen
+
+        monkeypatch.setattr(repro.colgen, "bench_worldgen", self.no_world)
+        out = tmp_path / "missing" / "BENCH_worldgen.json"
+        assert main(["worldgen", "--tier", "smoke", "--bench-out", str(out)]) == 2
+        self.one_error(capsys, out)
+
+    def test_unwritable_export_path_fails_before_the_world_is_built(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.cli
+
+        monkeypatch.setattr(repro.cli, "_build_world_from", self.no_world)
+        out = tmp_path / "missing" / "world.json"
+        assert main(["export", "--preset", "tiny", "-o", str(out)]) == 2
+        self.one_error(capsys, out)
+
+    def test_checking_the_bench_out_path_keeps_the_previous_record(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.colgen
+
+        def failed_build(*args, **kwargs):
+            raise RuntimeError("the build failed")
+
+        monkeypatch.setattr(repro.colgen, "bench_worldgen", failed_build)
+        out = tmp_path / "BENCH_worldgen.json"
+        out.write_bytes(b'{"tier": "city"}\n')
+        with pytest.raises(RuntimeError, match="the build failed"):
+            main(["worldgen", "--tier", "smoke", "--bench-out", str(out)])
+        assert out.read_bytes() == b'{"tier": "city"}\n'
+        assert [path.name for path in tmp_path.iterdir()] == [out.name]
+
+    def test_a_closed_stdout_ends_quietly(self):
+        import os
+        import subprocess
+        import sys
+
+        # Block-buffered, as stdout on a pipe is by default, the listing
+        # meets the closed pipe only when stdout is flushed.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", "lint", "--list-rules"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr

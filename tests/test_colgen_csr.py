@@ -64,12 +64,8 @@ class TestConstruction:
 
 
 def from_endpoints(n, src, dst):
-    """The vectorised build every world runs: drop self-pairs, fill a
-    composite key with :func:`put_edges` and build it with ``from_key``."""
-    keep = src != dst
-    if not keep.all():
-        src, dst = src[keep], dst[keep]
-    del keep
+    """The vectorised build every world runs: fill a composite key with
+    :func:`put_edges`, self-pairs and all, and build it with ``from_key``."""
     key = np.empty(2 * src.shape[0], dtype=np.int64)
     put_edges(key, 0, n, src, dst)
     return CSRGraph.from_key(n, key)
@@ -158,14 +154,14 @@ class TestNarrowingBlocks:
         built.validate()
 
     def test_duplicate_runs_straddle_block_edges(self):
-        # 30,000 distinct edges, each given three times in random
+        # 4,000 distinct edges, each given three times in random
         # orientations: every key is a run of three mixing both
-        # orientations, and the 180,000 keys fill three blocks whose
-        # inner edges (65,536 = 3k + 1, 131,072 = 3k + 2) each cut a run.
+        # orientations, and the 24,000 keys fill three blocks whose
+        # inner edges (8,192 = 3k + 2, 16,384 = 3k + 1) each cut a run.
         rng = np.random.default_rng(28)
         n = 2_000
-        pairs = np.unique(np.sort(rng.integers(0, n, (40_000, 2)), axis=1), axis=0)
-        pairs = rng.permutation(pairs[pairs[:, 0] != pairs[:, 1]])[:30_000]
+        pairs = np.unique(np.sort(rng.integers(0, n, (6_000, 2)), axis=1), axis=0)
+        pairs = rng.permutation(pairs[pairs[:, 0] != pairs[:, 1]])[:4_000]
         copies = rng.permutation(np.repeat(pairs, 3, axis=0))
         flip = rng.random(len(copies)) < 0.5
         copies[flip] = copies[flip][:, ::-1]
@@ -176,8 +172,8 @@ class TestNarrowingBlocks:
         self.check(n, copies)
 
     def test_all_duplicates(self):
-        # One edge, 70,000 times a way: 140,000 keys in three blocks,
-        # the last of which holds only repeats.
+        # One edge, 70,000 times a way: 140,000 keys in 18 blocks, all
+        # but the first of which hold only repeats.
         self.check(10, np.tile([[3, 7], [7, 3]], (35_000, 1)))
 
     def test_empty(self):
@@ -187,26 +183,76 @@ class TestNarrowingBlocks:
     def test_ids_as_wide_as_the_key(self, dtype):
         # int64 ids (more than 2**31 rows) overwrite the key at the very
         # offset they read, which no buildable test graph reaches.  The
-        # narrowing finds the repeats and moves the row starts itself.
+        # pass finds the repeats and self-loops and counts the rows itself.
         rng = np.random.default_rng(64)
         n = 1_000
         key = np.sort(rng.integers(0, n * n, 3 * _NARROW_BLOCK))
         distinct = np.unique(key)
         assert len(distinct) < len(key)
-        row_keys = np.arange(n + 1) * n
-        indptr = np.searchsorted(key, row_keys)
-        size = _narrow_in_place(key, indptr, n, np.dtype(dtype))
+        loops = distinct % (n + 1) == 0
+        assert loops.any()
+        distinct = distinct[~loops]
+        indptr = _narrow_in_place(key, n, np.dtype(dtype))
+        size = indptr[-1]
         assert key.view(dtype)[:size].tolist() == (distinct % n).tolist()
-        assert indptr.tolist() == np.searchsorted(distinct, row_keys).tolist()
+        assert indptr.tolist() == np.searchsorted(distinct, np.arange(n + 1) * n).tolist()
+
+    def test_indptr_counts_the_rows(self):
+        # Loop-free keys with repeats on 1,000 rows, none of them in rows
+        # 0-9, 400-449 or 990-999: empty rows at the start, in the middle
+        # and at the end, past the last key.
+        rng = np.random.default_rng(33)
+        n = 1_000
+        rows = rng.integers(10, 990, 5 * _NARROW_BLOCK)
+        rows = rows[(rows < 400) | (rows >= 450)]
+        cols = rng.integers(0, n - 1, rows.shape[0])
+        cols[cols >= rows] += 1
+        key = np.sort(rows * n + cols)
+        expected = np.searchsorted(np.unique(key), np.arange(n + 1) * n)
+        indptr = _narrow_in_place(key, n, index_dtype(n))
+        assert indptr.dtype == np.int64
+        assert indptr.tolist() == expected.tolist()
+        assert (np.diff(indptr)[[0, 9, 400, 449, 990, 999]] == 0).all()
+
+    def test_self_loops_at_the_ends_and_across_a_block_edge(self):
+        # put_edges keys with a self-loop at the first sorted key (0-0)
+        # and at the last (49-49), and a run of 20 repeated self-loop
+        # keys (10-10) across the first block edge, then 10 repeats of
+        # 10-11: ``from_key`` builds ``from_edges``' graph.
+        n = 50
+        filler = (_NARROW_BLOCK - 12) // 2  # 1-2: keys 52 and 101
+        pairs = (
+            [(0, 0)]
+            + [(1, 2)] * filler
+            + [(10, 10)] * 10
+            + [(10, 11)] * 5
+            + [(30, 40), (49, 49)]
+        )
+        ends = np.array(pairs)
+        key = np.empty(2 * len(pairs), dtype=np.int64)
+        put_edges(key, 0, n, ends[:, 0], ends[:, 1])
+        keys = np.sort(key)
+        assert keys[0] == 0 and keys[-1] == n * n - 1
+        edge = _NARROW_BLOCK
+        assert keys[edge - 10] == keys[edge + 9] == 10 * n + 10
+        assert keys[edge + 10] == 10 * n + 11
+        built = CSRGraph.from_key(n, key)
+        reference = CSRGraph.from_edges(n, pairs)
+        assert built.indptr.tolist() == list(reference.indptr)
+        assert built.indices.tolist() == list(reference.indices)
+        built.validate()
+        assert built.neighbors_list(10) == [11]
+        assert built.degree(0) == built.degree(49) == 0
 
 
 class TestBuildMemory:
     def test_from_key_holds_little_beyond_the_key(self, traced_peak):
         # 1.2M loop-free random edges on hs2's 20,868 rows; the composite
         # key is 16 bytes an edge.  Narrowing the key in place, finding
-        # its repeats block by block, holds 1.07x the key at once; with a
-        # one-byte-per-key repeat mask it held 1.20x, and building
-        # ``indices`` as a narrowed copy of the key 1.7x.
+        # its repeats block by block, holds 1.02x the key at once (1.07x
+        # with a whole-key search for row starts); with a one-byte-per-key
+        # repeat mask it held 1.20x, and building ``indices`` as a
+        # narrowed copy of the key 1.7x.
         rng = np.random.default_rng(20_868)
         n, m = 20_868, 1_200_000
         src = rng.integers(0, n, m)

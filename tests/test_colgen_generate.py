@@ -88,8 +88,9 @@ class TestNativeGeneration:
         n = mini_city.n_accounts
         edges = []
         for b in range(_BLOCKS):
-            src, dst = _shard_edge_batch(spec, mini_city.seed, b, n)
-            edges.extend(zip(src.tolist(), dst.tolist()))
+            src_in, dst_in, src_out, dst_out = _shard_edge_batch(spec, mini_city.seed, b, n)
+            edges.extend(zip(src_in.tolist(), dst_in.tolist()))
+            edges.extend(zip(src_out.tolist(), dst_out.tolist()))
         reference = CSRGraph.from_edges(n, edges)
         assert mini_city.csr.indptr.tolist() == list(reference.indptr)
         assert mini_city.csr.indices.tolist() == list(reference.indices)
@@ -175,10 +176,12 @@ class TestGraphBuild:
         """The 100k city's graph build, under ``tracemalloc``.
 
         The composite key (16 bytes a drawn edge) is the build's only
-        full-size array: 1.17x the key at the peak, the slots it keeps in
-        reserve included.  With a one-byte-per-key repeat mask beside it
-        the build held 1.30x; drawing into an int32 endpoint list first
-        and building ``indices`` as a narrowed copy of the key, 2.3x.
+        full-size array: 1.10x the key at the peak, the slots it keeps in
+        reserve included (1.17x with a whole-key search for row starts and
+        masked copies of the draws).  With a one-byte-per-key repeat mask
+        beside it the build held 1.30x; drawing into an int32 endpoint
+        list first and building ``indices`` as a narrowed copy of the
+        key, 2.3x.
         """
         from repro.colgen.generate import _build_graph
 
@@ -192,7 +195,7 @@ class TestGraphBuild:
         """The whole 100k city, columns and all, under ``tracemalloc``.
 
         The graph is built before the columns, so the key is the only
-        large array alive at the peak (1.17x the key).  Drawn first, the
+        large array alive at the peak (1.10x the key).  Drawn first, the
         columns sat under the key: 1.73x.
         """
         world, peak = traced_peak(lambda: generate("city", seed=1, blocks=25))
@@ -201,11 +204,18 @@ class TestGraphBuild:
 
 
 def drawn_edges(spec, seed) -> int:
-    """How many edges a native world draws: its key holds two slots each."""
+    """How many loop-free edges a native world draws: its key holds two
+    slots each."""
+    import numpy as np
+
     from repro.colgen.generate import _shard_edge_batch
 
     n = spec.blocks * spec.block_size
-    return sum(_shard_edge_batch(spec, seed, b, n)[0].shape[0] for b in range(spec.blocks))
+    total = 0
+    for b in range(spec.blocks):
+        src_in, dst_in, src_out, dst_out = _shard_edge_batch(spec, seed, b, n)
+        total += int(np.count_nonzero(src_in != dst_in) + np.count_nonzero(src_out != dst_out))
+    return total
 
 
 class TestBench:
